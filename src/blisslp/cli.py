@@ -13,18 +13,19 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .fcidump import FcidumpError, parse_fcidump, write_fcidump
-from .fermionic import (IterationLimitError, assemble_global_bliss,
-                        build_fermionic_report)
-from .hamiltonian import MolecularHamiltonian, apply_bliss
+from .fermionic import (FermionicNormReport, IterationLimitError,
+                        assemble_global_bliss, build_fermionic_report)
+from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
 from .l1min import SolverOptions, dump_problem, merge_duplicate_rows
 from .lp_bliss import LpBlissIterationLimit, build_lp_bliss_problem, lp_bliss
-from .pauli import pauli_one_norm
+from .pauli import PauliNormBreakdown, pauli_one_norm
 from .report import (BlissSummary, CompareReport, NormPair, RunReport,
                      fermionic_section, spectral_section, to_json)
-from .spectral import LanczosOptions, build_spectral_report
+from .spectral import (LanczosOptions, SpectralReport, build_spectral_report,
+                       with_shifted_range)
 
 __all__ = [
     "METHODS",
@@ -41,10 +42,6 @@ __all__ = [
     "main",
 ]
 
-METHODS = ("none", "lp-bliss", "flr-bliss", "ffr-bliss",
-           "df", "df-lrps", "df-lrbs")
-# Methods that produce a global shift operator and hence a shifted FCIDUMP.
-BLISS_METHODS = ("lp-bliss", "flr-bliss", "ffr-bliss")
 SPECTRAL_CHOICES = ("off", "exact", "lanczos")
 
 EXIT_OK = 0
@@ -83,74 +80,130 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
 
 
+# The RunConfig fields a Baseline is built from; compared runs must agree.
+_BASELINE_FIELDS = ("input", "n_elec", "df_tol", "spectral", "lanczos_mult",
+                    "lanczos_tol")
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """The unshifted input every method is measured against; ``spectral``
+    holds its ranges, or None when spectra are off."""
+
+    hamiltonian: MolecularHamiltonian
+    pauli: PauliNormBreakdown
+    df: FermionicNormReport
+    spectral: SpectralReport | None
+    lanczos: LanczosOptions
+    timings_s: Mapping[str, float]
+
+    @classmethod
+    def load(cls, config: RunConfig) -> "Baseline":
+        t_start = time.perf_counter()
+        hamiltonian = parse_fcidump(Path(config.input).read_text())
+        if config.n_elec is not None:
+            hamiltonian = hamiltonian.with_n_elec(config.n_elec)
+        t_parsed = time.perf_counter()
+        pauli = pauli_one_norm(hamiltonian)
+        df = build_fermionic_report(hamiltonian, "df", config.df_tol)
+        lanczos = LanczosOptions(truncation_multiplier=config.lanczos_mult,
+                                 residual_tol=config.lanczos_tol)
+        spectral = None if config.spectral == "off" else build_spectral_report(
+            hamiltonian, None, config.spectral, options=lanczos)
+        return cls(hamiltonian, pauli, df, spectral, lanczos,
+                   {"parse": t_parsed - t_start,
+                    "baseline": time.perf_counter() - t_parsed})
+
+
+# A method maps (baseline, config, solver options) to BlissParams for a
+# "global" shift of H, to the report of its shifted DF fragments for a
+# "fragments" shift, and otherwise to the fermionic report it adds, or None.
+# It looks stages up as module attributes when it runs, so that wrappers
+# installed on this module see every call.
+def _lp_bliss(base: Baseline, config: RunConfig,
+              solver: SolverOptions) -> BlissParams:
+    if config.dump_lp is not None:
+        problem, _ = build_lp_bliss_problem(base.hamiltonian)
+        Path(config.dump_lp).write_text(
+            dump_problem(merge_duplicate_rows(problem)))
+    return lp_bliss(base.hamiltonian, solver)[0]
+
+
+def _global_from_fragments(flavor: str):
+    return lambda base, config, solver: assemble_global_bliss(
+        base.hamiltonian, flavor, config.df_tol, solver)
+
+
+def _shifted_fragments(method: str):
+    return lambda base, config, solver: build_fermionic_report(
+        base.hamiltonian, method, config.df_tol, solver)
+
+
+_MU1_CONVENTION = {"mu1_convention": (
+    "median of the eigenvalues of the unmodified one-body tensor; "
+    "per-fragment corrections are not folded in first")}
+
+# name -> (shift kind, method, report metadata).
+_METHOD_TABLE = {
+    "none": (None, lambda base, config, solver: None, {}),
+    "lp-bliss": ("global", _lp_bliss, {}),
+    "flr-bliss": ("global", _global_from_fragments("flr"), _MU1_CONVENTION),
+    "ffr-bliss": ("global", _global_from_fragments("ffr"), _MU1_CONVENTION),
+    "df": (None, lambda base, config, solver: base.df, {}),
+    "df-lrps": ("fragments", _shifted_fragments("df-lrps"), {}),
+    "df-lrbs": ("fragments", _shifted_fragments("df-lrbs"), {}),
+}
+METHODS = tuple(_METHOD_TABLE)
+# Methods that produce a global shift operator and hence a shifted FCIDUMP.
+BLISS_METHODS = tuple(name for name, (shift, _, _) in _METHOD_TABLE.items()
+                      if shift == "global")
 
 
 def run_pipeline(config: RunConfig) -> tuple[RunReport, MolecularHamiltonian | None]:
     """Execute one configuration; returns the report and, for shift-producing
     methods, the shifted Hamiltonian."""
-    timings: dict[str, float] = {}
-    t_start = time.perf_counter()
-    hamiltonian = parse_fcidump(Path(config.input).read_text())
-    if config.n_elec is not None:
-        hamiltonian = hamiltonian.with_n_elec(config.n_elec)
-    timings["parse"] = time.perf_counter() - t_start
+    return _run_method(config, Baseline.load(config))
 
-    t_method = time.perf_counter()
-    solver_options = SolverOptions(max_iters=config.lp_max_iters)
-    pauli_before = pauli_one_norm(hamiltonian)
-    df_before = build_fermionic_report(hamiltonian, "df", config.df_tol)
 
-    params = None
-    fermionic = None
-    metadata: dict[str, str] = {}
+def _run_method(config: RunConfig, base: Baseline
+                ) -> tuple[RunReport, MolecularHamiltonian | None]:
+    """``run_pipeline`` against ``base``, which must have been loaded from a
+    configuration that agrees with ``config`` on ``_BASELINE_FIELDS``."""
     if config.dump_lp is not None and config.method != "lp-bliss":
         print(f"warning: --dump-lp only applies to lp-bliss, ignoring",
               file=sys.stderr)
-    if config.method == "lp-bliss":
-        if config.dump_lp is not None:
-            problem, _ = build_lp_bliss_problem(hamiltonian)
-            Path(config.dump_lp).write_text(
-                dump_problem(merge_duplicate_rows(problem)))
-        params, _ = lp_bliss(hamiltonian, solver_options)
-    elif config.method in ("flr-bliss", "ffr-bliss"):
-        params = assemble_global_bliss(hamiltonian, config.method[:3],
-                                       config.df_tol, solver_options)
-        metadata["mu1_convention"] = (
-            "median of the eigenvalues of the unmodified one-body tensor; "
-            "per-fragment corrections are not folded in first")
-    elif config.method == "df":
-        fermionic = df_before
-    elif config.method in ("df-lrps", "df-lrbs"):
-        fermionic = build_fermionic_report(hamiltonian, config.method,
-                                           config.df_tol, solver_options)
-
-    shifted = None
-    pauli_after = None
-    df_after = None
-    if params is not None:
-        shifted = apply_bliss(hamiltonian, params)
+    shift, method, metadata = _METHOD_TABLE[config.method]
+    metadata = dict(metadata)
+    t_method = time.perf_counter()
+    result = method(base, config, SolverOptions(max_iters=config.lp_max_iters))
+    params = fermionic = shifted = pauli_after = df_after = None
+    if shift == "global":
+        params = result
+        shifted = apply_bliss(base.hamiltonian, params)
         pauli_after = pauli_one_norm(shifted).lambda_total
         df_after = build_fermionic_report(shifted, "df",
                                           config.df_tol).lambda_total
-    elif config.method in ("df-lrps", "df-lrbs"):
-        df_after = fermionic.lambda_total
-    timings["method"] = time.perf_counter() - t_method
+    else:
+        fermionic = result
+        if shift == "fragments":
+            df_after = fermionic.lambda_total
 
     t_spectral = time.perf_counter()
-    spectral = None
-    if config.spectral != "off":
-        options = LanczosOptions(truncation_multiplier=config.lanczos_mult,
-                                 residual_tol=config.lanczos_tol)
-        spectral = spectral_section(build_spectral_report(
-            hamiltonian, shifted, config.spectral, options=options))
-        if config.spectral == "lanczos":
-            metadata["lanczos_truncation"] = (
-                "vectors are truncated first, then orthogonalized")
-    timings["spectral"] = time.perf_counter() - t_spectral
-    timings["total"] = time.perf_counter() - t_start
+    spectral = base.spectral
+    if spectral is not None and shifted is not None:
+        spectral = with_shifted_range(spectral, shifted, options=base.lanczos)
+    if config.spectral == "lanczos":
+        metadata["lanczos_truncation"] = (
+            "vectors are truncated first, then orthogonalized")
+    timings = {**base.timings_s, "method": t_spectral - t_method,
+               "spectral": time.perf_counter() - t_spectral}
+    timings["total"] = sum(timings.values())
 
+    hamiltonian = base.hamiltonian
     report = RunReport(
         generated_at=_now(),
         input_path=config.input,
@@ -161,11 +214,11 @@ def run_pipeline(config: RunConfig) -> tuple[RunReport, MolecularHamiltonian | N
         method=config.method,
         spectral_method=config.spectral,
         seed=config.seed,
-        lambda_pauli=NormPair(pauli_before.lambda_total, pauli_after),
-        lambda_df=NormPair(df_before.lambda_total, df_after),
+        lambda_pauli=NormPair(base.pauli.lambda_total, pauli_after),
+        lambda_df=NormPair(base.df.lambda_total, df_after),
         bliss=None if params is None else BlissSummary.from_params(params),
         fermionic=None if fermionic is None else fermionic_section(fermionic),
-        spectral=spectral,
+        spectral=None if spectral is None else spectral_section(spectral),
         options={"df_tol": config.df_tol,
                  "lanczos_mult": config.lanczos_mult,
                  "lanczos_tol": config.lanczos_tol,
@@ -207,18 +260,21 @@ def run(config: RunConfig) -> int:
 
 
 def compare(configs: Sequence[RunConfig]) -> CompareReport:
-    """Run several configurations over one shared input.
+    """Run several methods against one baseline, built from the first config.
 
     Raises:
-        ValueError: fewer than two configs, or mismatched inputs.
+        ValueError: fewer than two configs, or configs that disagree on
+            input, n_elec, df_tol, spectral, lanczos_mult or lanczos_tol.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least two configurations")
-    inputs = {c.input for c in configs}
-    if len(inputs) != 1:
-        raise ValueError(f"compare configurations must share one input, "
-                         f"got {sorted(inputs)}")
-    runs = tuple(run_pipeline(c)[0] for c in configs)
+    for field in _BASELINE_FIELDS:
+        values = {getattr(c, field) for c in configs}
+        if len(values) != 1:
+            raise ValueError(f"compare configurations must share one "
+                             f"{field}, got {sorted(values, key=repr)}")
+    base = Baseline.load(configs[0])
+    runs = tuple(_run_method(c, base)[0] for c in configs)
     return CompareReport(generated_at=_now(), input_path=configs[0].input,
                          runs=runs)
 

@@ -101,11 +101,14 @@ def _header_int(fields: dict, key: str, line: int) -> int:
 def _parse_orbsym(text: str, n_orb: int, line: int) -> tuple[int, ...]:
     labels: list[int] = []
     for token in text.replace(",", " ").split():
-        if "*" in token:  # Fortran repeat syntax n*value
-            count, value = token.split("*", 1)
-            labels.extend([int(value)] * int(count))
-        else:
-            labels.append(int(token))
+        try:
+            if "*" in token:  # Fortran repeat syntax n*value
+                count, value = token.split("*", 1)
+                labels.extend([int(value)] * int(count))
+            else:
+                labels.append(int(token))
+        except ValueError as exc:
+            raise FcidumpError(f"malformed ORBSYM label {token!r}", line) from exc
     if len(labels) < n_orb:
         raise FcidumpError(f"ORBSYM lists {len(labels)} labels for {n_orb} orbitals", line)
     return tuple(labels[:n_orb])

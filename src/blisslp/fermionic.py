@@ -57,9 +57,9 @@ __all__ = [
 
 FERMIONIC_METHODS = ("df", "df-lrps", "df-lrbs")
 
-# Eigenvectors of the reshaped two-body matrix must be symmetric matrices;
-# larger asymmetry on a non-negligible eigenvalue signals a broken tensor.
-EIGENVECTOR_SYMMETRY_TOL = 1e-8
+# Largest asymmetry of a two-body tensor under i <-> j or k <-> l, relative
+# to max(1, its largest entry), that factorization accepts.
+PAIR_SYMMETRY_RTOL = 1e-8
 
 
 class IterationLimitError(RuntimeError):
@@ -201,28 +201,23 @@ def factorize_two_body_tensor(g: np.ndarray, tol: float = 1e-8) -> list[DFFragme
     magnitude at or below ``tol`` are dropped.
 
     Raises:
-        ValueError: if a retained eigenvector fails to reshape into a
-            symmetric matrix, which signals a tensor without the required
-            index symmetry.
+        ValueError: if g is not symmetric under i <-> j or k <-> l, so its
+            eigenvectors need not reshape into symmetric matrices.
     """
     n = g.shape[0]
-    flat = g.reshape(n * n, n * n)
-    w, vecs = np.linalg.eigh(flat)
+    asym = max(float(np.abs(g - g.transpose(p)).max(initial=0.0))
+               for p in ((1, 0, 2, 3), (0, 1, 3, 2)))
+    if asym > PAIR_SYMMETRY_RTOL * max(1.0, float(np.abs(g).max(initial=0.0))):
+        raise ValueError(f"two-body tensor symmetry is broken: pair "
+                         f"asymmetry {asym:.3g}")
+    w, vecs = np.linalg.eigh(g.reshape(n * n, n * n))
     order = sorted(range(w.size), key=lambda idx: (-abs(w[idx]), idx))
-    # Noise-level eigenvalues live in the antisymmetric kernel; only vectors
-    # carrying real weight are held to the symmetry check.
-    gate = 1e-10 * max(1.0, float(np.abs(w).max(initial=0.0)))
     fragments: list[DFFragment] = []
     for idx in order:
         if abs(w[idx]) <= tol:
             continue
         mat = vecs[:, idx].reshape(n, n)
-        asym = float(np.abs(mat - mat.T).max())
-        if asym > EIGENVECTOR_SYMMETRY_TOL and abs(w[idx]) > gate:
-            raise ValueError(
-                f"reshaped eigenvector for eigenvalue {w[idx]:.6g} is not "
-                f"symmetric (defect {asym:.3g}); two-body tensor symmetry "
-                "is broken")
+        # Rounding leaves a symmetric eigenvector slightly asymmetric.
         mat = 0.5 * (mat + mat.T)
         d, p = np.linalg.eigh(mat)
         fragments.append(DFFragment(

@@ -72,8 +72,10 @@ class ScipyLinprogSolver:
         res = linprog(c, A_ub=G, b_ub=h, bounds=(None, None),
                       method=self.method, options={"maxiter": max_iters})
         status = {0: LpStatus.OPTIMAL, 1: LpStatus.ITERATION_LIMIT,
-                  2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(
-                      res.status, LpStatus.ITERATION_LIMIT)
+                  2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(res.status)
+        if status is None:  # 4: numerical difficulties
+            raise RuntimeError(f"linprog method={self.method!r} stopped with "
+                               f"status {res.status}: {res.message}")
         z = np.asarray(res.x, dtype=float) if res.x is not None else np.zeros(G.shape[1])
         return LpResult(z, float(res.fun) if res.fun is not None else float("nan"),
                         status, int(getattr(res, "nit", 0)))

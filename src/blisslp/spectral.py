@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -45,6 +45,7 @@ __all__ = [
     "spectral_range",
     "deviation_metric",
     "build_spectral_report",
+    "with_shifted_range",
     "EXACT_CAP_SPIN_ORBITALS",
     "EXACT_FALLBACK_DIMENSION",
 ]
@@ -435,18 +436,24 @@ def build_spectral_report(hamiltonian: MolecularHamiltonian,
     """Assemble ranges of H (full Fock and its n_elec sector) and, when a
     shifted Hamiltonian is given, the shifted full range and deviation."""
     full = spectral_range(hamiltonian, None, method, exact_cap, options)
-    ens = spectral_range(hamiltonian, hamiltonian.n_elec, method, exact_cap,
-                         options)
-    converged = full.converged and ens.converged
-    delta_shifted = None
-    deviation = None
-    if shifted is not None:
-        shifted_full = spectral_range(shifted, None, method, exact_cap, options)
-        delta_shifted = shifted_full.delta
-        deviation = deviation_metric(full.delta, delta_shifted, ens.delta)
-        converged = converged and shifted_full.converged
-    return SpectralReport(
-        delta_e=full.delta, delta_e_ens=ens.delta,
-        delta_e_shifted=delta_shifted, deviation=deviation,
-        method=method, converged=converged,
+    # Sectors are swept in order 0..n_spin_orb, so row n_elec is the sector.
+    _, lo, hi = full.sector_extremes[hamiltonian.n_elec]
+    report = SpectralReport(
+        delta_e=full.delta, delta_e_ens=hi - lo, delta_e_shifted=None,
+        deviation=None, method=method, converged=full.converged,
         sector_extremes=full.sector_extremes)
+    if shifted is None:
+        return report
+    return with_shifted_range(report, shifted, exact_cap, options)
+
+
+def with_shifted_range(report: SpectralReport, shifted: MolecularHamiltonian,
+                       exact_cap: int = EXACT_CAP_SPIN_ORBITALS,
+                       options: LanczosOptions | None = None) -> SpectralReport:
+    """``report`` of the unshifted H, completed with the full range of
+    ``shifted`` and the deviation it gives."""
+    full = spectral_range(shifted, None, report.method, exact_cap, options)
+    return replace(report, delta_e_shifted=full.delta,
+                   deviation=deviation_metric(report.delta_e, full.delta,
+                                              report.delta_e_ens),
+                   converged=report.converged and full.converged)

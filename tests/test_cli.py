@@ -19,6 +19,7 @@ from blisslp import (
     compare,
     parse_fcidump,
     pauli_one_norm,
+    run_pipeline,
     strip_volatile,
     write_fcidump,
 )
@@ -284,6 +285,44 @@ def test_compare_rejects_mismatched_inputs(tmp_path):
     second = dump_file(tmp_path, seed=2, name="b.fcidump")
     with pytest.raises(ValueError, match="share"):
         compare([RunConfig(input=first), RunConfig(input=second)])
+
+
+def test_compare_equals_separate_runs_and_builds_baseline_once(
+        tmp_path, monkeypatch):
+    from blisslp import spectral
+
+    path = dump_file(tmp_path)
+    configs = [RunConfig(input=path, method=m, spectral="exact")
+               for m in ("none", "lp-bliss", "ffr-bliss")]
+    separate = [strip_volatile(run_pipeline(c)[0].to_dict()) for c in configs]
+    calls = []
+    sector_matrix = spectral.sector_matrix
+
+    def counting(hamiltonian, n_elec):
+        calls.append(n_elec)
+        return sector_matrix(hamiltonian, n_elec)
+
+    monkeypatch.setattr(spectral, "sector_matrix", counting)
+    comparison = compare(configs)
+    assert [strip_volatile(r.to_dict()) for r in comparison.runs] == separate
+    # One full-Fock sweep (sectors 0..4 of two orbitals) of the unshifted H,
+    # then one per shifting method.
+    assert calls == list(range(5)) * 3
+    with pytest.raises(ValueError, match="share"):
+        compare([configs[0], RunConfig(input=path, method="df",
+                                       spectral="exact", df_tol=1e-6)])
+
+
+def test_bench_trace_wraps_resolve(monkeypatch):
+    """Every function the benchmark tracer wraps must exist where it looks."""
+    import importlib
+
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    for module_name, attr, _, _ in spans.WRAPS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
 def test_run_config_validation():

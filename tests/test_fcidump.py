@@ -109,6 +109,13 @@ def test_parse_missing_header_fields():
         parse_fcidump("   \n\n")
 
 
+@pytest.mark.parametrize("orbsym", ["a,b", "2*"])
+def test_parse_malformed_orbsym_names_line(orbsym):
+    with pytest.raises(FcidumpError, match="ORBSYM") as err:
+        parse_fcidump(f" &FCI NORB=2,NELEC=2,ORBSYM={orbsym},\n &END\n")
+    assert err.value.line is not None
+
+
 def test_write_zero_hamiltonian_core_line_only():
     H = MolecularHamiltonian(n_orb=2, e_const=0.0, h=np.zeros((2, 2)),
                              g=np.zeros((2, 2, 2, 2)), n_elec=2)

@@ -125,6 +125,23 @@ def test_factorize_rejects_broken_symmetry():
         factorize_two_body_tensor(g, tol=0.0)
 
 
+def test_factorize_accepts_symmetric_tensor_with_tiny_eigenvalue():
+    """An exactly 8-fold-symmetric tensor whose smallest retained eigenvalue
+    is near 1e-7: rounding makes that eigenvector slightly asymmetric, which
+    says nothing about the tensor."""
+    rng = np.random.default_rng(185)
+    mats = []
+    for _ in range(3):
+        a = rng.normal(size=(4, 4))
+        mats.append(a + a.T)
+    g = oracles.symmetrize8(sum(c * np.multiply.outer(m, m)
+                                for c, m in zip((1.0, -0.7, 6e-8), mats)))
+    fragments = factorize_two_body_tensor(g)
+    assert len(fragments) == 3
+    np.testing.assert_allclose(reconstruct_two_body(fragments, 4), g,
+                               atol=1e-10)
+
+
 def test_factorize_truncation_threshold():
     rng = np.random.default_rng(44)
     g = oracles.symmetrize8(rng.normal(size=(2,) * 4))

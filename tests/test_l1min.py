@@ -147,6 +147,22 @@ def test_scipy_backend_agrees():
     assert ours.objective == pytest.approx(theirs.objective, abs=1e-7)
 
 
+def test_scipy_backend_numerical_difficulties_raise(monkeypatch):
+    """HiGHS status 4 is not an iteration limit; it must not read as one."""
+    import types
+
+    import scipy.optimize
+
+    def linprog(*args, **kwargs):
+        return types.SimpleNamespace(status=4, message="numerical trouble",
+                                     x=None, fun=None, nit=7)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    options = SolverOptions(solver=ScipyLinprogSolver())
+    with pytest.raises(RuntimeError, match="status 4: numerical trouble"):
+        l1_minimize(column_of_ones([1.0, 2.0, 4.0]), options)
+
+
 def test_merge_identical_rows_sums_weights():
     rows = (((0, 1.0),), ((0, 1.0),))
     problem = L1Problem(1, rows, np.array([2.0, 2.0]), np.array([0.5, 0.5]))
