@@ -77,7 +77,8 @@ class RunConfig:
         if self.lanczos_mult < 1:
             raise ValueError("lanczos_mult must be >= 1")
         if self.lanczos_tol <= 0.0 or self.df_tol < 0.0:
-            raise ValueError("tolerances must be positive")
+            raise ValueError("lanczos_tol must be positive and df_tol "
+                             "non-negative")
 
 
 # The RunConfig fields a Baseline is built from; compared runs must agree.
@@ -241,9 +242,17 @@ def _summary_line(report: RunReport) -> str:
     return " ".join(parts)
 
 
+def _warn_unconverged(report: RunReport) -> None:
+    if report.spectral is not None and not report.spectral["converged"]:
+        print(f"warning: method {report.method}: the "
+              f"{report.spectral['method']} spectral range did not converge; "
+              "its energies are variational estimates", file=sys.stderr)
+
+
 def run(config: RunConfig) -> int:
     """Run one configuration and write its artifacts."""
     report, shifted = run_pipeline(config)
+    _warn_unconverged(report)
     if config.out_fcidump is not None:
         if shifted is not None:
             Path(config.out_fcidump).write_text(write_fcidump(shifted))
@@ -275,6 +284,8 @@ def compare(configs: Sequence[RunConfig]) -> CompareReport:
                              f"{field}, got {sorted(values, key=repr)}")
     base = Baseline.load(configs[0])
     runs = tuple(_run_method(c, base)[0] for c in configs)
+    for report in runs:
+        _warn_unconverged(report)
     return CompareReport(generated_at=_now(), input_path=configs[0].input,
                          runs=runs)
 

@@ -145,7 +145,6 @@ class SolverOptions:
     """
 
     max_iters: int | None = None
-    tol: float = 1e-8
     solver: LpSolver | None = None
 
 

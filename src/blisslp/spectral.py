@@ -6,13 +6,14 @@ Hamiltonian H = e_const + sum_ij h_ij F^i_j + sum_ijkl g_ijkl F^i_j F^k_l
 acts through spin-summed excitations F^i_j = sum_s a+_is a_js, so it
 conserves electron number and every estimate can be run sector by sector.
 
-Two engines are provided: dense diagonalization of a sector matrix for
-small systems, and a truncated Lanczos iteration that caps the support of
-each Krylov vector.  Because every retained vector stays inside the sector
-and the projected matrix uses exact Hamiltonian applications, the truncated
-estimates are variational: the lowest estimate never undershoots the true
-minimum and the highest never overshoots the true maximum, so the derived
-spectral range is a lower bound on the exact one.
+One kernel serves both engines: a per-sector excitation table lists every
+nonzero <d|F^k_l|s>, and numpy gathers and scatters through it build dense
+sector matrices for exact diagonalization and apply H to the dense vectors
+of a truncated Lanczos iteration that caps each Krylov vector's support.
+Retained vectors stay inside the sector and the projected matrix uses exact
+H applications, so Lanczos estimates are variational (the lowest never
+undershoots the true minimum, the highest never overshoots the maximum) and
+the derived spectral range is a lower bound on the exact one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -48,12 +48,16 @@ __all__ = [
     "with_shifted_range",
     "EXACT_CAP_SPIN_ORBITALS",
     "EXACT_FALLBACK_DIMENSION",
+    "SPECTRAL_MEMORY_LIMIT_BYTES",
 ]
 
 EXACT_CAP_SPIN_ORBITALS = 14
 # Sectors at or below this dimension are diagonalized densely even when the
 # caller asked for Lanczos; the iteration buys nothing there.
 EXACT_FALLBACK_DIMENSION = 1000
+# Predicted peak memory of one sector above which the engine refuses to
+# start; Lanczos at 20 spin-orbitals and half filling needs about 1.2 GiB.
+SPECTRAL_MEMORY_LIMIT_BYTES = 2 * 1024 ** 3
 
 SPECTRAL_METHODS = ("exact", "lanczos")
 
@@ -79,13 +83,8 @@ class Determinant:
 
     def spin_orbitals(self) -> tuple[int, ...]:
         """Occupied spin-orbital indices, ascending."""
-        occ, out, s = self.occupancy, [], 0
-        while occ:
-            if occ & 1:
-                out.append(s)
-            occ >>= 1
-            s += 1
-        return tuple(out)
+        return tuple(s for s in range(self.occupancy.bit_length())
+                     if self.occupancy >> s & 1)
 
 
 @dataclass(frozen=True)
@@ -136,50 +135,60 @@ def sector_determinants(n_spin_orb: int, n_elec: int) -> tuple[int, ...]:
     return tuple(sorted(masks))
 
 
-@lru_cache(maxsize=None)
-def _single_excitations(occ: int, n_orb: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All (k, l, new_occ, sign) with F^k_l|occ> ∋ sign|new_occ>, spin-summed."""
-    out = []
-    for l in range(n_orb):
-        for spin in (0, 1):
-            s_ann = 2 * l + spin
-            if not (occ >> s_ann) & 1:
-                continue
-            occ2 = occ & ~(1 << s_ann)
-            par_l = (occ & ((1 << s_ann) - 1)).bit_count()
-            for k in range(n_orb):
-                s_cre = 2 * k + spin
-                if (occ2 >> s_cre) & 1:
-                    continue
-                par = par_l + (occ2 & ((1 << s_cre) - 1)).bit_count()
-                out.append((k, l, occ2 | (1 << s_cre), -1 if par & 1 else 1))
-    return tuple(out)
+def _check_memory(n_orb: int, n_elec: int, max_iters: int = 0) -> None:
+    """Refuse a sector predicted to outgrow the memory limit: 32 B per table
+    entry (a determinant with a alpha electrons has a(N-a+1) alpha entries;
+    beta, by symmetry, adds as many over the sector), two N^2 x dim matvec
+    arrays and ``max_iters`` pairs of Lanczos vectors."""
+    if not 0 <= n_elec <= 2 * n_orb:
+        return  # sector_determinants names the bad n_elec
+    entries = 2 * sum(math.comb(n_orb, a) * math.comb(n_orb, n_elec - a)
+                      * a * (n_orb - a + 1) for a in range(n_elec + 1))
+    dim = math.comb(2 * n_orb, n_elec)
+    need = 32 * entries + 16 * dim * (n_orb ** 2 + max_iters)
+    if need > SPECTRAL_MEMORY_LIMIT_BYTES:
+        raise ValueError(
+            f"the {n_elec}-electron sector of {2 * n_orb} spin-orbitals needs "
+            f"about {need / 2**30:.1f} GiB, above SPECTRAL_MEMORY_LIMIT_BYTES "
+            f"({SPECTRAL_MEMORY_LIMIT_BYTES} B)")
 
 
-def _apply(e_const: float, h: list, g_klij: list, n_orb: int,
-           vec: dict) -> dict:
-    """Raw-dict core of apply_hamiltonian; g_klij is g transposed to
-    [k][l][i][j] so the inner loop reads one (i, j) block per excitation."""
-    out: dict[int, float] = {}
-    for occ, amp in vec.items():
-        if e_const != 0.0:
-            out[occ] = out.get(occ, 0.0) + e_const * amp
-        for k, l, occ2, s2 in _single_excitations(occ, n_orb):
-            c = amp * s2
-            hv = h[k][l]
-            if hv != 0.0:
-                out[occ2] = out.get(occ2, 0.0) + c * hv
-            block = g_klij[k][l]
-            for i, j, occ3, s3 in _single_excitations(occ2, n_orb):
-                gv = block[i][j]
-                if gv != 0.0:
-                    out[occ3] = out.get(occ3, 0.0) + c * s3 * gv
-    return {occ: a for occ, a in out.items() if a != 0.0}
+def _excitation_table(n_orb: int, n_elec: int):
+    """The sector basis (sorted bitmasks) and flat arrays (src, dst, pair,
+    sign) listing every nonzero <dst|F^k_l|src> = sign inside the sector,
+    with pair = k*n_orb + l; diagonal k == l entries included."""
+    _check_memory(n_orb, n_elec)
+    n_so = 2 * n_orb
+    basis = np.array(sector_determinants(n_so, n_elec), dtype=np.int64)
+    bits = (basis[:, None] >> np.arange(n_so)) & 1
+    below = np.cumsum(bits, axis=1) - bits  # occupied bits below each one
+    parts = []
+    for ann in range(n_so):  # a_ann, then a+_cre of the same spin
+        occupied = np.flatnonzero(bits[:, ann])
+        for cre in range(ann % 2, n_so, 2):
+            src = occupied[bits[occupied, cre] == 0] if cre != ann else occupied
+            parity = below[src, ann] + below[src, cre] - (ann < cre)
+            dst = np.searchsorted(basis, (basis[src] ^ (1 << ann)) | (1 << cre))
+            pair = np.full(len(src), cre // 2 * n_orb + ann // 2)
+            parts.append((src, dst, pair, 1.0 - 2.0 * (parity & 1)))
+    return basis, tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _hamiltonian_lists(hamiltonian: MolecularHamiltonian) -> tuple[float, list, list]:
-    return (hamiltonian.e_const, hamiltonian.h.tolist(),
-            np.transpose(hamiltonian.g, (2, 3, 0, 1)).tolist())
+def _sector_operator(hamiltonian: MolecularHamiltonian, n_elec: int):
+    """The sector basis and v -> H v on dense vectors over it."""
+    basis, (src, dst, pair, sign) = _excitation_table(hamiltonian.n_orb, n_elec)
+    dim, n2 = len(basis), hamiltonian.n_orb ** 2
+    h, g = hamiltonian.h.ravel(), hamiltonian.g.reshape(n2, n2)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        # Row kl of w is F^k_l v; H v = e v + h.w + sum_ij F^i_j (g w)_ij.
+        w = np.bincount(pair * dim + dst, sign * v[src],
+                        n2 * dim).reshape(n2, dim)
+        u = (g @ w).ravel()
+        return (hamiltonian.e_const * v + h @ w
+                + np.bincount(dst, sign * u[pair * dim + src], dim))
+
+    return basis, matvec
 
 
 def apply_hamiltonian(hamiltonian: MolecularHamiltonian,
@@ -187,23 +196,33 @@ def apply_hamiltonian(hamiltonian: MolecularHamiltonian,
     """H|v> with exact fermionic sign bookkeeping; sector is preserved."""
     if vector.n_spin_orb != hamiltonian.n_spin_orb:
         raise ValueError("vector and Hamiltonian sizes differ")
-    e_const, h, g_klij = _hamiltonian_lists(hamiltonian)
-    out = _apply(e_const, h, g_klij, hamiltonian.n_orb, dict(vector.entries))
-    return CIVector(out, vector.n_elec, vector.n_spin_orb)
+    basis, matvec = _sector_operator(hamiltonian, vector.n_elec)
+    v = np.zeros(len(basis))
+    v[np.searchsorted(basis, np.fromiter(vector.entries, np.int64))] = \
+        np.fromiter(vector.entries.values(), float)
+    entries = {occ: a for occ, a in zip(basis.tolist(), matvec(v).tolist())
+               if a != 0.0}
+    return CIVector(entries, vector.n_elec, vector.n_spin_orb)
 
 
 def sector_matrix(hamiltonian: MolecularHamiltonian,
                   n_elec: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Dense Hamiltonian matrix over one sector and its determinant basis."""
-    basis = sector_determinants(hamiltonian.n_spin_orb, n_elec)
-    index = {occ: i for i, occ in enumerate(basis)}
-    e_const, h, g_klij = _hamiltonian_lists(hamiltonian)
-    mat = np.zeros((len(basis), len(basis)))
-    for col, occ in enumerate(basis):
-        for occ2, amp in _apply(e_const, h, g_klij, hamiltonian.n_orb,
-                                {occ: 1.0}).items():
-            mat[index[occ2], col] = amp
-    return mat, basis
+    basis, (src, dst, pair, sign) = _excitation_table(hamiltonian.n_orb, n_elec)
+    dim, n2 = len(basis), hamiltonian.n_orb ** 2
+    g = hamiltonian.g.reshape(n2, n2)
+    mat = hamiltonian.e_const * np.eye(dim)
+    np.add.at(mat, (dst, src), hamiltonian.h.ravel()[pair] * sign)
+    # g_ijkl F^i_j F^k_l passes through an intermediate c: pair the entries
+    # into c (F^k_l, from s) with those out of c (F^i_j, to d).
+    into, out_of = np.argsort(dst, kind="stable"), np.argsort(src, kind="stable")
+    into_at = np.searchsorted(dst[into], np.arange(dim + 1))
+    out_at = np.searchsorted(src[out_of], np.arange(dim + 1))
+    for c in range(dim):
+        i, o = into[into_at[c]:into_at[c + 1]], out_of[out_at[c]:out_at[c + 1]]
+        block = sign[o, None] * g[pair[o, None], pair[i]] * sign[i]
+        np.add.at(mat, (dst[o, None], src[i]), block)
+    return mat, tuple(basis.tolist())
 
 
 def one_body_eigenbasis(hamiltonian: MolecularHamiltonian) -> MolecularHamiltonian:
@@ -236,10 +255,8 @@ def reference_determinant(hamiltonian: MolecularHamiltonian, n_elec: int,
     if not 0 <= n_elec <= hamiltonian.n_spin_orb:
         raise ValueError(f"n_elec={n_elec} exceeds {hamiltonian.n_spin_orb} "
                          "spin-orbitals")
-    energies = np.diag(hamiltonian.h)
-    key = (lambda p: (energies[p], p)) if extreme == "lowest" else \
-        (lambda p: (-energies[p], p))
-    order = sorted(range(hamiltonian.n_orb), key=key)
+    energies = np.diag(hamiltonian.h) * (1.0 if extreme == "lowest" else -1.0)
+    order = sorted(range(hamiltonian.n_orb), key=lambda p: (energies[p], p))
     fill = [2 * p + spin for p in order for spin in (0, 1)]
     occupancy = sum(1 << s for s in fill[:n_elec])
     return Determinant(occupancy=occupancy, n_elec=n_elec)
@@ -281,19 +298,6 @@ class LanczosResult:
     subspace_dim: int
 
 
-def _dict_dot(a: dict, b: dict) -> float:
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(v * b.get(occ, 0.0) for occ, v in a.items())
-
-
-def _truncate(vec: dict, keep: int) -> dict:
-    if len(vec) <= keep:
-        return dict(vec)
-    items = sorted(vec.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-    return dict(items[:keep])
-
-
 def truncated_lanczos(hamiltonian: MolecularHamiltonian, n_elec: int,
                       extreme: str = "lowest",
                       options: LanczosOptions | None = None) -> LanczosResult:
@@ -306,39 +310,36 @@ def truncated_lanczos(hamiltonian: MolecularHamiltonian, n_elec: int,
     applications, so Rayleigh-Ritz bounds hold regardless of truncation.
     """
     opts = options or LanczosOptions()
+    _check_memory(hamiltonian.n_orb, n_elec, opts.max_iters)
     rotated = one_body_eigenbasis(hamiltonian)
-    e_const, h, g_klij = _hamiltonian_lists(rotated)
-    n_orb = rotated.n_orb
+    dets, matvec = _sector_operator(rotated, n_elec)
     ref = reference_determinant(rotated, n_elec, extreme)
-    dim = sector_dimension(rotated.n_spin_orb, n_elec)
-
-    basis: list[dict] = [{ref.occupancy: 1.0}]
-    h_basis: list[dict] = []
+    basis, h_basis = np.zeros((2, opts.max_iters + 1, len(dets)))
+    basis[0, np.searchsorted(dets, ref.occupancy)] = 1.0
     converged = False
-    iterations = 0
     for k in range(1, opts.max_iters + 1):
-        iterations = k
-        h_basis.append(_apply(e_const, h, g_klij, n_orb, basis[-1]))
-        w = _truncate(h_basis[-1], opts.truncation_multiplier * k)
+        h_basis[k - 1] = matvec(basis[k - 1])
+        w = h_basis[k - 1].copy()
+        # Keep the largest amplitudes; ties go to the lower bitmask.
+        keep = opts.truncation_multiplier * k
+        w[np.argsort(-np.abs(w), kind="stable")[keep:]] = 0.0
         for _ in range(2):
-            for vb in basis:
-                c = _dict_dot(w, vb)
-                if c != 0.0:
-                    for occ, a in vb.items():
-                        w[occ] = w.get(occ, 0.0) - c * a
-        beta = math.sqrt(sum(a * a for a in w.values()))
-        if beta < opts.residual_tol or len(basis) >= dim:
+            for vb in basis[:k]:
+                w -= (vb @ w) * vb
+        beta = math.sqrt(w @ w)
+        if beta < opts.residual_tol or k >= len(dets):
             converged = True
             break
-        basis.append({occ: a / beta for occ, a in w.items() if a != 0.0})
+        basis[k] = w / beta
 
-    while len(h_basis) < len(basis):
-        h_basis.append(_apply(e_const, h, g_klij, n_orb, basis[len(h_basis)]))
-    t = np.array([[_dict_dot(vi, hvj) for hvj in h_basis] for vi in basis])
+    if not converged:  # the vector added last has no H application yet
+        h_basis[k] = matvec(basis[k])
+    size = k + (not converged)
+    t = basis[:size] @ h_basis[:size].T
     values = np.linalg.eigvalsh(0.5 * (t + t.T))
     energy = float(values[0] if extreme == "lowest" else values[-1])
-    return LanczosResult(energy=energy, iterations=iterations,
-                         converged=converged, subspace_dim=len(basis))
+    return LanczosResult(energy=energy, iterations=k,
+                         converged=converged, subspace_dim=size)
 
 
 @dataclass(frozen=True)
@@ -373,35 +374,34 @@ def _sector_range(hamiltonian: MolecularHamiltonian, n_elec: int, method: str,
 
 def spectral_range(hamiltonian: MolecularHamiltonian,
                    sector: int | None = None, method: str = "exact",
-                   exact_cap: int = EXACT_CAP_SPIN_ORBITALS,
                    options: LanczosOptions | None = None) -> RangeResult:
     """E_max - E_min over a fixed sector (``sector=n_elec``) or, with
     ``sector=None``, over the full Fock space via an electron-number sweep.
 
     Raises:
-        ValueError: for an unknown method, or when ``method="exact"`` is
-            asked for more than ``exact_cap`` spin-orbitals.
+        ValueError: for an unknown method, when ``method="exact"`` is
+            asked for more than ``EXACT_CAP_SPIN_ORBITALS`` spin-orbitals,
+            or when the largest Lanczos sector would need more than
+            ``SPECTRAL_MEMORY_LIMIT_BYTES``.
     """
     if method not in SPECTRAL_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of "
                          f"{SPECTRAL_METHODS}")
-    if method == "exact" and hamiltonian.n_spin_orb > exact_cap:
-        raise ValueError(
-            f"exact diagonalization capped at {exact_cap} spin-orbitals; "
-            f"got {hamiltonian.n_spin_orb} (use method='lanczos')")
+    if method == "exact" and hamiltonian.n_spin_orb > EXACT_CAP_SPIN_ORBITALS:
+        raise ValueError(f"exact diagonalization capped at "
+                         f"{EXACT_CAP_SPIN_ORBITALS} spin-orbitals; got "
+                         f"{hamiltonian.n_spin_orb} (use method='lanczos')")
     sectors = (range(hamiltonian.n_spin_orb + 1) if sector is None
                else (sector,))
-    extremes = []
-    converged = True
-    for n_elec in sectors:
-        lo, hi, ok = _sector_range(hamiltonian, n_elec, method, options)
-        extremes.append((n_elec, lo, hi))
-        converged = converged and ok
+    if method == "lanczos":  # the half-filled sector is the largest
+        _check_memory(hamiltonian.n_orb, hamiltonian.n_orb if sector is None
+                      else sector, (options or LanczosOptions()).max_iters)
+    rows = [(n, *_sector_range(hamiltonian, n, method, options))
+            for n in sectors]
     return RangeResult(
-        e_min=min(lo for _, lo, _ in extremes),
-        e_max=max(hi for _, _, hi in extremes),
-        method=method, converged=converged,
-        sector_extremes=tuple(extremes))
+        e_min=min(row[1] for row in rows), e_max=max(row[2] for row in rows),
+        method=method, converged=all(row[3] for row in rows),
+        sector_extremes=tuple(row[:3] for row in rows))
 
 
 def deviation_metric(de: float, de_shifted: float,
@@ -431,11 +431,10 @@ class SpectralReport:
 def build_spectral_report(hamiltonian: MolecularHamiltonian,
                           shifted: MolecularHamiltonian | None = None,
                           method: str = "exact",
-                          exact_cap: int = EXACT_CAP_SPIN_ORBITALS,
                           options: LanczosOptions | None = None) -> SpectralReport:
     """Assemble ranges of H (full Fock and its n_elec sector) and, when a
     shifted Hamiltonian is given, the shifted full range and deviation."""
-    full = spectral_range(hamiltonian, None, method, exact_cap, options)
+    full = spectral_range(hamiltonian, None, method, options)
     # Sectors are swept in order 0..n_spin_orb, so row n_elec is the sector.
     _, lo, hi = full.sector_extremes[hamiltonian.n_elec]
     report = SpectralReport(
@@ -444,15 +443,14 @@ def build_spectral_report(hamiltonian: MolecularHamiltonian,
         sector_extremes=full.sector_extremes)
     if shifted is None:
         return report
-    return with_shifted_range(report, shifted, exact_cap, options)
+    return with_shifted_range(report, shifted, options)
 
 
 def with_shifted_range(report: SpectralReport, shifted: MolecularHamiltonian,
-                       exact_cap: int = EXACT_CAP_SPIN_ORBITALS,
                        options: LanczosOptions | None = None) -> SpectralReport:
     """``report`` of the unshifted H, completed with the full range of
     ``shifted`` and the deviation it gives."""
-    full = spectral_range(shifted, None, report.method, exact_cap, options)
+    full = spectral_range(shifted, None, report.method, options)
     return replace(report, delta_e_shifted=full.delta,
                    deviation=deviation_metric(report.delta_e, full.delta,
                                               report.delta_e_ens),

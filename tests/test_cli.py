@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline."""
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -24,6 +25,7 @@ from blisslp import (
     write_fcidump,
 )
 from blisslp.cli import main
+from blisslp.spectral import SpectralReport
 from blisslp.report import _CSV_COLUMNS
 
 SCHEMA = json.loads(
@@ -192,6 +194,48 @@ def test_exact_spectral_size_cap_exits_invalid(tmp_path, capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_oversize_lanczos_exits_invalid_fast(tmp_path, capsys):
+    """N=12 Lanczos would need ~20 GiB; it is refused before allocating."""
+    path = dump_file(tmp_path, n_orb=12)
+    start = time.perf_counter()
+    code = main(["run", "--input", path, "--spectral", "lanczos"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "SPECTRAL_MEMORY_LIMIT_BYTES" in err
+    assert "12-electron sector of 24 spin-orbitals" in err
+
+
+def unconverged_report(*args, **kwargs):
+    return SpectralReport(delta_e=2.0, delta_e_ens=1.0, delta_e_shifted=None,
+                          deviation=None, method="lanczos", converged=False,
+                          sector_extremes=((2, -0.5, 0.5),))
+
+
+def test_unconverged_lanczos_warns_on_stderr(tmp_path, capsys, monkeypatch):
+    path = dump_file(tmp_path)
+    argv = ["run", "--input", path, "--spectral", "lanczos"]
+    assert main(argv + ["--method", "df"]) == EXIT_OK
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    monkeypatch.setattr("blisslp.cli.build_spectral_report",
+                        unconverged_report)
+    assert main(argv + ["--method", "df"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: method df: the lanczos spectral range did not converge; "
+        "its energies are variational estimates"]
+    report = json.loads(captured.out)
+    assert report["spectral"]["converged"] is False
+    assert strip_volatile({**report, "spectral": None}) == strip_volatile(
+        {**json.loads(quiet.out), "spectral": None})
+    assert main(["compare", "--input", path, "--spectral", "lanczos",
+                 "--methods", "none,df"]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[:2] for line in lines] == [
+        ["warning", " method none"], ["warning", " method df"]]
+
+
 def test_nelec_override(tmp_path, capsys):
     path = dump_file(tmp_path)
     report = run_report(capsys, ["run", "--input", path, "--nelec", "1"])
@@ -332,7 +376,9 @@ def test_run_config_validation():
         RunConfig(input="x", spectral="always")
     with pytest.raises(ValueError, match="lanczos_mult"):
         RunConfig(input="x", lanczos_mult=0)
-    with pytest.raises(ValueError, match="positive"):
+    assert RunConfig(input="x", df_tol=0.0).df_tol == 0.0
+    with pytest.raises(ValueError, match="lanczos_tol must be positive and "
+                                         "df_tol non-negative"):
         RunConfig(input="x", df_tol=-1.0)
 
 

@@ -1,5 +1,7 @@
 """Tests for sector vectors, exact ranges and the truncated Lanczos."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from blisslp import (
     spectral_range,
     truncated_lanczos,
 )
-from blisslp.spectral import sector_dimension
+from blisslp.spectral import _excitation_table, sector_dimension
 
 
 def sector_civector(rng, n_spin_orb, n_elec) -> CIVector:
@@ -130,15 +132,60 @@ def test_apply_linearity_and_hermiticity():
         2.0 * civector_to_dense(hu) - 3.0 * civector_to_dense(hv), atol=1e-10)
 
 
-def test_sector_matrix_basis_order():
+@pytest.mark.parametrize("n_orb, n_elec",
+                         [(2, n) for n in range(5)] + [(3, n) for n in range(7)])
+def test_sector_matrix_basis_order(n_orb, n_elec):
     rng = np.random.default_rng(64)
-    H = oracles.random_hamiltonian(rng, 2, 2)
-    mat, basis = sector_matrix(H, 2)
-    assert basis == sector_determinants(4, 2)
+    H = oracles.random_hamiltonian(rng, n_orb, n_elec)
+    mat, basis = sector_matrix(H, n_elec)
+    assert basis == sector_determinants(2 * n_orb, n_elec)
     np.testing.assert_allclose(mat, mat.T, atol=1e-12)
-    idx = oracles.sector_indices(4, 2)
+    idx = oracles.sector_indices(2 * n_orb, n_elec)
     want = oracles.fock_matrix(H)[np.ix_(idx, idx)]
     np.testing.assert_allclose(mat, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_orb, n_elec", [(2, 2), (3, 3), (4, 3)])
+def test_excitation_table_matches_oracle(n_orb, n_elec):
+    """Every spin-summed F^k_l element of the sector, listed once, with its
+    entry count equal to the pre-flight memory model's."""
+    basis, (src, dst, pair, sign) = _excitation_table(n_orb, n_elec)
+    assert tuple(basis.tolist()) == sector_determinants(2 * n_orb, n_elec)
+    idx = oracles.sector_indices(2 * n_orb, n_elec)
+    excitations = oracles.excitation_matrices(n_orb)
+    for k in range(n_orb):
+        for l in range(n_orb):
+            got = np.zeros((len(basis), len(basis)))
+            mine = pair == k * n_orb + l
+            np.add.at(got, (dst[mine], src[mine]), sign[mine])
+            want = excitations[k][l][np.ix_(idx, idx)]
+            np.testing.assert_array_equal(got, want)
+    n_entries = sum(
+        comb(n_orb, a) * comb(n_orb, n_elec - a)
+        * (a * (n_orb - a + 1) + (n_elec - a) * (n_orb - n_elec + a + 1))
+        for a in range(n_elec + 1))
+    assert len(src) == n_entries
+
+
+def test_oversize_sector_refused_before_allocation(monkeypatch):
+    """N=12 at half filling needs far more than the limit; nothing is
+    built, and a full-Fock sweep refuses before its first sector."""
+    big = MolecularHamiltonian(n_orb=12, e_const=0.0, h=np.zeros((12, 12)),
+                               g=np.zeros((12,) * 4), n_elec=12)
+
+    def no_sector(*args, **kwargs):
+        raise AssertionError("a sector was computed")
+
+    monkeypatch.setattr("blisslp.spectral.sector_matrix", no_sector)
+    monkeypatch.setattr("blisslp.spectral.truncated_lanczos", no_sector)
+    for sector in (None, 12, 11):
+        with pytest.raises(ValueError, match="SPECTRAL_MEMORY_LIMIT_BYTES"):
+            spectral_range(big, sector, method="lanczos")
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="12-electron sector of 24"):
+        truncated_lanczos(big, 12)
+    with pytest.raises(ValueError, match="SPECTRAL_MEMORY_LIMIT_BYTES"):
+        apply_hamiltonian(big, CIVector({(1 << 12) - 1: 1.0}, 12, 24))
 
 
 def test_one_body_eigenbasis_preserves_spectrum():
@@ -213,6 +260,52 @@ def test_lanczos_variational_and_accurate(seed):
     assert high.energy <= values[-1] + 1e-12
     assert abs(low.energy - values[0]) < 0.05 * spread
     assert abs(high.energy - values[-1]) < 0.05 * spread
+
+
+# (seed, extreme) -> (energy, iterations) of truncated_lanczos on
+# random_hamiltonian(default_rng(seed), 4, 4) with truncation_multiplier=1,
+# recorded with the dict-of-bitmask engine this kernel replaced.
+PINNED_LANCZOS = {
+    (0, "lowest"): (-7.295516612431909, 2),
+    (0, "highest"): (19.02639673401496, 1),
+    (1, "lowest"): (-6.327095105390558, 1),
+    (1, "highest"): (15.324393935413827, 36),
+    (2, "lowest"): (-23.817966891211235, 36),
+    (2, "highest"): (11.278069874620057, 1),
+    (3, "lowest"): (-13.573123250622814, 36),
+    (3, "highest"): (5.236089801613932, 1),
+}
+
+
+@pytest.mark.parametrize("seed, extreme", sorted(PINNED_LANCZOS))
+def test_truncated_lanczos_pinned(seed, extreme):
+    """Truncation to k amplitudes at iteration k bites on these inputs."""
+    H = oracles.random_hamiltonian(np.random.default_rng(seed), 4, 4)
+    result = truncated_lanczos(H, 4, extreme,
+                               LanczosOptions(truncation_multiplier=1))
+    energy, iterations = PINNED_LANCZOS[seed, extreme]
+    assert result.energy == pytest.approx(energy, rel=1e-10)
+    assert result.iterations == iterations
+    assert result.converged
+
+
+@pytest.mark.parametrize("multiplier", [1, 2])
+def test_truncation_ties_keep_lower_bitmask(multiplier):
+    """Integer couplings make H|ref> hold exactly tied amplitudes; keeping
+    the lower bitmask (orbital 1 before orbital 2) reaches the ground state,
+    keeping the higher one stalls above it."""
+    g = np.zeros((3,) * 4)
+    for p in (1, 2):
+        for idx in ((p, 0, 0, 0), (0, p, 0, 0), (0, 0, p, 0), (0, 0, 0, p)):
+            g[idx] = 1.0
+    H = MolecularHamiltonian(n_orb=3, e_const=0.0, h=np.diag([-0.25, 0.5, 2.0]),
+                             g=g, n_elec=2)
+    result = truncated_lanczos(
+        H, 2, "lowest", LanczosOptions(truncation_multiplier=multiplier))
+    assert result.energy == pytest.approx(-6.051765346695432, rel=1e-10)
+    assert result.energy == pytest.approx(
+        np.linalg.eigvalsh(sector_matrix(H, 2)[0])[0], rel=1e-10)
+    assert (result.iterations, result.converged) == (9, True)
 
 
 def test_lanczos_iteration_cap_flags_unconverged():
