@@ -26,6 +26,7 @@ Writing applies the inverse map and emits one canonical representative per
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -118,7 +119,8 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
     """Parse FCIDUMP text into a :class:`MolecularHamiltonian`.
 
     Duplicate entries for the same symmetry orbit are tolerated when their
-    values agree to 1e-10 (the last value wins); conflicting duplicates and
+    values agree to 1e-10 (the last value wins); conflicting duplicates,
+    non-finite values (``nan``, ``inf``, or an exponent that overflows) and
     malformed records raise :class:`FcidumpError` carrying the line number.
     """
     if isinstance(text, bytes):
@@ -161,6 +163,8 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
             i, j, k, l = (int(t) for t in tokens[1:])
         except ValueError as exc:
             raise FcidumpError(f"non-numeric field in {raw.strip()!r}", lineno) from exc
+        if not math.isfinite(value):
+            raise FcidumpError(f"non-finite value in {raw.strip()!r}", lineno)
         for idx in (i, j, k, l):
             if not 0 <= idx <= n_orb:
                 raise FcidumpError(

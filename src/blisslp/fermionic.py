@@ -342,21 +342,14 @@ def lrbs_shift(fragment: CsaFragment,
     if fragment.mu2 != 0.0 or float(np.abs(fragment.theta).max(initial=0.0)) != 0.0:
         raise ValueError("fragment already carries a shift")
     n = fragment.n_orb
-    rows = []
-    b = []
-    weights = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                rows.append(((0, 1.0), (1 + i, 1.0)))
-                weights.append(0.5)
-            else:
-                rows.append(tuple(sorted(((0, 1.0), (1 + i, 0.5), (1 + j, 0.5)))))
-                weights.append(1.0)
-            b.append(float(fragment.lam[i, j]))
+    eye = np.eye(n)
+    # Row (i, j) is the residual lam_ij - mu2 - (theta_i + theta_j) / 2.
+    theta = 0.5 * (eye[:, None, :] + eye[None, :, :]).reshape(n * n, n)
+    a = np.column_stack([np.ones(n * n), theta])
+    weights = np.where(eye, 0.5, 1.0).ravel()
     names = ("mu2",) + tuple(f"theta_{i}" for i in range(n))
     problem = merge_duplicate_rows(
-        L1Problem(1 + n, tuple(rows), np.array(b), np.array(weights), names))
+        L1Problem(a, fragment.lam.ravel(), weights, names))
     solution = l1_minimize(problem, options)
     if solution.status is L1Status.ITERATION_LIMIT:
         raise IterationLimitError(

@@ -4,8 +4,10 @@ Problems are stated as
 
     minimize_x  sum_i w_i | (A x - b)_i |
 
-with sparse rows of A.  The solver rewrites this with one auxiliary bound
-variable per row,
+with a dense float matrix A.  A row of A with no nonzero entry adds the
+constant w_i |b_i| whatever x is, so the solver folds such rows into the
+objective and keeps only the rows that carry a variable.  It rewrites
+those with one auxiliary bound variable per row,
 
     minimize  sum_i w_i y_i   subject to   A x - y <= b,  -A x - y <= -b,
 
@@ -42,9 +44,6 @@ __all__ = [
     "evaluate_objective",
     "dump_problem",
 ]
-
-Row = tuple[tuple[int, float], ...]
-
 
 class LpSolver(Protocol):
     """Backend contract: solve min c.z s.t. G z <= h over free z."""
@@ -89,52 +88,53 @@ class L1Status(enum.Enum):
 
 @dataclass(frozen=True)
 class L1Problem:
-    """Sparse weighted L1 objective ``sum_i weights[i] |(A x - b)_i|``.
+    """Weighted L1 objective ``sum_i weights[i] |(a @ x - b)_i|``.
 
     Attributes:
-        n_vars: number of decision variables.
-        rows: per-row sparse coefficients, each a tuple of (var index, value).
-        b: right-hand sides, one per row.
-        weights: strictly positive row weights.
+        a: (n_rows, n_vars) finite coefficient matrix.
+        b: finite right-hand sides, one per row.
+        weights: finite, strictly positive row weights.
         var_names: optional variable labels for dumps and debugging.
     """
 
-    n_vars: int
-    rows: tuple[Row, ...]
+    a: np.ndarray
     b: np.ndarray
     weights: np.ndarray
     var_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
         w = np.array(self.weights, dtype=float)
-        rows = tuple(tuple((int(v), float(cf)) for v, cf in row) for row in self.rows)
-        if len(rows) != b.size or b.size != w.size:
-            raise ValueError("rows, b and weights must have equal length")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
-        for row in rows:
-            for var, _ in row:
-                if not 0 <= var < self.n_vars:
-                    raise ValueError(f"variable index {var} out of range")
-        if self.var_names is not None and len(self.var_names) != self.n_vars:
+        if a.ndim != 2:
+            raise ValueError(f"a must be a 2-d matrix, got shape {a.shape}")
+        if a.shape[0] != b.size or b.size != w.size:
+            raise ValueError("rows of a, b and weights must have equal length")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("a and b must be finite")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("weights must be finite and strictly positive")
+        if self.var_names is not None and len(self.var_names) != a.shape[1]:
             raise ValueError("var_names length must equal n_vars")
-        b.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        for arr in (a, b, w):
+            arr.setflags(write=False)
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "weights", w)
 
     @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    def n_vars(self) -> int:
+        return self.a.shape[1]
 
-    def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n_rows, self.n_vars))
-        for r, row in enumerate(self.rows):
-            for var, coef in row:
-                a[r, var] += coef
-        return a
+    @property
+    def n_rows(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Sparse view of ``a``: per row, the (var index, value) nonzeros."""
+        return tuple(tuple((int(v), float(row[v])) for v in np.flatnonzero(row))
+                     for row in self.a)
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,8 @@ class L1Solution:
 
 def evaluate_objective(problem: L1Problem, x: np.ndarray) -> float:
     """Objective ``sum_i w_i |(A x - b)_i|`` at the point ``x``."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for row, b_i, w_i in zip(problem.rows, problem.b, problem.weights):
-        residual = sum(coef * x[var] for var, coef in row) - b_i
-        total += w_i * abs(residual)
-    return float(total)
+    residual = problem.a @ np.asarray(x, dtype=float) - problem.b
+    return float(problem.weights @ np.abs(residual))
 
 
 def merge_duplicate_rows(problem: L1Problem) -> L1Problem:
@@ -172,46 +168,49 @@ def merge_duplicate_rows(problem: L1Problem) -> L1Problem:
     Weights of merged rows are summed, which leaves the objective value of
     every point unchanged exactly.  Row order follows first occurrence.
     """
-    index_of: dict[tuple, int] = {}
-    rows: list[Row] = []
-    b: list[float] = []
-    weights: list[float] = []
-    for row, b_i, w_i in zip(problem.rows, problem.b, problem.weights):
-        key = (tuple(sorted(row)), float(b_i))
-        if key in index_of:
-            weights[index_of[key]] += float(w_i)
-        else:
-            index_of[key] = len(rows)
-            rows.append(row)
-            b.append(float(b_i))
-            weights.append(float(w_i))
-    return L1Problem(problem.n_vars, tuple(rows), np.array(b),
-                     np.array(weights), problem.var_names)
+    # Each row (a_i, b_i) is compared as one opaque byte string: np.unique
+    # with axis=0 compares field by field and is about ten times slower on
+    # LP-BLISS problems.  Bytes match exactly when the finite floats do, once
+    # adding 0.0 has turned -0.0 into 0.0.
+    keys = np.column_stack([problem.a, problem.b]) + 0.0
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    weights = np.bincount(inverse, weights=problem.weights, minlength=first.size)
+    keep = first[order]
+    return L1Problem(problem.a[keep], problem.b[keep], weights[order],
+                     problem.var_names)
 
 
 def l1_minimize(problem: L1Problem,
                 options: SolverOptions | None = None) -> L1Solution:
     """Globally minimize a weighted L1 objective.
 
-    Returns an :class:`L1Solution`; a reported ITERATION_LIMIT carries the
-    best point reached rather than raising.
+    Only the rows of ``a`` with a nonzero entry reach the backend; the
+    objective is evaluated on the whole problem.  Returns an
+    :class:`L1Solution`; a reported ITERATION_LIMIT carries the best point
+    reached rather than raising.
 
     Raises:
         RuntimeError: if the backend reports infeasible or unbounded, which
             cannot happen for a well-formed L1 problem.
     """
     options = options or SolverOptions()
-    n, m = problem.n_vars, problem.n_rows
-    if m == 0:
-        return L1Solution(np.zeros(n), 0.0, 0, L1Status.OPTIMAL)
-    max_iters = options.max_iters if options.max_iters is not None else 50 * (n + m)
+    n = problem.n_vars
+    max_iters = (options.max_iters if options.max_iters is not None
+                 else 50 * (n + problem.n_rows))
     solver = options.solver if options.solver is not None else ReferenceSimplexSolver()
 
-    a = problem.dense_matrix()
-    eye = np.eye(m)
+    active = np.flatnonzero(problem.a.any(axis=1))
+    if active.size == 0:
+        x = np.zeros(n)
+        x.setflags(write=False)
+        return L1Solution(x, evaluate_objective(problem, x), 0, L1Status.OPTIMAL)
+    a, b = problem.a[active], problem.b[active]
+    eye = np.eye(active.size)
     G = np.block([[a, -eye], [-a, -eye]])
-    h = np.concatenate([problem.b, -problem.b])
-    c = np.concatenate([np.zeros(n), problem.weights])
+    h = np.concatenate([b, -b])
+    c = np.concatenate([np.zeros(n), problem.weights[active]])
 
     result = solver.solve(c, G, h, max_iters)
     if result.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):

@@ -6,20 +6,28 @@ exact minimum is a weighted L1 problem.  This module builds that problem,
 solves it with :mod:`blisslp.l1min`, and returns the optimal parameters
 together with the recomputed norm of the shifted Hamiltonian.
 
+The problem is derived by linearity from the code that defines the norm.
+The terms of :func:`blisslp.pauli.pauli_terms` are linear in (h, g), and
+:func:`blisslp.hamiltonian.apply_bliss` is linear in the shift, so
+terms(H - K(x)) = terms(H) + A x, where column v of A holds the terms of
+-K(e_v), the zero Hamiltonian shifted by the unit vector e_v.  Rows that
+no shift reaches, such as the direct term g_ijkl with i != j and k != l,
+are zero in A; the solver folds them into a constant.
+
 Variables are ordered [mu1, mu2, xi_00, xi_01, ..., xi_(N-1)(N-1)] with one
 variable per upper-triangle entry of the symmetric xi matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
 from .l1min import (L1Problem, L1Solution, L1Status, SolverOptions,
                     l1_minimize, merge_duplicate_rows)
-from .pauli import PauliNormBreakdown, pauli_one_norm
+from .pauli import PauliNormBreakdown, pauli_one_norm, pauli_terms
 
 __all__ = [
     "LpBlissVarMap",
@@ -88,77 +96,20 @@ def build_lp_bliss_problem(
     (N(N-1)/2)^2 exchange rows (weight 1).  Evaluating the objective at the
     zero vector reproduces ``pauli_one_norm(hamiltonian).lambda_total``.
     """
-    n = hamiltonian.n_orb
-    n_elec = hamiltonian.n_elec
-    h, g = hamiltonian.h, hamiltonian.g
-    vmap = LpBlissVarMap(n)
+    vmap = LpBlissVarMap(hamiltonian.n_orb)
 
-    rows: list[tuple[tuple[int, float], ...]] = []
-    b: list[float] = []
-    weights: list[float] = []
+    def term_vector(ham: MolecularHamiltonian) -> np.ndarray:
+        return np.concatenate([t.ravel() for t in pauli_terms(ham)])
 
-    def add_row(coeffs: dict[int, float], rhs: float, weight: float) -> None:
-        rows.append(tuple(sorted((v, c) for v, c in coeffs.items() if c != 0.0)))
-        b.append(rhs)
-        weights.append(weight)
-
-    effective_one_body = h + 2.0 * np.einsum("ijkk->ij", g)
-    for i in range(n):
-        for j in range(n):
-            coeffs: dict[int, float] = {vmap.xi_index(i, j): float(n_elec - n)}
-            if i == j:
-                coeffs[vmap.mu1_index] = -1.0
-                coeffs[vmap.mu2_index] = -2.0 * n
-                for k in range(n):
-                    idx = vmap.xi_index(k, k)
-                    coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
-            add_row(coeffs, -float(effective_one_body[i, j]), 1.0)
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    coeffs = {}
-                    if i == j and k == l:
-                        coeffs[vmap.mu2_index] = -1.0
-                    if k == l:
-                        idx = vmap.xi_index(i, j)
-                        coeffs[idx] = coeffs.get(idx, 0.0) - 0.5
-                    if i == j:
-                        idx = vmap.xi_index(k, l)
-                        coeffs[idx] = coeffs.get(idx, 0.0) - 0.5
-                    add_row(coeffs, -float(g[i, j, k, l]), 0.5)
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(i):
-                for l in range(j):
-                    coeffs = {}
-                    mu2 = (1.0 if i == j and k == l else 0.0) - (
-                        1.0 if i == l and k == j else 0.0)
-                    if mu2:
-                        coeffs[vmap.mu2_index] = -mu2
-
-                    def bump(a: int, c: int, delta: float) -> None:
-                        idx = vmap.xi_index(a, c)
-                        value = coeffs.get(idx, 0.0) + delta
-                        if value == 0.0:
-                            coeffs.pop(idx, None)
-                        else:
-                            coeffs[idx] = value
-
-                    if k == l:
-                        bump(i, j, -0.5)
-                    if i == j:
-                        bump(k, l, -0.5)
-                    if k == j:
-                        bump(i, l, 0.5)
-                    if i == l:
-                        bump(k, j, 0.5)
-                    add_row(coeffs, -float(g[i, j, k, l] - g[i, l, k, j]), 1.0)
-
-    problem = L1Problem(vmap.n_vars, tuple(rows), np.array(b),
-                        np.array(weights), vmap.var_names())
+    zero = replace(hamiltonian, h=np.zeros_like(hamiltonian.h),
+                   g=np.zeros_like(hamiltonian.g))
+    a = np.column_stack([
+        term_vector(apply_bliss(zero, params_from_solution(vmap, e_v)))
+        for e_v in np.eye(vmap.n_vars)])
+    weights = np.concatenate([
+        np.full(term.size, w)
+        for term, w in zip(pauli_terms(hamiltonian), (1.0, 0.5, 1.0))])
+    problem = L1Problem(a, -term_vector(hamiltonian), weights, vmap.var_names())
     return problem, vmap
 
 
@@ -173,14 +124,16 @@ def params_from_solution(vmap: LpBlissVarMap, x: np.ndarray) -> BlissParams:
 
 
 def lp_bliss(hamiltonian: MolecularHamiltonian,
-             options: SolverOptions | None = None,
-             merge: bool = True) -> tuple[BlissParams, PauliNormBreakdown]:
+             options: SolverOptions | None = None
+             ) -> tuple[BlissParams, PauliNormBreakdown]:
     """Find the shift parameters minimizing the Pauli 1-norm.
+
+    Duplicate rows are merged before solving, which preserves the objective
+    exactly.
 
     Args:
         hamiltonian: input Hamiltonian.
         options: LP solver options; defaults from :class:`SolverOptions`.
-        merge: merge duplicate rows (cheap, preserves the objective exactly).
 
     Returns:
         The optimal parameters and the Pauli-norm breakdown of
@@ -191,9 +144,7 @@ def lp_bliss(hamiltonian: MolecularHamiltonian,
             the best parameters and their recomputed norm.
     """
     problem, vmap = build_lp_bliss_problem(hamiltonian)
-    if merge:
-        problem = merge_duplicate_rows(problem)
-    solution = l1_minimize(problem, options)
+    solution = l1_minimize(merge_duplicate_rows(problem), options)
     params = params_from_solution(vmap, solution.x_opt)
     norm = pauli_one_norm(apply_bliss(hamiltonian, params))
     if solution.status is L1Status.ITERATION_LIMIT:

@@ -110,7 +110,7 @@ def test_criterion_03_lp_bliss_optimality():
         solution = l1_minimize(merged)
         params = params_from_solution(vmap, solution.x_opt)
 
-        a = merged.dense_matrix()
+        a = merged.a
         b = np.asarray(merged.b)
         weights = np.asarray(merged.weights)
         x_opt = solution.x_opt

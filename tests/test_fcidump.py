@@ -92,6 +92,10 @@ def test_parse_duplicate_conflicting_reports_both_values():
     ("0.5 1 1 1\n", 3),
     ("0.5 1 0 0 0\n", 3),
     ("0.5 1 0 1 1\n", 3),
+    ("nan 1 1 1 1\n", 3),
+    ("0.5 1 1 1 1\ninf 1 1 0 0\n", 4),
+    ("-Infinity 0 0 0 0\n", 3),
+    ("1.0D999 1 1 0 0\n", 3),
 ])
 def test_parse_errors_carry_line_numbers(body, lineno):
     with pytest.raises(FcidumpError) as err:

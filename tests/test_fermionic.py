@@ -24,6 +24,7 @@ from blisslp import (
     lrbs_shift,
     lrps_one_body_correction,
     lrps_shift,
+    merge_duplicate_rows,
     one_electron_shift,
     reconstruct_two_body,
     to_csa_fragment,
@@ -331,6 +332,38 @@ def test_lrbs_shift_beats_sampling(seed):
         trial = CsaFragment(u=frag.u, lam=frag.lam,
                             mu2=float(rng.normal()), theta=rng.normal(size=3))
         assert best <= lambda_csa(trial) + 1e-8
+
+
+def test_lrbs_problem_matches_row_by_row_definition(monkeypatch):
+    """Row (i, j) reads lam_ij - mu2 - (theta_i + theta_j) / 2, weight 1/2
+    on the diagonal and 1 off it, in row-major (i, j) order."""
+    from blisslp import fermionic
+
+    rng = np.random.default_rng(1510)
+    n = 4
+    lam = rng.normal(size=(n, n))
+    frag = CsaFragment(u=np.eye(n), lam=0.5 * (lam + lam.T))
+    seen = []
+
+    def merge(problem):
+        seen.append(problem)
+        return merge_duplicate_rows(problem)
+
+    monkeypatch.setattr(fermionic, "merge_duplicate_rows", merge)
+    lrbs_shift(frag)
+    a = np.zeros((n * n, 1 + n))
+    b, weights = [], []
+    for i in range(n):
+        for j in range(n):
+            a[i * n + j, 0] = 1.0
+            a[i * n + j, 1 + i] += 0.5
+            a[i * n + j, 1 + j] += 0.5
+            b.append(frag.lam[i, j])
+            weights.append(0.5 if i == j else 1.0)
+    (problem,) = seen
+    np.testing.assert_array_equal(problem.a, a)
+    np.testing.assert_array_equal(problem.b, b)
+    np.testing.assert_array_equal(problem.weights, weights)
 
 
 def test_lrbs_shift_rejects_shifted_and_limits():

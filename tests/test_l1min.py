@@ -7,6 +7,7 @@ import oracles
 from blisslp import (
     L1Problem,
     L1Status,
+    ReferenceSimplexSolver,
     ScipyLinprogSolver,
     SolverOptions,
     dump_problem,
@@ -19,36 +20,58 @@ from blisslp import (
 def column_of_ones(b, weights=None) -> L1Problem:
     b = np.asarray(b, dtype=float)
     w = np.ones(b.size) if weights is None else np.asarray(weights, float)
-    rows = tuple((((0, 1.0),)) for _ in range(b.size))
-    return L1Problem(1, rows, b, w)
+    return L1Problem(np.ones((b.size, 1)), b, w)
 
 
 def random_problem(rng, n_vars, n_rows, density=0.7) -> L1Problem:
-    rows = []
-    for _ in range(n_rows):
+    a = np.zeros((n_rows, n_vars))
+    for row in a:
         support = rng.random(n_vars) < density
         if not support.any():
             support[rng.integers(n_vars)] = True
-        rows.append(tuple((int(v), float(rng.normal()))
-                          for v in np.nonzero(support)[0]))
-    return L1Problem(n_vars, tuple(rows), rng.normal(size=n_rows),
+        for v in np.nonzero(support)[0]:
+            row[v] = rng.normal()
+    return L1Problem(a, rng.normal(size=n_rows),
                      rng.uniform(0.2, 2.0, size=n_rows))
+
+
+class RecordingSolver:
+    """Reference simplex that records the shape of every G it is handed."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def solve(self, c, G, h, max_iters):
+        self.shapes.append(G.shape)
+        return ReferenceSimplexSolver().solve(c, G, h, max_iters)
 
 
 def test_problem_validation():
     with pytest.raises(ValueError, match="equal length"):
-        L1Problem(1, (((0, 1.0),),), np.zeros(2), np.ones(1))
+        L1Problem(np.ones((1, 1)), np.zeros(2), np.ones(1))
+    with pytest.raises(ValueError, match="2-d"):
+        L1Problem(np.ones(1), np.zeros(1), np.ones(1))
     with pytest.raises(ValueError, match="positive"):
-        L1Problem(1, (((0, 1.0),),), np.zeros(1), np.zeros(1))
-    with pytest.raises(ValueError, match="out of range"):
-        L1Problem(1, (((1, 1.0),),), np.zeros(1), np.ones(1))
+        L1Problem(np.ones((1, 1)), np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError, match="var_names"):
-        L1Problem(2, (((0, 1.0),),), np.zeros(1), np.ones(1), ("x",))
+        L1Problem(np.ones((1, 2)), np.zeros(1), np.ones(1), ("x",))
+
+
+@pytest.mark.parametrize("a, b, weights", [
+    ([[np.nan]], [0.0], [1.0]),
+    ([[np.inf]], [0.0], [1.0]),
+    ([[1.0]], [np.nan], [1.0]),
+    ([[1.0]], [-np.inf], [1.0]),
+    ([[1.0]], [0.0], [np.nan]),
+    ([[1.0]], [0.0], [np.inf]),
+])
+def test_problem_rejects_non_finite(a, b, weights):
+    with pytest.raises(ValueError, match="finite"):
+        L1Problem(np.array(a), np.array(b), np.array(weights))
 
 
 def test_identity_system_zero_residual():
-    rows = tuple(((i, 1.0),) for i in range(3))
-    problem = L1Problem(3, rows, np.array([1.0, -2.0, 0.0]), np.ones(3))
+    problem = L1Problem(np.eye(3), np.array([1.0, -2.0, 0.0]), np.ones(3))
     sol = l1_minimize(problem)
     assert sol.status is L1Status.OPTIMAL
     np.testing.assert_allclose(sol.x_opt, [1.0, -2.0, 0.0], atol=1e-9)
@@ -79,9 +102,30 @@ def test_zero_point_upper_bound(seed):
 
 
 def test_empty_problem():
-    sol = l1_minimize(L1Problem(2, (), np.zeros(0), np.zeros(0)))
+    sol = l1_minimize(L1Problem(np.zeros((0, 2)), np.zeros(0), np.zeros(0)))
     assert sol.status is L1Status.OPTIMAL
     assert sol.objective == 0.0
+
+
+def test_variable_free_rows_fold_into_a_constant():
+    """Rows with no variable reach no backend and add w |b| to the objective."""
+    a = np.array([[1.0], [0.0], [1.0], [0.0]])
+    problem = L1Problem(a, np.array([1.0, 2.0, 3.0, -4.0]),
+                        np.array([1.0, 0.5, 1.0, 2.0]))
+    solver = RecordingSolver()
+    sol = l1_minimize(problem, SolverOptions(solver=solver))
+    assert solver.shapes == [(4, 3)]
+    assert sol.status is L1Status.OPTIMAL
+    assert sol.objective == pytest.approx(2.0 + 0.5 * 2.0 + 2.0 * 4.0, abs=1e-12)
+
+    constant = L1Problem(np.zeros((2, 3)), np.array([1.5, -2.0]),
+                         np.array([2.0, 0.25]))
+    solver = RecordingSolver()
+    sol = l1_minimize(constant, SolverOptions(solver=solver))
+    assert solver.shapes == []
+    assert sol.status is L1Status.OPTIMAL
+    np.testing.assert_array_equal(sol.x_opt, np.zeros(3))
+    assert sol.objective == 3.5
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -164,8 +208,8 @@ def test_scipy_backend_numerical_difficulties_raise(monkeypatch):
 
 
 def test_merge_identical_rows_sums_weights():
-    rows = (((0, 1.0),), ((0, 1.0),))
-    problem = L1Problem(1, rows, np.array([2.0, 2.0]), np.array([0.5, 0.5]))
+    problem = L1Problem(np.ones((2, 1)), np.array([2.0, 2.0]),
+                        np.array([0.5, 0.5]))
     merged = merge_duplicate_rows(problem)
     assert merged.n_rows == 1
     assert merged.weights[0] == pytest.approx(1.0)
@@ -183,10 +227,10 @@ def test_merge_preserves_objective_everywhere():
     rng = np.random.default_rng(28)
     base = random_problem(rng, 4, 10)
     # Plant duplicates by repeating rows with split weights.
-    rows = base.rows + base.rows[:5]
+    a = np.vstack([base.a, base.a[:5]])
     b = np.concatenate([base.b, base.b[:5]])
     weights = np.concatenate([base.weights, rng.uniform(0.1, 1.0, size=5)])
-    problem = L1Problem(4, rows, b, weights)
+    problem = L1Problem(a, b, weights)
     merged = merge_duplicate_rows(problem)
     assert merged.n_rows == base.n_rows
     for _ in range(100):
@@ -196,7 +240,7 @@ def test_merge_preserves_objective_everywhere():
 
 
 def test_dump_problem_format():
-    problem = L1Problem(2, (((0, 1.0), (1, -2.0)), ((1, 0.5),)),
+    problem = L1Problem(np.array([[1.0, -2.0], [0.0, 0.5]]),
                         np.array([1.0, -3.0]), np.array([1.0, 0.5]),
                         var_names=("alpha", "beta"))
     text = dump_problem(problem)

@@ -1,7 +1,11 @@
 """Tests for the global shift-parameter linear program."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from blisslp import (
@@ -10,11 +14,23 @@ from blisslp import (
     SolverOptions,
     apply_bliss,
     build_lp_bliss_problem,
+    dump_problem,
     evaluate_objective,
+    l1_minimize,
     lp_bliss,
+    merge_duplicate_rows,
     params_from_solution,
     pauli_one_norm,
 )
+
+
+@st.composite
+def small_hamiltonians(draw):
+    """Seeded oracle Hamiltonians with N = 2..3 and any electron count."""
+    n = draw(st.integers(2, 3))
+    n_elec = draw(st.integers(0, 2 * n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return oracles.random_hamiltonian(np.random.default_rng(seed), n, n_elec)
 
 
 def sample_params(vmap: LpBlissVarMap, rng) -> np.ndarray:
@@ -133,14 +149,6 @@ def test_beats_random_sampling():
     assert norm.lambda_total <= best + 1e-8
 
 
-def test_merge_does_not_change_optimum():
-    rng = np.random.default_rng(36)
-    H = oracles.random_hamiltonian(rng, 2, 2)
-    _, merged = lp_bliss(H, merge=True)
-    _, raw = lp_bliss(H, merge=False)
-    assert merged.lambda_total == pytest.approx(raw.lambda_total, abs=1e-8)
-
-
 def test_sector_invariance_of_optimal_shift():
     rng = np.random.default_rng(37)
     H = oracles.random_hamiltonian(rng, 2, 2)
@@ -161,3 +169,42 @@ def test_iteration_limit_carries_best_incumbent():
         pauli_one_norm(apply_bliss(H, err.value.params)).lambda_total,
         abs=1e-12)
     assert err.value.solution.iterations == 2
+
+
+@pytest.mark.parametrize("n_orb, n_elec, seed, digest", [
+    (2, 1, 41, "3103b4096a200bca06ee18e3ca92a6bcee8151d7ffdd3cd293a9d2371a057ecc"),
+    (3, 3, 42, "3678dbe9e9fef91470bd3ee7ecaf6019e0258a170f35c8266649f357279caa3e"),
+])
+def test_merged_problem_dump_is_pinned(n_orb, n_elec, seed, digest):
+    """Coefficients, row order and merged weights match the recorded LP."""
+    H = oracles.random_hamiltonian(np.random.default_rng(seed), n_orb, n_elec)
+    text = dump_problem(merge_duplicate_rows(build_lp_bliss_problem(H)[0]))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=small_hamiltonians(), x_seed=st.integers(0, 2 ** 32 - 1))
+def test_merge_keeps_objective_and_leaves_no_duplicates(H, x_seed):
+    problem, vmap = build_lp_bliss_problem(H)
+    merged = merge_duplicate_rows(problem)
+    keys = np.column_stack([merged.a, merged.b]) + 0.0
+    assert np.unique(keys, axis=0).shape[0] == merged.n_rows
+    rng = np.random.default_rng(x_seed)
+    for x in rng.normal(size=(5, vmap.n_vars)):
+        assert evaluate_objective(merged, x) == pytest.approx(
+            evaluate_objective(problem, x), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(H=small_hamiltonians())
+def test_optimum_bounded_by_zero_shift_and_equals_shifted_norm(H):
+    problem, vmap = build_lp_bliss_problem(H)
+    solution = l1_minimize(merge_duplicate_rows(problem))
+    shifted = pauli_one_norm(
+        apply_bliss(H, params_from_solution(vmap, solution.x_opt)))
+    assert solution.objective <= evaluate_objective(
+        problem, np.zeros(vmap.n_vars)) + 1e-9
+    assert solution.objective == pytest.approx(
+        shifted.lambda_total, rel=1e-9, abs=1e-9)
+    _, norm = lp_bliss(H)
+    assert norm.lambda_total <= pauli_one_norm(H).lambda_total + 1e-9
