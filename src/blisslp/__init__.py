@@ -4,8 +4,8 @@ The package turns a second-quantized electronic Hamiltonian (FCIDUMP in,
 FCIDUMP out) into a cheaper-to-block-encode one: it builds shift operators
 that vanish on the physical electron-number sector, minimizes the resulting
 Pauli or double-factorized 1-norms by linear programming or analytic median
-shifts, and certifies the reduction against exact or truncated-Lanczos
-spectral ranges.
+shifts, and certifies the reduction against exact or Lanczos spectral
+ranges.
 """
 
 from .cli import (BLISS_METHODS, EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_SOLVER,

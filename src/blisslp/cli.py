@@ -62,7 +62,6 @@ class RunConfig:
     out_report: str | None = None
     dump_lp: str | None = None
     seed: int | None = None
-    lanczos_mult: int = 5
     lanczos_tol: float = 1e-5
     df_tol: float = 1e-8
     lp_max_iters: int | None = None
@@ -74,16 +73,13 @@ class RunConfig:
         if self.spectral not in SPECTRAL_CHOICES:
             raise ValueError(f"unknown spectral mode {self.spectral!r}; "
                              f"expected one of {SPECTRAL_CHOICES}")
-        if self.lanczos_mult < 1:
-            raise ValueError("lanczos_mult must be >= 1")
         if self.lanczos_tol <= 0.0 or self.df_tol < 0.0:
             raise ValueError("lanczos_tol must be positive and df_tol "
                              "non-negative")
 
 
 # The RunConfig fields a Baseline is built from; compared runs must agree.
-_BASELINE_FIELDS = ("input", "n_elec", "df_tol", "spectral", "lanczos_mult",
-                    "lanczos_tol")
+_BASELINE_FIELDS = ("input", "n_elec", "df_tol", "spectral", "lanczos_tol")
 
 
 def _now() -> str:
@@ -111,8 +107,7 @@ class Baseline:
         t_parsed = time.perf_counter()
         pauli = pauli_one_norm(hamiltonian)
         df = build_fermionic_report(hamiltonian, "df", config.df_tol)
-        lanczos = LanczosOptions(truncation_multiplier=config.lanczos_mult,
-                                 residual_tol=config.lanczos_tol)
+        lanczos = LanczosOptions(residual_tol=config.lanczos_tol)
         spectral = None if config.spectral == "off" else build_spectral_report(
             hamiltonian, None, config.spectral, options=lanczos)
         return cls(hamiltonian, pauli, df, spectral, lanczos,
@@ -145,8 +140,8 @@ def _shifted_fragments(method: str):
 
 
 _MU1_CONVENTION = {"mu1_convention": (
-    "median of the eigenvalues of the unmodified one-body tensor; "
-    "per-fragment corrections are not folded in first")}
+    "median of the eigenvalues of the Pauli effective one-body term "
+    "h_ij + 2 sum_k g_ijkk after the fragment (mu2, xi) shift")}
 
 # name -> (shift kind, method, report metadata).
 _METHOD_TABLE = {
@@ -178,7 +173,6 @@ def _run_method(config: RunConfig, base: Baseline
         print(f"warning: --dump-lp only applies to lp-bliss, ignoring",
               file=sys.stderr)
     shift, method, metadata = _METHOD_TABLE[config.method]
-    metadata = dict(metadata)
     t_method = time.perf_counter()
     result = method(base, config, SolverOptions(max_iters=config.lp_max_iters))
     params = fermionic = shifted = pauli_after = df_after = None
@@ -197,9 +191,6 @@ def _run_method(config: RunConfig, base: Baseline
     spectral = base.spectral
     if spectral is not None and shifted is not None:
         spectral = with_shifted_range(spectral, shifted, options=base.lanczos)
-    if config.spectral == "lanczos":
-        metadata["lanczos_truncation"] = (
-            "vectors are truncated first, then orthogonalized")
     timings = {**base.timings_s, "method": t_spectral - t_method,
                "spectral": time.perf_counter() - t_spectral}
     timings["total"] = sum(timings.values())
@@ -221,10 +212,9 @@ def _run_method(config: RunConfig, base: Baseline
         fermionic=None if fermionic is None else fermionic_section(fermionic),
         spectral=None if spectral is None else spectral_section(spectral),
         options={"df_tol": config.df_tol,
-                 "lanczos_mult": config.lanczos_mult,
                  "lanczos_tol": config.lanczos_tol,
                  "lp_max_iters": config.lp_max_iters},
-        metadata=metadata,
+        metadata=dict(metadata),
         timings_s=timings)
     return report, shifted
 
@@ -273,7 +263,7 @@ def compare(configs: Sequence[RunConfig]) -> CompareReport:
 
     Raises:
         ValueError: fewer than two configs, or configs that disagree on
-            input, n_elec, df_tol, spectral, lanczos_mult or lanczos_tol.
+            input, n_elec, df_tol, spectral or lanczos_tol.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least two configurations")
@@ -298,10 +288,8 @@ def _add_shared_options(parser: argparse.ArgumentParser) -> None:
                         help="override the FCIDUMP electron count")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded in the report for reproducibility")
-    parser.add_argument("--lanczos-mult", type=int, default=5,
-                        help="Krylov truncation multiplier (default: 5)")
     parser.add_argument("--lanczos-tol", type=float, default=1e-5,
-                        help="Lanczos residual threshold (default: 1e-5)")
+                        help="Lanczos Ritz-residual threshold (default: 1e-5)")
     parser.add_argument("--df-tol", type=float, default=1e-8,
                         help="double-factorization eigenvalue cutoff "
                              "(default: 1e-8)")
@@ -348,9 +336,8 @@ def _config_from_args(args: argparse.Namespace, method: str,
     return RunConfig(
         input=args.input, method=method, spectral=args.spectral,
         n_elec=args.nelec, out_fcidump=out_fcidump, out_report=out_report,
-        dump_lp=dump_lp, seed=args.seed, lanczos_mult=args.lanczos_mult,
-        lanczos_tol=args.lanczos_tol, df_tol=args.df_tol,
-        lp_max_iters=args.lp_max_iters)
+        dump_lp=dump_lp, seed=args.seed, lanczos_tol=args.lanczos_tol,
+        df_tol=args.df_tol, lp_max_iters=args.lp_max_iters)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

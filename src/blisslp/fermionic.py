@@ -26,9 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonian import BlissParams, MolecularHamiltonian
+from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
 from .l1min import (L1Problem, L1Status, SolverOptions, l1_minimize,
                     merge_duplicate_rows)
+from .pauli import pauli_terms
 
 __all__ = [
     "DFFragment",
@@ -510,11 +511,12 @@ def assemble_global_bliss(hamiltonian: MolecularHamiltonian, flavor: str,
     directly; their (mu2, theta) contributions accumulate with sign as is.
 
     In both cases mu1 is the canonical median of the eigenvalues of the
-    unmodified one-body tensor.
+    Pauli effective one-body term h_ij + 2 sum_k g_ijkk of H shifted by
+    (0, mu2, xi) alone, since that shift moves the one-body eigenvalues
+    whose spread mu1 centres.
     """
     n = hamiltonian.n_orb
     fragments = double_factorize(hamiltonian, df_tol)
-    mu1 = one_electron_shift(hamiltonian.h).mu1
     mu2 = 0.0
     xi = np.zeros((n, n))
     if flavor == "flr":
@@ -530,4 +532,6 @@ def assemble_global_bliss(hamiltonian: MolecularHamiltonian, flavor: str,
     else:
         raise ValueError(f"unknown flavor {flavor!r}; expected 'flr' or 'ffr'")
     xi = 0.5 * (xi + xi.T)
+    without_mu1 = apply_bliss(hamiltonian, BlissParams(0.0, mu2, xi))
+    mu1 = canonical_median(np.linalg.eigvalsh(pauli_terms(without_mu1)[0]))
     return BlissParams(mu1, mu2, xi)

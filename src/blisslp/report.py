@@ -34,7 +34,7 @@ __all__ = [
     "strip_volatile",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # Fields allowed to differ between identical reruns; everything else in a
 # report must be bit-reproducible.
 VOLATILE_KEYS = ("generated_at", "timings_s")

@@ -9,11 +9,11 @@ conserves electron number and every estimate can be run sector by sector.
 One kernel serves both engines: a per-sector excitation table lists every
 nonzero <d|F^k_l|s>, and numpy gathers and scatters through it build dense
 sector matrices for exact diagonalization and apply H to the dense vectors
-of a truncated Lanczos iteration that caps each Krylov vector's support.
-Retained vectors stay inside the sector and the projected matrix uses exact
-H applications, so Lanczos estimates are variational (the lowest never
-undershoots the true minimum, the highest never overshoots the maximum) and
-the derived spectral range is a lower bound on the exact one.
+of a fully reorthogonalized Lanczos iteration; the exact engine takes the
+one spin block that holds a sector's whole spectrum.  The projected matrix
+uses exact H applications, so Lanczos estimates are variational (the lowest
+never undershoots the true minimum, the highest never overshoots the
+maximum) and the derived spectral range is a lower bound on the exact one.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ EXACT_CAP_SPIN_ORBITALS = 14
 # caller asked for Lanczos; the iteration buys nothing there.
 EXACT_FALLBACK_DIMENSION = 1000
 # Predicted peak memory of one sector above which the engine refuses to
-# start; Lanczos at 20 spin-orbitals and half filling needs about 1.2 GiB.
+# start; Lanczos at 20 spin-orbitals and half filling needs about 0.9 GiB.
 SPECTRAL_MEMORY_LIMIT_BYTES = 2 * 1024 ** 3
 
 SPECTRAL_METHODS = ("exact", "lanczos")
@@ -139,13 +139,13 @@ def _check_memory(n_orb: int, n_elec: int, max_iters: int = 0) -> None:
     """Refuse a sector predicted to outgrow the memory limit: 32 B per table
     entry (a determinant with a alpha electrons has a(N-a+1) alpha entries;
     beta, by symmetry, adds as many over the sector), two N^2 x dim matvec
-    arrays and ``max_iters`` pairs of Lanczos vectors."""
+    arrays and ``max_iters`` Lanczos vectors."""
     if not 0 <= n_elec <= 2 * n_orb:
         return  # sector_determinants names the bad n_elec
     entries = 2 * sum(math.comb(n_orb, a) * math.comb(n_orb, n_elec - a)
                       * a * (n_orb - a + 1) for a in range(n_elec + 1))
     dim = math.comb(2 * n_orb, n_elec)
-    need = 32 * entries + 16 * dim * (n_orb ** 2 + max_iters)
+    need = 32 * entries + 8 * dim * (2 * n_orb ** 2 + max_iters)
     if need > SPECTRAL_MEMORY_LIMIT_BYTES:
         raise ValueError(
             f"the {n_elec}-electron sector of {2 * n_orb} spin-orbitals needs "
@@ -264,31 +264,26 @@ def reference_determinant(hamiltonian: MolecularHamiltonian, n_elec: int,
 
 @dataclass(frozen=True)
 class LanczosOptions:
-    """Knobs of the truncated iteration.
-
-    At iteration k the new Krylov vector keeps only the
-    ``truncation_multiplier * k`` largest-amplitude determinants before it
-    is orthogonalized; the run stops once the orthogonalized residual
-    2-norm drops below ``residual_tol``.
-    """
+    """Knobs of the Lanczos iteration: it stops after ``max_iters`` H
+    applications, or once the Ritz residual of the extreme pair drops below
+    ``residual_tol``."""
 
     max_iters: int = 200
-    truncation_multiplier: int = 5
     residual_tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.truncation_multiplier < 1:
-            raise ValueError("max_iters and truncation_multiplier must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.residual_tol <= 0.0:
             raise ValueError("residual_tol must be positive")
 
 
 @dataclass(frozen=True)
 class LanczosResult:
-    """Extreme Rayleigh value of the retained Krylov subspace.
+    """Extreme Ritz value of the Krylov subspace.
 
     ``converged`` is False only when the iteration cap was hit before the
-    residual dropped below tolerance or the sector was exhausted; the
+    Ritz residual dropped below tolerance or the sector was exhausted; the
     energy is still the best variational estimate found.
     """
 
@@ -301,45 +296,46 @@ class LanczosResult:
 def truncated_lanczos(hamiltonian: MolecularHamiltonian, n_elec: int,
                       extreme: str = "lowest",
                       options: LanczosOptions | None = None) -> LanczosResult:
-    """Variational extreme-eigenvalue estimate with capped vector support.
+    """Variational extreme-eigenvalue estimate by fully reorthogonalized
+    Lanczos; the name is kept for the API, nothing is truncated.
 
-    The Hamiltonian is first rotated to its one-body eigenbasis and the
-    iteration starts from the extreme-filling determinant there.  Each new
-    vector is truncated, then orthogonalized twice against the whole basis;
-    the projected matrix is built from untruncated Hamiltonian
-    applications, so Rayleigh-Ritz bounds hold regardless of truncation.
+    The start vector is the extreme-filling determinant in the one-body
+    eigenbasis plus, unless that determinant is already an eigenvector, a
+    fixed random vector of norm 0.1: the determinant alone has one total
+    spin, and so would its whole Krylov space.  The run stops when the Ritz
+    residual |beta_k s_k| of the extreme pair (Parlett, The Symmetric
+    Eigenvalue Problem) falls below ``residual_tol``, or when the basis
+    spans the sector.
     """
     opts = options or LanczosOptions()
     _check_memory(hamiltonian.n_orb, n_elec, opts.max_iters)
     rotated = one_body_eigenbasis(hamiltonian)
     dets, matvec = _sector_operator(rotated, n_elec)
     ref = reference_determinant(rotated, n_elec, extreme)
-    basis, h_basis = np.zeros((2, opts.max_iters + 1, len(dets)))
-    basis[0, np.searchsorted(dets, ref.occupancy)] = 1.0
-    converged = False
-    for k in range(1, opts.max_iters + 1):
-        h_basis[k - 1] = matvec(basis[k - 1])
-        w = h_basis[k - 1].copy()
-        # Keep the largest amplitudes; ties go to the lower bitmask.
-        keep = opts.truncation_multiplier * k
-        w[np.argsort(-np.abs(w), kind="stable")[keep:]] = 0.0
+    size = min(opts.max_iters, len(dets))
+    basis, projected = np.zeros((size, len(dets))), np.zeros((size, size))
+    start = basis[0]
+    start[np.searchsorted(dets, ref.occupancy)] = 1.0
+    h_start = matvec(start)
+    if np.linalg.norm(h_start - (start @ h_start) * start) >= opts.residual_tol:
+        mix = np.random.default_rng(0).normal(size=len(dets))
+        start += 0.1 / np.linalg.norm(mix) * mix
+        start /= np.linalg.norm(start)
+    pick = 0 if extreme == "lowest" else -1
+    for k in range(1, size + 1):
+        w = matvec(basis[k - 1])
+        projected[k - 1, :k] = projected[:k, k - 1] = basis[:k] @ w
+        values, vectors = np.linalg.eigh(projected[:k, :k])
         for _ in range(2):
-            for vb in basis[:k]:
-                w -= (vb @ w) * vb
+            w -= (basis[:k] @ w) @ basis[:k]
         beta = math.sqrt(w @ w)
-        if beta < opts.residual_tol or k >= len(dets):
-            converged = True
+        converged = bool(beta * abs(vectors[-1, pick]) < opts.residual_tol
+                         or k == len(dets))
+        if converged or k == size:
             break
         basis[k] = w / beta
-
-    if not converged:  # the vector added last has no H application yet
-        h_basis[k] = matvec(basis[k])
-    size = k + (not converged)
-    t = basis[:size] @ h_basis[:size].T
-    values = np.linalg.eigvalsh(0.5 * (t + t.T))
-    energy = float(values[0] if extreme == "lowest" else values[-1])
-    return LanczosResult(energy=energy, iterations=k,
-                         converged=converged, subspace_dim=size)
+    return LanczosResult(energy=float(values[pick]), iterations=k,
+                         converged=converged, subspace_dim=k)
 
 
 @dataclass(frozen=True)
@@ -365,7 +361,13 @@ def _sector_range(hamiltonian: MolecularHamiltonian, n_elec: int, method: str,
                   options: LanczosOptions | None) -> tuple[float, float, bool]:
     if method == "exact" or (sector_dimension(hamiltonian.n_spin_orb, n_elec)
                              <= EXACT_FALLBACK_DIMENSION):
-        values = np.linalg.eigvalsh(sector_matrix(hamiltonian, n_elec)[0])
+        # H is spin-free, so every level has a member with M_S = 0 or 1/2:
+        # the block with ceil(n/2) spin-0 electrons holds the whole spectrum.
+        mat, basis = sector_matrix(hamiltonian, n_elec)
+        spin0 = (np.array(basis)[:, None]
+                 >> np.arange(0, hamiltonian.n_spin_orb, 2)) & 1
+        block = np.flatnonzero(spin0.sum(axis=1) == (n_elec + 1) // 2)
+        values = np.linalg.eigvalsh(mat[np.ix_(block, block)])
         return float(values[0]), float(values[-1]), True
     low = truncated_lanczos(hamiltonian, n_elec, "lowest", options)
     high = truncated_lanczos(hamiltonian, n_elec, "highest", options)

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line pipeline."""
 
+import argparse
 import json
+import re
 import time
 from pathlib import Path
 
@@ -24,13 +26,12 @@ from blisslp import (
     strip_volatile,
     write_fcidump,
 )
-from blisslp.cli import main
+from blisslp.cli import _build_parser, main
 from blisslp.spectral import SpectralReport
 from blisslp.report import _CSV_COLUMNS
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "docs" / "report_schema.json")
-    .read_text())
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "docs" / "report_schema.json").read_text())
 
 
 def dump_file(tmp_path, seed=3, n_orb=2, name="h.fcidump"):
@@ -55,7 +56,7 @@ def test_every_method_exits_zero(tmp_path, method):
     assert code == EXIT_OK
     report = json.loads(out.read_text())
     assert report["method"] == method
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["lambda_pauli"]["before"] > 0.0
 
 
@@ -181,8 +182,6 @@ def test_solver_iteration_limit_exits_solver(tmp_path, capsys):
 def test_invalid_option_value_exits_invalid(tmp_path, capsys):
     path = dump_file(tmp_path)
     assert main(["run", "--input", path,
-                 "--lanczos-mult", "0"]) == EXIT_INVALID
-    assert main(["run", "--input", path,
                  "--lanczos-tol", "-1.0"]) == EXIT_INVALID
     capsys.readouterr()
 
@@ -280,7 +279,8 @@ def test_lanczos_spectral_mode(tmp_path, capsys):
     assert spectral["method"] == "lanczos"
     assert isinstance(spectral["converged"], bool)
     assert spectral["delta_e_shifted"] is not None
-    assert "lanczos_truncation" in report["metadata"]
+    assert set(report["metadata"]) == {"mu1_convention"}
+    assert set(report["options"]) == {"df_tol", "lanczos_tol", "lp_max_iters"}
 
 
 def test_df_methods_report_fragments(tmp_path, capsys):
@@ -374,8 +374,6 @@ def test_run_config_validation():
         RunConfig(input="x", method="mystery")
     with pytest.raises(ValueError, match="unknown spectral"):
         RunConfig(input="x", spectral="always")
-    with pytest.raises(ValueError, match="lanczos_mult"):
-        RunConfig(input="x", lanczos_mult=0)
     assert RunConfig(input="x", df_tol=0.0).df_tol == 0.0
     with pytest.raises(ValueError, match="lanczos_tol must be positive and "
                                          "df_tol non-negative"):
@@ -394,3 +392,16 @@ def test_reports_validate_against_schema(tmp_path, capsys):
     assert main(["compare", "--input", path,
                  "--methods", "df,df-lrps"]) == EXIT_OK
     jsonschema.validate(json.loads(capsys.readouterr().out), SCHEMA)
+
+
+def test_readme_flags_name_every_option():
+    """The README's Flags paragraph names exactly the options of the run and
+    compare subcommands."""
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
+    subcommands = next(action for action in _build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    options = {option for parser in subcommands.choices.values()
+               for action in parser._actions
+               for option in action.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == options

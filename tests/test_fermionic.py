@@ -15,6 +15,7 @@ from blisslp import (
     apply_bliss,
     assemble_global_bliss,
     build_fermionic_report,
+    build_spectral_report,
     canonical_median,
     double_factorize,
     factorize_two_body_tensor,
@@ -526,6 +527,20 @@ def test_assemble_flr_zeroes_scalar_square():
     params = assemble_global_bliss(H, "flr")
     shifted = apply_bliss(H, params)
     np.testing.assert_allclose(shifted.g, np.zeros((1,) * 4), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_assembled_shift_lowers_df_norm(seed):
+    """Both flavours bring the DF norm of H - K down to near the per-fragment
+    shift they are assembled from, and the shifted range below the original."""
+    H = oracles.decay_hamiltonian(np.random.default_rng(seed), 4)
+    before = build_fermionic_report(H, "df").lambda_total
+    for flavor, fragments in (("flr", "df-lrps"), ("ffr", "df-lrbs")):
+        shifted = apply_bliss(H, assemble_global_bliss(H, flavor))
+        after = build_fermionic_report(shifted, "df").lambda_total
+        assert after < before
+        assert after < 1.25 * build_fermionic_report(H, fragments).lambda_total
+        assert build_spectral_report(H, shifted).deviation < 1.0
 
 
 def test_assemble_global_bliss_invalid_flavor():

@@ -165,7 +165,7 @@ def test_schema_rejects_malformed_documents():
 
     schema = json.loads(SCHEMA_PATH.read_text())
     doc = make_run_report().to_dict()
-    doc["schema_version"] = 2
+    doc["schema_version"] = SCHEMA_VERSION + 1
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, schema)
     doc = make_run_report().to_dict()

@@ -1,9 +1,11 @@
-"""Tests for sector vectors, exact ranges and the truncated Lanczos."""
+"""Tests for sector vectors, exact ranges and the Lanczos engine."""
 
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from blisslp import (
@@ -258,54 +260,39 @@ def test_lanczos_variational_and_accurate(seed):
     high = truncated_lanczos(H, 3, "highest")
     assert low.energy >= values[0] - 1e-12
     assert high.energy <= values[-1] + 1e-12
-    assert abs(low.energy - values[0]) < 0.05 * spread
-    assert abs(high.energy - values[-1]) < 0.05 * spread
+    assert abs(low.energy - values[0]) < 1e-8 * spread
+    assert abs(high.energy - values[-1]) < 1e-8 * spread
 
 
-# (seed, extreme) -> (energy, iterations) of truncated_lanczos on
-# random_hamiltonian(default_rng(seed), 4, 4) with truncation_multiplier=1,
-# recorded with the dict-of-bitmask engine this kernel replaced.
-PINNED_LANCZOS = {
-    (0, "lowest"): (-7.295516612431909, 2),
-    (0, "highest"): (19.02639673401496, 1),
-    (1, "lowest"): (-6.327095105390558, 1),
-    (1, "highest"): (15.324393935413827, 36),
-    (2, "lowest"): (-23.817966891211235, 36),
-    (2, "highest"): (11.278069874620057, 1),
-    (3, "lowest"): (-13.573123250622814, 36),
-    (3, "highest"): (5.236089801613932, 1),
-}
-
-
-@pytest.mark.parametrize("seed, extreme", sorted(PINNED_LANCZOS))
+@pytest.mark.parametrize("seed, extreme", [
+    (seed, extreme) for seed in range(4) for extreme in ("highest", "lowest")])
 def test_truncated_lanczos_pinned(seed, extreme):
-    """Truncation to k amplitudes at iteration k bites on these inputs."""
+    """On random_hamiltonian(default_rng(seed), 4, 4) both extremes converge
+    in fewer iterations than the 36 levels of the sector's M_S = 0 block,
+    which holds every level of the sector."""
     H = oracles.random_hamiltonian(np.random.default_rng(seed), 4, 4)
-    result = truncated_lanczos(H, 4, extreme,
-                               LanczosOptions(truncation_multiplier=1))
-    energy, iterations = PINNED_LANCZOS[seed, extreme]
-    assert result.energy == pytest.approx(energy, rel=1e-10)
-    assert result.iterations == iterations
+    values = np.linalg.eigvalsh(sector_matrix(H, 4)[0])
+    result = truncated_lanczos(H, 4, extreme)
     assert result.converged
+    assert result.iterations < 36
+    want = values[0] if extreme == "lowest" else values[-1]
+    assert result.energy == pytest.approx(want, abs=1e-9)
 
 
-@pytest.mark.parametrize("multiplier", [1, 2])
-def test_truncation_ties_keep_lower_bitmask(multiplier):
-    """Integer couplings make H|ref> hold exactly tied amplitudes; keeping
-    the lower bitmask (orbital 1 before orbital 2) reaches the ground state,
-    keeping the higher one stalls above it."""
-    g = np.zeros((3,) * 4)
-    for p in (1, 2):
-        for idx in ((p, 0, 0, 0), (0, p, 0, 0), (0, 0, p, 0), (0, 0, 0, p)):
-            g[idx] = 1.0
-    H = MolecularHamiltonian(n_orb=3, e_const=0.0, h=np.diag([-0.25, 0.5, 2.0]),
-                             g=g, n_elec=2)
-    result = truncated_lanczos(
-        H, 2, "lowest", LanczosOptions(truncation_multiplier=multiplier))
-    assert result.energy == pytest.approx(-6.051765346695432, rel=1e-10)
-    assert result.energy == pytest.approx(
-        np.linalg.eigvalsh(sector_matrix(H, 2)[0])[0], rel=1e-10)
-    assert (result.iterations, result.converged) == (9, True)
+@settings(max_examples=20, deadline=None)
+@given(n_orb=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(n_orb=2, seed=32)  # the highest 2-electron level is a triplet
+def test_lanczos_converges_to_exact_extremes(n_orb, seed):
+    """Every sector of dimension >= 2 gives converged extremes equal to the
+    exact ones, whatever the total spin of the extreme level."""
+    H = oracles.random_hamiltonian(np.random.default_rng(seed), n_orb, n_orb)
+    for n_elec in range(1, 2 * n_orb):
+        values = np.linalg.eigvalsh(sector_matrix(H, n_elec)[0])
+        low = truncated_lanczos(H, n_elec, "lowest")
+        high = truncated_lanczos(H, n_elec, "highest")
+        assert low.converged and high.converged
+        assert low.energy == pytest.approx(values[0], abs=1e-8)
+        assert high.energy == pytest.approx(values[-1], abs=1e-8)
 
 
 def test_lanczos_iteration_cap_flags_unconverged():
@@ -337,6 +324,20 @@ def test_spectral_range_full_vs_sector():
     evals = np.linalg.eigvalsh(oracles.fock_matrix(H))
     assert full.e_min == pytest.approx(evals[0], abs=1e-10)
     assert full.e_max == pytest.approx(evals[-1], abs=1e-10)
+
+
+@pytest.mark.parametrize("n_orb", [2, 3, 4])
+def test_exact_extremes_from_one_spin_block(n_orb):
+    """The exact engine diagonalizes one spin block per sector; its extremes
+    are those of the whole sector, before and after a BLISS shift."""
+    rng = np.random.default_rng(2000 + n_orb)
+    H = oracles.random_hamiltonian(rng, n_orb, n_orb)
+    for ham in (H, apply_bliss(H, oracles.random_bliss(rng, n_orb))):
+        fock = oracles.fock_matrix(ham)
+        for n_elec, low, high in spectral_range(ham).sector_extremes:
+            want = oracles.sector_eigenvalues(fock, 2 * n_orb, n_elec)
+            assert low == pytest.approx(want[0], abs=1e-9)
+            assert high == pytest.approx(want[-1], abs=1e-9)
 
 
 def test_spectral_range_method_validation():
