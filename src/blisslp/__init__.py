@@ -26,7 +26,8 @@ from .hamiltonian import (BlissParams, MolecularHamiltonian, apply_bliss,
                           symmetrize_two_body, two_body_symmetry_deviation)
 from .l1min import (L1Problem, L1Solution, L1Status, ReferenceSimplexSolver,
                     ScipyLinprogSolver, SolverOptions, dump_problem,
-                    evaluate_objective, l1_minimize, merge_duplicate_rows)
+                    evaluate_objective, l1_minimize, merge_duplicate_rows,
+                    weighted_median)
 from .lp_bliss import (LpBlissIterationLimit, LpBlissVarMap,
                        build_lp_bliss_problem, lp_bliss, params_from_solution)
 from .pauli import PauliNormBreakdown, pauli_one_norm
@@ -56,7 +57,7 @@ __all__ = [
     "L1Problem", "L1Solution", "L1Status", "SolverOptions",
     "ReferenceSimplexSolver", "ScipyLinprogSolver",
     "l1_minimize", "evaluate_objective", "merge_duplicate_rows",
-    "dump_problem",
+    "weighted_median", "dump_problem",
     # lp_bliss
     "LpBlissVarMap", "LpBlissIterationLimit", "build_lp_bliss_problem",
     "params_from_solution", "lp_bliss",

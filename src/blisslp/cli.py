@@ -316,8 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="write the shifted FCIDUMP here "
                                  "(shift-producing methods only)")
     run_parser.add_argument("--dump-lp", default=None,
-                            help="write the lp-bliss problem in sparse "
-                                 "triplet text form")
+                            help="write the whole, unsplit lp-bliss "
+                                 "problem in sparse triplet text form")
 
     compare_parser = sub.add_parser(
         "compare", help="run several methods on one FCIDUMP and tabulate")

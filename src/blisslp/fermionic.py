@@ -28,7 +28,7 @@ import numpy as np
 
 from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
 from .l1min import (L1Problem, L1Status, SolverOptions, l1_minimize,
-                    merge_duplicate_rows)
+                    merge_duplicate_rows, weighted_median)
 from .pauli import pauli_terms
 
 __all__ = [
@@ -280,11 +280,10 @@ def lambda_csa(fragment: CsaFragment) -> float:
 
 def canonical_median(values: np.ndarray) -> float:
     """Median that is always an attained element: the lower of the two
-    middle values for even counts, the middle value otherwise."""
+    middle values for even counts, the middle value otherwise.  It is
+    :func:`blisslp.l1min.weighted_median` with unit weights."""
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("median of an empty vector")
-    return float(np.sort(values)[(values.size - 1) // 2])
+    return weighted_median(values, np.ones_like(values))
 
 
 def one_electron_shift(h_eff: np.ndarray) -> OneBodySpectrum:

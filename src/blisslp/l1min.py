@@ -42,6 +42,7 @@ __all__ = [
     "l1_minimize",
     "merge_duplicate_rows",
     "evaluate_objective",
+    "weighted_median",
     "dump_problem",
 ]
 
@@ -160,6 +161,29 @@ def evaluate_objective(problem: L1Problem, x: np.ndarray) -> float:
     """Objective ``sum_i w_i |(A x - b)_i|`` at the point ``x``."""
     residual = problem.a @ np.asarray(x, dtype=float) - problem.b
     return float(problem.weights @ np.abs(residual))
+
+
+def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+    """Lower attained weighted median of ``values``.
+
+    Returns the smallest value whose cumulative weight, in sorted order,
+    reaches half the total.  It minimizes ``sum_i weights[i] |x - values[i]|``
+    over x exactly, the one-variable case of weighted L1 minimization; where
+    the minimizers form an interval, it is the interval's lower end.
+
+    Raises:
+        ValueError: if ``values`` is empty or its shape differs from
+            ``weights``.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if values.size == 0:
+        raise ValueError("median of an empty vector")
+    if values.shape != weights.shape:
+        raise ValueError("values and weights must have the same shape")
+    order = np.argsort(values, kind="stable")
+    cumulative = np.cumsum(weights[order])
+    return float(values[order[np.searchsorted(cumulative, 0.5 * cumulative[-1])]])
 
 
 def merge_duplicate_rows(problem: L1Problem) -> L1Problem:

@@ -10,10 +10,12 @@ from blisslp import (
     ReferenceSimplexSolver,
     ScipyLinprogSolver,
     SolverOptions,
+    canonical_median,
     dump_problem,
     evaluate_objective,
     l1_minimize,
     merge_duplicate_rows,
+    weighted_median,
 )
 
 
@@ -91,6 +93,47 @@ def test_weighted_median_example():
     sol = l1_minimize(column_of_ones([0.0, 1.0], weights=[3.0, 1.0]))
     assert sol.x_opt[0] == pytest.approx(0.0, abs=1e-9)
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 6])
+def test_weighted_median_unit_weights_is_canonical_median(size):
+    values = np.random.default_rng(size).normal(size=size)
+    want = float(np.sort(values)[(size - 1) // 2])
+    assert weighted_median(values, np.ones(size)) == want
+    assert canonical_median(values) == want
+
+
+def test_weighted_median_flat_interval_returns_lower_end():
+    """Every x in [2, 5] is optimal for the first, every x in [0, 4] for the
+    second; the lower end is returned."""
+    assert weighted_median(np.array([5.0, 1.0, 2.0]),
+                           np.array([2.0, 1.0, 1.0])) == 2.0
+    assert weighted_median(np.array([4.0, 0.0]), np.array([0.5, 0.5])) == 0.0
+
+
+def test_weighted_median_rejects_bad_input():
+    with pytest.raises(ValueError, match="empty"):
+        weighted_median(np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="shape"):
+        weighted_median(np.ones(2), np.ones(3))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_weighted_median_is_lowest_brute_force_minimizer(seed):
+    """Integer data make every objective exact: the median attains the
+    minimum over the candidate points, and no smaller candidate does."""
+    rng = np.random.default_rng(1300 + seed)
+    size = int(rng.integers(1, 12))
+    values = rng.integers(-5, 6, size=size).astype(float)
+    weights = rng.integers(1, 5, size=size).astype(float)
+
+    def objective(x):
+        return float(weights @ np.abs(x - values))
+
+    best = min(objective(c) for c in values)
+    median = weighted_median(values, weights)
+    assert objective(median) == best
+    assert median == min(c for c in values if objective(c) == best)
 
 
 @pytest.mark.parametrize("seed", range(5))

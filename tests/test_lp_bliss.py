@@ -1,16 +1,19 @@
 """Tests for the global shift-parameter linear program."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from blisslp import (
     LpBlissIterationLimit,
     LpBlissVarMap,
+    ReferenceSimplexSolver,
+    ScipyLinprogSolver,
     SolverOptions,
     apply_bliss,
     build_lp_bliss_problem,
@@ -24,13 +27,20 @@ from blisslp import (
 )
 
 
+def seeded_hamiltonian(kind, n_orb, n_elec, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "decay":
+        return replace(oracles.decay_hamiltonian(rng, n_orb), n_elec=n_elec)
+    return oracles.random_hamiltonian(rng, n_orb, n_elec)
+
+
 @st.composite
-def small_hamiltonians(draw):
-    """Seeded oracle Hamiltonians with N = 2..3 and any electron count."""
-    n = draw(st.integers(2, 3))
+def small_hamiltonians(draw, min_orb=2, max_orb=3):
+    """Seeded random or decay oracle Hamiltonians with any electron count."""
+    n = draw(st.integers(min_orb, max_orb))
     n_elec = draw(st.integers(0, 2 * n))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    return oracles.random_hamiltonian(np.random.default_rng(seed), n, n_elec)
+    kind = draw(st.sampled_from(["random", "decay"]))
+    return seeded_hamiltonian(kind, n, n_elec, draw(st.integers(0, 2 ** 32 - 1)))
 
 
 def sample_params(vmap: LpBlissVarMap, rng) -> np.ndarray:
@@ -195,9 +205,14 @@ def test_merge_keeps_objective_and_leaves_no_duplicates(H, x_seed):
             evaluate_objective(problem, x), rel=1e-12, abs=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
-@given(H=small_hamiltonians())
+@settings(max_examples=30, deadline=None)
+@given(H=small_hamiltonians(min_orb=1, max_orb=4))
+@example(H=seeded_hamiltonian("random", 1, 2))
+@example(H=seeded_hamiltonian("decay", 4, 4))
 def test_optimum_bounded_by_zero_shift_and_equals_shifted_norm(H):
+    """The whole merged LP, solved at once, bounds and equals lp_bliss's
+    block solve.  N=1 has no off-diagonal xi; at n_elec = N the one-body
+    coefficient n_elec - N of every off-diagonal xi vanishes."""
     problem, vmap = build_lp_bliss_problem(H)
     solution = l1_minimize(merge_duplicate_rows(problem))
     shifted = pauli_one_norm(
@@ -208,3 +223,55 @@ def test_optimum_bounded_by_zero_shift_and_equals_shifted_norm(H):
         shifted.lambda_total, rel=1e-9, abs=1e-9)
     _, norm = lp_bliss(H)
     assert norm.lambda_total <= pauli_one_norm(H).lambda_total + 1e-9
+    assert norm.lambda_total == pytest.approx(
+        solution.objective, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["random", "decay"])
+@pytest.mark.parametrize("n_orb", range(1, 7))
+@pytest.mark.parametrize("extra_elec", [0, 1])
+def test_no_row_couples_two_blocks(kind, n_orb, extra_elec):
+    """The split lp_bliss relies on: a row carries no variable, one
+    off-diagonal xi_pq alone, or diagonal variables only."""
+    H = seeded_hamiltonian(kind, n_orb, n_orb + extra_elec, seed=1400 + n_orb)
+    problem, vmap = build_lp_bliss_problem(H)
+    diagonal = np.zeros(vmap.n_vars, dtype=bool)
+    diagonal[[vmap.mu1_index, vmap.mu2_index]] = True
+    diagonal[[vmap.xi_index(i, i) for i in range(n_orb)]] = True
+    nonzero = problem.a != 0.0
+    off_count = nonzero[:, ~diagonal].sum(axis=1)
+    assert off_count.max(initial=0) <= 1
+    assert not np.any((off_count > 0) & nonzero[:, diagonal].any(axis=1))
+    assert off_count.sum() > 0 or n_orb == 1
+
+
+@pytest.mark.parametrize("n_orb, n_elec", [(7, 5), (8, 8)])
+def test_block_solve_matches_highs_on_whole_problem(n_orb, n_elec):
+    H = seeded_hamiltonian("random", n_orb, n_elec, seed=n_orb)
+    problem, _ = build_lp_bliss_problem(H)
+    highs = l1_minimize(merge_duplicate_rows(problem),
+                        SolverOptions(solver=ScipyLinprogSolver()))
+    _, norm = lp_bliss(H)
+    assert norm.lambda_total == pytest.approx(highs.objective, rel=1e-9)
+
+
+def test_solver_options_apply_to_diagonal_block():
+    """One backend solve over the N + 2 diagonal variables, with the default
+    budget 50 (n_vars + n_rows) of that block; an exhausted budget quotes
+    the shifted norm."""
+    H = oracles.random_hamiltonian(np.random.default_rng(38), 3, 3)
+    seen = []
+
+    class Recording:
+        def solve(self, c, G, h, max_iters):
+            seen.append((G.shape, max_iters))
+            return ReferenceSimplexSolver().solve(c, G, h, max_iters)
+
+    lp_bliss(H, SolverOptions(solver=Recording()))
+    [((two_m, columns), budget)] = seen
+    m = two_m // 2
+    assert columns == 5 + m
+    assert budget == 50 * (5 + m)
+    with pytest.raises(LpBlissIterationLimit) as err:
+        lp_bliss(H, SolverOptions(max_iters=2))
+    assert f"{err.value.norm.lambda_total:.12g}" in str(err.value)
