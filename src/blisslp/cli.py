@@ -8,19 +8,22 @@ optimum (iteration limit, infeasible, unbounded).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .fcidump import FcidumpError, parse_fcidump, write_fcidump
-from .fermionic import (FermionicNormReport, IterationLimitError,
-                        assemble_global_bliss, build_fermionic_report)
-from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
+from . import fermionic
+from .fcidump import parse_fcidump, write_fcidump
+# assemble_global_bliss and lp_bliss stay importable for stage wrappers.
+from .fermionic import (FermionicNormReport, assemble_global_bliss,
+                        build_fermionic_report)
+from .hamiltonian import MolecularHamiltonian, apply_bliss
 from .l1min import SolverOptions, dump_problem, merge_duplicate_rows
-from .lp_bliss import LpBlissIterationLimit, build_lp_bliss_problem, lp_bliss
+from .lp_bliss import build_lp_bliss_problem, lp_bliss, lp_bliss_shifted
 from .pauli import PauliNormBreakdown, pauli_one_norm
 from .report import (BlissSummary, CompareReport, NormPair, RunReport,
                      fermionic_section, spectral_section, to_json)
@@ -76,10 +79,14 @@ class RunConfig:
         if self.lanczos_tol <= 0.0 or self.df_tol < 0.0:
             raise ValueError("lanczos_tol must be positive and df_tol "
                              "non-negative")
+        if self.lp_max_iters is not None and self.lp_max_iters < 1:
+            raise ValueError(f"lp_max_iters must be >= 1, got "
+                             f"{self.lp_max_iters}")
 
 
 # The RunConfig fields a Baseline is built from; compared runs must agree.
-_BASELINE_FIELDS = ("input", "n_elec", "df_tol", "spectral", "lanczos_tol")
+_BASELINE_FIELDS = ("input", "n_elec", "df_tol", "spectral", "lanczos_tol",
+                    "lp_max_iters")
 
 
 def _now() -> str:
@@ -88,12 +95,14 @@ def _now() -> str:
 
 @dataclass(frozen=True)
 class Baseline:
-    """The unshifted input every method is measured against; ``spectral``
-    holds its ranges, or None when spectra are off."""
+    """The unshifted input every method is measured against.  ``family``
+    maps a fermionic method to its report on the baseline's DF fragments,
+    computed on first use; ``spectral`` holds its ranges, or None when
+    spectra are off."""
 
     hamiltonian: MolecularHamiltonian
     pauli: PauliNormBreakdown
-    df: FermionicNormReport
+    family: Callable[[str], FermionicNormReport]
     spectral: SpectralReport | None
     lanczos: LanczosOptions
     timings_s: Mapping[str, float]
@@ -101,42 +110,48 @@ class Baseline:
     @classmethod
     def load(cls, config: RunConfig) -> "Baseline":
         t_start = time.perf_counter()
-        hamiltonian = parse_fcidump(Path(config.input).read_text())
+        hamiltonian = parse_fcidump(Path(config.input).read_bytes())
         if config.n_elec is not None:
             hamiltonian = hamiltonian.with_n_elec(config.n_elec)
         t_parsed = time.perf_counter()
         pauli = pauli_one_norm(hamiltonian)
-        df = build_fermionic_report(hamiltonian, "df", config.df_tol)
+        fragments = fermionic.double_factorize(hamiltonian, config.df_tol)
+        solver = SolverOptions(max_iters=config.lp_max_iters)
+        family = functools.cache(lambda method: build_fermionic_report(
+            hamiltonian, method, fragments, solver))
+        family("df")
         lanczos = LanczosOptions(residual_tol=config.lanczos_tol)
         spectral = None if config.spectral == "off" else build_spectral_report(
             hamiltonian, None, config.spectral, options=lanczos)
-        return cls(hamiltonian, pauli, df, spectral, lanczos,
+        return cls(hamiltonian, pauli, family, spectral, lanczos,
                    {"parse": t_parsed - t_start,
                     "baseline": time.perf_counter() - t_parsed})
 
 
-# A method maps (baseline, config, solver options) to BlissParams for a
-# "global" shift of H, to the report of its shifted DF fragments for a
-# "fragments" shift, and otherwise to the fermionic report it adds, or None.
-# It looks stages up as module attributes when it runs, so that wrappers
-# installed on this module see every call.
-def _lp_bliss(base: Baseline, config: RunConfig,
-              solver: SolverOptions) -> BlissParams:
+# A method maps (baseline, config) to (BlissParams, shifted H, its Pauli
+# breakdown) for a "global" shift of H, to the report of its shifted DF
+# fragments for a "fragments" shift, and otherwise to the fermionic report it
+# adds, or None.  It looks stages up as module attributes when it runs, so
+# that wrappers installed on this module see every call.
+def _lp_bliss(base: Baseline, config: RunConfig):
     if config.dump_lp is not None:
         problem, _ = build_lp_bliss_problem(base.hamiltonian)
         Path(config.dump_lp).write_text(
             dump_problem(merge_duplicate_rows(problem)))
-    return lp_bliss(base.hamiltonian, solver)[0]
+    return lp_bliss_shifted(base.hamiltonian,
+                            SolverOptions(max_iters=config.lp_max_iters))
 
 
-def _global_from_fragments(flavor: str):
-    return lambda base, config, solver: assemble_global_bliss(
-        base.hamiltonian, flavor, config.df_tol, solver)
+def _global_from_fragments(family: str):
+    def method(base: Baseline, config: RunConfig):
+        params = fermionic.global_bliss(base.hamiltonian, base.family(family))
+        shifted = apply_bliss(base.hamiltonian, params)
+        return params, shifted, pauli_one_norm(shifted)
+    return method
 
 
-def _shifted_fragments(method: str):
-    return lambda base, config, solver: build_fermionic_report(
-        base.hamiltonian, method, config.df_tol, solver)
+def _family(name: str):
+    return lambda base, config: base.family(name)
 
 
 _MU1_CONVENTION = {"mu1_convention": (
@@ -145,13 +160,15 @@ _MU1_CONVENTION = {"mu1_convention": (
 
 # name -> (shift kind, method, report metadata).
 _METHOD_TABLE = {
-    "none": (None, lambda base, config, solver: None, {}),
+    "none": (None, lambda base, config: None, {}),
     "lp-bliss": ("global", _lp_bliss, {}),
-    "flr-bliss": ("global", _global_from_fragments("flr"), _MU1_CONVENTION),
-    "ffr-bliss": ("global", _global_from_fragments("ffr"), _MU1_CONVENTION),
-    "df": (None, lambda base, config, solver: base.df, {}),
-    "df-lrps": ("fragments", _shifted_fragments("df-lrps"), {}),
-    "df-lrbs": ("fragments", _shifted_fragments("df-lrbs"), {}),
+    "flr-bliss": ("global", _global_from_fragments("df-lrps"),
+                  _MU1_CONVENTION),
+    "ffr-bliss": ("global", _global_from_fragments("df-lrbs"),
+                  _MU1_CONVENTION),
+    "df": (None, _family("df"), {}),
+    "df-lrps": ("fragments", _family("df-lrps"), {}),
+    "df-lrbs": ("fragments", _family("df-lrbs"), {}),
 }
 METHODS = tuple(_METHOD_TABLE)
 # Methods that produce a global shift operator and hence a shifted FCIDUMP.
@@ -174,18 +191,17 @@ def _run_method(config: RunConfig, base: Baseline
               file=sys.stderr)
     shift, method, metadata = _METHOD_TABLE[config.method]
     t_method = time.perf_counter()
-    result = method(base, config, SolverOptions(max_iters=config.lp_max_iters))
-    params = fermionic = shifted = pauli_after = df_after = None
+    result = method(base, config)
+    params = family = shifted = pauli_after = df_after = None
     if shift == "global":
-        params = result
-        shifted = apply_bliss(base.hamiltonian, params)
-        pauli_after = pauli_one_norm(shifted).lambda_total
-        df_after = build_fermionic_report(shifted, "df",
-                                          config.df_tol).lambda_total
+        params, shifted, pauli = result
+        pauli_after = pauli.lambda_total
+        fragments = fermionic.double_factorize(shifted, config.df_tol)
+        df_after = build_fermionic_report(shifted, "df", fragments).lambda_total
     else:
-        fermionic = result
+        family = result
         if shift == "fragments":
-            df_after = fermionic.lambda_total
+            df_after = family.lambda_total
 
     t_spectral = time.perf_counter()
     spectral = base.spectral
@@ -207,9 +223,9 @@ def _run_method(config: RunConfig, base: Baseline
         spectral_method=config.spectral,
         seed=config.seed,
         lambda_pauli=NormPair(base.pauli.lambda_total, pauli_after),
-        lambda_df=NormPair(base.df.lambda_total, df_after),
+        lambda_df=NormPair(base.family("df").lambda_total, df_after),
         bliss=None if params is None else BlissSummary.from_params(params),
-        fermionic=None if fermionic is None else fermionic_section(fermionic),
+        fermionic=None if family is None else fermionic_section(family),
         spectral=None if spectral is None else spectral_section(spectral),
         options={"df_tol": config.df_tol,
                  "lanczos_tol": config.lanczos_tol,
@@ -263,7 +279,8 @@ def compare(configs: Sequence[RunConfig]) -> CompareReport:
 
     Raises:
         ValueError: fewer than two configs, or configs that disagree on
-            input, n_elec, df_tol, spectral or lanczos_tol.
+            input, n_elec, df_tol, spectral, lanczos_tol or
+            lp_max_iters.
     """
     if len(configs) < 2:
         raise ValueError("compare needs at least two configurations")
@@ -360,19 +377,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             sys.stdout.write(document)
         return EXIT_OK
-    except FcidumpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (LpBlissIterationLimit, IterationLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as exc:
+    except ValueError as exc:  # FcidumpError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # LP iteration limits included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -105,7 +105,7 @@ def _parse_orbsym(text: str, n_orb: int, line: int) -> tuple[int, ...]:
         try:
             if "*" in token:  # Fortran repeat syntax n*value
                 count, value = token.split("*", 1)
-                labels.extend([int(value)] * int(count))
+                labels.extend([int(value)] * min(int(count), n_orb))
             else:
                 labels.append(int(token))
         except ValueError as exc:
@@ -118,13 +118,21 @@ def _parse_orbsym(text: str, n_orb: int, line: int) -> tuple[int, ...]:
 def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
     """Parse FCIDUMP text into a :class:`MolecularHamiltonian`.
 
-    Duplicate entries for the same symmetry orbit are tolerated when their
-    values agree to 1e-10 (the last value wins); conflicting duplicates,
-    non-finite values (``nan``, ``inf``, or an exponent that overflows) and
-    malformed records raise :class:`FcidumpError` carrying the line number.
+    Bytes are decoded as UTF-8.  Duplicate entries for the same symmetry
+    orbit are tolerated when their values agree to 1e-10 (the last value
+    wins); bytes that are not UTF-8, an NELEC outside [0, 2 NORB],
+    conflicting duplicates, non-finite values (``nan``, ``inf``, or an
+    exponent that overflows) and malformed records raise
+    :class:`FcidumpError` carrying the line number.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # "?" stands for the bad byte, which starts or continues a line.
+            line = len((text[:exc.start].decode("utf-8") + "?").splitlines())
+            raise FcidumpError(f"byte {text[exc.start]:#04x} is not UTF-8",
+                               line) from exc
     lines = text.splitlines()
     if not [ln for ln in lines if ln.strip()]:
         raise FcidumpError("empty input", 1)
@@ -138,6 +146,9 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
               if "ORBSYM" in fields else None)
     if n_orb < 1:
         raise FcidumpError(f"NORB must be positive, got {n_orb}", 1)
+    if not 0 <= n_elec <= 2 * n_orb:
+        raise FcidumpError(
+            f"NELEC must lie in [0, {2 * n_orb}], got {n_elec}", 1)
 
     core = 0.0
     one: dict[tuple[int, int], float] = {}

@@ -16,8 +16,10 @@ Full-rank fragments carry a symmetric coefficient matrix lambda and cost
 Two fragment-shift strategies are provided: the analytic median shift that
 preserves the perfect-square structure (:func:`lrps_shift`) and a small LP
 over (mu2, theta) that trades the structure for a lower bound-free optimum
-(:func:`lrbs_shift`).  :func:`assemble_global_bliss` folds either family of
-per-fragment shifts into one global parameter triple.
+(:func:`lrbs_shift`).  :func:`build_fermionic_report` runs one family of
+shifts over given DF fragments, so one factorization serves every family,
+and sums the per-fragment symmetry shifts, from which :func:`global_bliss`
+assembles one global parameter triple.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ __all__ = [
     "lrbs_shift",
     "to_csa_fragment",
     "build_fermionic_report",
+    "global_bliss",
     "assemble_global_bliss",
     "FERMIONIC_METHODS",
 ]
-
-FERMIONIC_METHODS = ("df", "df-lrps", "df-lrbs")
 
 # Largest asymmetry of a two-body tensor under i <-> j or k <-> l, relative
 # to max(1, its largest entry), that factorization accepts.
@@ -390,7 +391,8 @@ class FermionicNormReport:
     ``lambda_total = lambda_one_body + lambda_fragments``.  For methods
     built from perfect squares, ``fragment_bound_sum`` equals the sum of
     per-fragment spectral lower bounds dE/2, which coincide with lambda_df;
-    it is None when fragments are full rank.
+    it is None when fragments are full rank.  ``fragment_shift`` is
+    K(0, mu2, xi) summed over the fragment shifts; see :func:`global_bliss`.
     """
 
     method: str
@@ -401,27 +403,58 @@ class FermionicNormReport:
     gamma: np.ndarray
     fragments: tuple[FragmentNorm, ...]
     fragment_bound_sum: float | None
+    fragment_shift: BlissParams
     metadata: tuple[tuple[str, str], ...] = ()
 
 
-def _one_body_reflection_correction(fragments: list[DFFragment], n_orb: int,
-                                    shifted: bool) -> np.ndarray:
-    """Tensor of sum_a 2 tr(L_a) sign_a L_a, the one-body remainder of
-    writing each occupation-number square over reflections."""
-    corr = np.zeros((n_orb, n_orb))
-    for frag in fragments:
-        mat = frag.coefficient_matrix(shifted=shifted)
-        corr += 2.0 * frag.sign * np.trace(mat) * mat
-    return corr
+def _reflection_correction(fragment: DFFragment, shifted: bool) -> np.ndarray:
+    """Tensor of 2 tr(L) sign L, the one-body remainder of writing one
+    occupation-number square over reflections."""
+    mat = fragment.coefficient_matrix(shifted=shifted)
+    return 2.0 * fragment.sign * np.trace(mat) * mat
 
 
-def _csa_reflection_correction(fragment: CsaFragment) -> np.ndarray:
-    lam = fragment.shifted_lam()
-    return fragment.u.T @ np.diag(2.0 * lam.sum(axis=1)) @ fragment.u
+# A step maps (index, DF fragment, n_elec, LP options) to the fragment's norm
+# row, its one-body remainder (shift term plus reflection correction) and
+# the (mu2, xi) of the number-symmetry operator K that H - K subtracts.
+def _df_step(index, fragment, n_elec, lp_options):
+    return (FragmentNorm(index, lambda_df(fragment), "df"),
+            _reflection_correction(fragment, False), (0.0, 0.0))
+
+
+def _lrps_step(index, fragment, n_elec, lp_options):
+    # H_frag = H_frag(phi) + S_1e - const - K_frag has -K_frag on the side
+    # of H, so H - K takes the negated correction.
+    shifted = lrps_shift(fragment)
+    corr = lrps_one_body_correction(shifted, n_elec)
+    return (FragmentNorm(index, lambda_df(shifted), "df", phi=shifted.phi),
+            corr.one_body + _reflection_correction(shifted, True),
+            (-corr.mu2, -corr.xi))
+
+
+def _lrbs_step(index, fragment, n_elec, lp_options):
+    # The LP shift subtracts K_frag directly.
+    shifted = lrbs_shift(to_csa_fragment(fragment), lp_options)
+    u, lam = shifted.u, shifted.shifted_lam()
+    theta = u.T @ np.diag(shifted.theta) @ u
+    reflection = u.T @ np.diag(2.0 * lam.sum(axis=1)) @ u
+    row = FragmentNorm(index, lambda_csa(shifted), "csa", mu2=shifted.mu2,
+                       theta_max_abs=float(np.abs(shifted.theta).max(initial=0.0)))
+    return row, n_elec * theta + reflection, (shifted.mu2, theta)
+
+
+# method -> (step, median mu1, perfect squares).  A shifted family centres
+# the one-body eigenvalues on their median mu1; perfect squares have
+# lambda_df as spectral bounds.
+_FAMILIES = {"df": (_df_step, False, True),
+             "df-lrps": (_lrps_step, True, True),
+             "df-lrbs": (_lrbs_step, True, False)}
+FERMIONIC_METHODS = tuple(_FAMILIES)
+_FLAVORS = {"flr": "df-lrps", "ffr": "df-lrbs"}
 
 
 def build_fermionic_report(hamiltonian: MolecularHamiltonian, method: str,
-                           df_tol: float = 1e-8,
+                           fragments: list[DFFragment] | None = None,
                            lp_options: SolverOptions | None = None
                            ) -> FermionicNormReport:
     """Compute the fermionic LCU 1-norm for one of ``FERMIONIC_METHODS``.
@@ -431,57 +464,31 @@ def build_fermionic_report(hamiltonian: MolecularHamiltonian, method: str,
     sum_i |gamma_i| so that the total upper-bounds half the spectral range
     of the input Hamiltonian.  "df-lrps" applies the median shift to every
     fragment and the scalar median shift to the corrected one-body part;
-    "df-lrbs" does the same with the LP fragment shift.
+    "df-lrbs" does the same with the LP fragment shift.  ``fragments``
+    defaults to :func:`double_factorize` of ``hamiltonian`` at its default
+    tolerance.
     """
-    if method not in FERMIONIC_METHODS:
+    if method not in _FAMILIES:
         raise ValueError(f"unknown method {method!r}; expected one of "
                          f"{FERMIONIC_METHODS}")
-    n = hamiltonian.n_orb
-    n_elec = hamiltonian.n_elec
-    fragments = double_factorize(hamiltonian, df_tol)
-    metadata = (("one_body_convention",
-                 "reflection corrections folded before diagonalization"),)
+    step, median_mu1, perfect_squares = _FAMILIES[method]
+    if fragments is None:
+        fragments = double_factorize(hamiltonian)
+    rows, mu2 = [], 0.0
+    one_body, xi = np.zeros_like(hamiltonian.h), np.zeros_like(hamiltonian.h)
+    for index, fragment in enumerate(fragments):
+        row, frag_one_body, (frag_mu2, frag_xi) = step(
+            index, fragment, hamiltonian.n_elec, lp_options)
+        rows.append(row)
+        one_body += frag_one_body
+        mu2 += frag_mu2
+        xi += frag_xi
 
-    if method == "df":
-        h_eff = hamiltonian.h + _one_body_reflection_correction(fragments, n, False)
-        gamma = np.linalg.eigh(h_eff)[0]
-        mu1 = 0.0
-        lambda_1e = float(np.abs(gamma).sum())
-        norms = [lambda_df(f) for f in fragments]
-        frag_rows = tuple(FragmentNorm(i, v, "df") for i, v in enumerate(norms))
-        bound_sum = float(sum(norms))
-    elif method == "df-lrps":
-        shifted = [lrps_shift(f) for f in fragments]
-        s_one_body = np.zeros((n, n))
-        for frag in shifted:
-            s_one_body += lrps_one_body_correction(frag, n_elec).one_body
-        h_eff = (hamiltonian.h + s_one_body
-                 + _one_body_reflection_correction(shifted, n, True))
-        spectrum = one_electron_shift(h_eff)
-        gamma, mu1, lambda_1e = spectrum.gamma, spectrum.mu1, spectrum.lambda_1e
-        norms = [lambda_df(f) for f in shifted]
-        frag_rows = tuple(FragmentNorm(i, v, "df", phi=f.phi)
-                          for i, (v, f) in enumerate(zip(norms, shifted)))
-        bound_sum = float(sum(norms))
-    else:
-        shifted_csa = [lrbs_shift(to_csa_fragment(f), lp_options)
-                       for f in fragments]
-        h_eff = hamiltonian.h.copy()
-        for frag in shifted_csa:
-            h_eff += n_elec * (frag.u.T @ np.diag(frag.theta) @ frag.u)
-            h_eff += _csa_reflection_correction(frag)
-        spectrum = one_electron_shift(h_eff)
-        gamma, mu1, lambda_1e = spectrum.gamma, spectrum.mu1, spectrum.lambda_1e
-        norms = [lambda_csa(f) for f in shifted_csa]
-        frag_rows = tuple(
-            FragmentNorm(i, v, "csa", mu2=f.mu2,
-                         theta_max_abs=float(np.abs(f.theta).max(initial=0.0)))
-            for i, (v, f) in enumerate(zip(norms, shifted_csa)))
-        bound_sum = None
-
-    lambda_frag = float(sum(norms))
-    gamma = np.array(gamma)
+    gamma = np.linalg.eigh(hamiltonian.h + one_body)[0]
     gamma.setflags(write=False)
+    mu1 = canonical_median(gamma) if median_mu1 else 0.0
+    lambda_1e = float(np.abs(gamma - mu1).sum())
+    lambda_frag = float(sum(row.one_norm for row in rows))
     return FermionicNormReport(
         method=method,
         lambda_total=lambda_1e + lambda_frag,
@@ -489,48 +496,39 @@ def build_fermionic_report(hamiltonian: MolecularHamiltonian, method: str,
         lambda_fragments=lambda_frag,
         mu1=mu1,
         gamma=gamma,
-        fragments=frag_rows,
-        fragment_bound_sum=bound_sum,
-        metadata=metadata)
+        fragments=tuple(rows),
+        fragment_bound_sum=lambda_frag if perfect_squares else None,
+        fragment_shift=BlissParams(0.0, mu2, 0.5 * (xi + xi.T)),
+        metadata=(("one_body_convention",
+                   "reflection corrections folded before diagonalization"),))
+
+
+def global_bliss(hamiltonian: MolecularHamiltonian,
+                 report: FermionicNormReport) -> BlissParams:
+    """The global parameter triple of a family report on ``hamiltonian``:
+    its ``fragment_shift`` with mu1 the canonical median of the eigenvalues
+    of the Pauli effective one-body term h_ij + 2 sum_k g_ijkk of H shifted
+    by (0, mu2, xi) alone, since that shift moves the one-body eigenvalues
+    whose spread mu1 centres."""
+    shift = report.fragment_shift
+    without_mu1 = apply_bliss(hamiltonian, shift)
+    mu1 = canonical_median(np.linalg.eigvalsh(pauli_terms(without_mu1)[0]))
+    return BlissParams(mu1, shift.mu2, shift.xi)
 
 
 def assemble_global_bliss(hamiltonian: MolecularHamiltonian, flavor: str,
-                          df_tol: float = 1e-8,
+                          fragments: list[DFFragment] | None = None,
                           lp_options: SolverOptions | None = None
                           ) -> BlissParams:
-    """Aggregate per-fragment shifts into one global parameter triple.
+    """Aggregate per-fragment shifts into one global parameter triple, the
+    :func:`global_bliss` of the report of its family.
 
-    ``flavor="flr"`` uses the square-preserving median shifts: the shifted
-    Hamiltonian H - K keeps every fragment a perfect square.  The fragment
-    identity H_frag = H_frag(phi) + S_1e - const - K_frag places -K_frag on
-    the original side, so the global parameters accumulate the negatives of
-    the per-fragment (mu2, xi) contributions.
-
-    ``flavor="ffr"`` uses the LP fragment shifts, which subtract K_frag
-    directly; their (mu2, theta) contributions accumulate with sign as is.
-
-    In both cases mu1 is the canonical median of the eigenvalues of the
-    Pauli effective one-body term h_ij + 2 sum_k g_ijkk of H shifted by
-    (0, mu2, xi) alone, since that shift moves the one-body eigenvalues
-    whose spread mu1 centres.
+    ``flavor="flr"`` sums the square-preserving median shifts of "df-lrps",
+    so H - K keeps every fragment a perfect square; ``flavor="ffr"`` sums
+    the LP fragment shifts of "df-lrbs".
     """
-    n = hamiltonian.n_orb
-    fragments = double_factorize(hamiltonian, df_tol)
-    mu2 = 0.0
-    xi = np.zeros((n, n))
-    if flavor == "flr":
-        for frag in fragments:
-            corr = lrps_one_body_correction(lrps_shift(frag), hamiltonian.n_elec)
-            mu2 -= corr.mu2
-            xi -= corr.xi
-    elif flavor == "ffr":
-        for frag in fragments:
-            shifted = lrbs_shift(to_csa_fragment(frag), lp_options)
-            mu2 += shifted.mu2
-            xi += shifted.u.T @ np.diag(shifted.theta) @ shifted.u
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}; expected 'flr' or 'ffr'")
-    xi = 0.5 * (xi + xi.T)
-    without_mu1 = apply_bliss(hamiltonian, BlissParams(0.0, mu2, xi))
-    mu1 = canonical_median(np.linalg.eigvalsh(pauli_terms(without_mu1)[0]))
-    return BlissParams(mu1, mu2, xi)
+    if flavor not in _FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of "
+                         f"{tuple(_FLAVORS)}")
+    return global_bliss(hamiltonian, build_fermionic_report(
+        hamiltonian, _FLAVORS[flavor], fragments, lp_options))

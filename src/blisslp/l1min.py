@@ -148,6 +148,10 @@ class SolverOptions:
     max_iters: int | None = None
     solver: LpSolver | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+
 
 @dataclass(frozen=True)
 class L1Solution:

@@ -49,6 +49,7 @@ __all__ = [
     "build_lp_bliss_problem",
     "params_from_solution",
     "lp_bliss",
+    "lp_bliss_shifted",
 ]
 
 
@@ -155,6 +156,16 @@ def params_from_solution(vmap: LpBlissVarMap, x: np.ndarray) -> BlissParams:
 def lp_bliss(hamiltonian: MolecularHamiltonian,
              options: SolverOptions | None = None
              ) -> tuple[BlissParams, PauliNormBreakdown]:
+    """:func:`lp_bliss_shifted` without the shifted Hamiltonian: the optimal
+    parameters and the Pauli-norm breakdown of the shifted Hamiltonian."""
+    params, _, norm = lp_bliss_shifted(hamiltonian, options)
+    return params, norm
+
+
+def lp_bliss_shifted(hamiltonian: MolecularHamiltonian,
+                     options: SolverOptions | None = None
+                     ) -> tuple[BlissParams, MolecularHamiltonian,
+                                PauliNormBreakdown]:
     """Find the shift parameters minimizing the Pauli 1-norm.
 
     Each off-diagonal xi_pq is set to the lower attained weighted median of
@@ -168,8 +179,8 @@ def lp_bliss(hamiltonian: MolecularHamiltonian,
             :class:`SolverOptions`.
 
     Returns:
-        The optimal parameters and the Pauli-norm breakdown of
-        ``apply_bliss(hamiltonian, params)``.
+        The optimal parameters, the shifted Hamiltonian
+        ``apply_bliss(hamiltonian, params)`` and its Pauli-norm breakdown.
 
     Raises:
         LpBlissIterationLimit: pivot budget exhausted; the exception carries
@@ -205,7 +216,8 @@ def lp_bliss(hamiltonian: MolecularHamiltonian,
     x[diagonal] = solution.x_opt
 
     params = params_from_solution(vmap, x)
-    norm = pauli_one_norm(apply_bliss(hamiltonian, params))
+    shifted = apply_bliss(hamiltonian, params)
+    norm = pauli_one_norm(shifted)
     if solution.status is L1Status.ITERATION_LIMIT:
         raise LpBlissIterationLimit(params, norm, solution)
-    return params, norm
+    return params, shifted, norm

@@ -239,11 +239,11 @@ def test_criterion_08_lower_bound_chain():
         lam_pauli = pauli_one_norm(hamiltonian).lambda_total
         worst_slack = max(worst_slack, delta_e / 2.0 - lam_pauli)
 
+        fragments = factorize_two_body_tensor(hamiltonian.g, tol=0.0)
         lam_df_total = build_fermionic_report(
-            hamiltonian, "df", 0.0).lambda_total
+            hamiltonian, "df", fragments).lambda_total
         worst_slack = max(worst_slack, delta_e / 2.0 - lam_df_total)
 
-        fragments = factorize_two_body_tensor(hamiltonian.g, tol=0.0)
         fragment_sum = sum(
             fock_range(fragment_hamiltonian(f)) for f in fragments)
         two_body = MolecularHamiltonian(

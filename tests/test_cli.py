@@ -19,6 +19,7 @@ from blisslp import (
     EXIT_SOLVER,
     METHODS,
     RunConfig,
+    SolverOptions,
     compare,
     parse_fcidump,
     pauli_one_norm,
@@ -184,6 +185,10 @@ def test_invalid_option_value_exits_invalid(tmp_path, capsys):
     assert main(["run", "--input", path,
                  "--lanczos-tol", "-1.0"]) == EXIT_INVALID
     capsys.readouterr()
+    for budget in ("0", "-3"):
+        assert main(["run", "--input", path, "--method", "lp-bliss",
+                     "--lp-max-iters", budget]) == EXIT_INVALID
+        assert "lp_max_iters must be >= 1" in capsys.readouterr().err
 
 
 def test_exact_spectral_size_cap_exits_invalid(tmp_path, capsys):
@@ -357,6 +362,48 @@ def test_compare_equals_separate_runs_and_builds_baseline_once(
                                        spectral="exact", df_tol=1e-6)])
 
 
+def test_compare_factorizes_once_and_shifts_each_fragment_once(
+        tmp_path, monkeypatch):
+    """A 7-method compare factorizes each distinct g once (H and its three
+    global shifts) and shifts each fragment once per family: flr-bliss and
+    df-lrps share the median shifts, ffr-bliss and df-lrbs the LPs.  An
+    lp-bliss run factorizes H and H - K and shifts no fragment."""
+    from blisslp import fermionic
+
+    hamiltonian = oracles.decay_hamiltonian(np.random.default_rng(0), 5)
+    path = tmp_path / "decay5.fcidump"
+    path.write_text(write_fcidump(hamiltonian))
+    n_fragments = len(fermionic.double_factorize(hamiltonian))
+    calls = {"factorize": [], "lrps": 0, "lrbs": 0}
+    double_factorize = fermionic.double_factorize
+    lrps_shift, lrbs_shift = fermionic.lrps_shift, fermionic.lrbs_shift
+
+    def factorize(hamiltonian, tol=1e-8):
+        calls["factorize"].append(hash(hamiltonian.g.tobytes()))
+        return double_factorize(hamiltonian, tol)
+
+    def counting(name, shift):
+        def counted(*args):
+            calls[name] += 1
+            return shift(*args)
+        return counted
+
+    monkeypatch.setattr(fermionic, "double_factorize", factorize)
+    monkeypatch.setattr(fermionic, "lrps_shift", counting("lrps", lrps_shift))
+    monkeypatch.setattr(fermionic, "lrbs_shift", counting("lrbs", lrbs_shift))
+    configs = [RunConfig(input=str(path), method=m) for m in METHODS]
+    compare(configs)
+    assert len(calls["factorize"]) == len(set(calls["factorize"])) == 4
+    assert calls["lrps"] == calls["lrbs"] == n_fragments == 15
+
+    calls.update(factorize=[], lrps=0, lrbs=0)
+    run_pipeline(configs[METHODS.index("lp-bliss")])
+    assert (len(calls["factorize"]), calls["lrps"], calls["lrbs"]) == (2, 0, 0)
+    with pytest.raises(ValueError, match="share"):
+        compare([configs[0], RunConfig(input=str(path), method="df-lrbs",
+                                       lp_max_iters=10)])
+
+
 def test_bench_trace_wraps_resolve(monkeypatch):
     """Every function the benchmark tracer wraps must exist where it looks."""
     import importlib
@@ -378,6 +425,12 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="lanczos_tol must be positive and "
                                          "df_tol non-negative"):
         RunConfig(input="x", df_tol=-1.0)
+    assert RunConfig(input="x", lp_max_iters=1).lp_max_iters == 1
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="lp_max_iters must be >= 1"):
+            RunConfig(input="x", lp_max_iters=budget)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            SolverOptions(max_iters=budget)
 
 
 def test_reports_validate_against_schema(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Tests for FCIDUMP parsing and emission."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from blisslp import FcidumpError, MolecularHamiltonian, parse_fcidump, write_fcidump
@@ -96,12 +100,81 @@ def test_parse_duplicate_conflicting_reports_both_values():
     ("0.5 1 1 1 1\ninf 1 1 0 0\n", 4),
     ("-Infinity 0 0 0 0\n", 3),
     ("1.0D999 1 1 0 0\n", 3),
+    # A bytes case is a whole file.
+    (b" &FCI NORB=1,NELEC=3,\n &END\n", 1),
+    (HEADER_N1.encode() + b"0.5 1 1 1 1\n-1.0 1 \xff 0 0\n", 4),
 ])
 def test_parse_errors_carry_line_numbers(body, lineno):
     with pytest.raises(FcidumpError) as err:
-        parse_fcidump(HEADER_N1 + body)
+        parse_fcidump(body if isinstance(body, bytes) else HEADER_N1 + body)
     assert err.value.line == lineno
     assert f"line {lineno}" in str(err.value)
+
+
+# Tokens a mutation may put in place of another.  Numbers stay small: the
+# parser allocates NORB^4 floats before it reads a record.
+_TOKENS = ("", "x", "0", "1", "2", "6", "-1", "1.5", "1e-3", "nan", "inf",
+           "-Infinity", "1.0D999", "2.5d-01", "3*1", "=", ",", "/", "&END",
+           "NORB=0", "NORB=6", "NELEC=13", "MS2=x", "ORBSYM=a")
+
+
+@st.composite
+def mutated_fcidumps(draw):
+    """An FCIDUMP with NORB <= 3 and NELEC in [-1, 2 NORB + 1], its
+    exponents spelled in one style, after up to four line or token
+    mutations and perhaps one byte that is not UTF-8.  Returns the document
+    and the line of that byte, or None."""
+    n_orb = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    text = write_fcidump(oracles.random_hamiltonian(rng, n_orb, 0)).replace(
+        "NELEC=0", f"NELEC={draw(st.integers(-1, 2 * n_orb + 1))}")
+    style = draw(st.sampled_from("EeDd"))
+    lines = [re.sub(r"E(?=[+-]\d)", style, line)
+             for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "swap", "dup", "token", "char")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "dup":
+            lines.insert(i, lines[i])
+        elif kind == "token":
+            tokens = lines[i].split()
+            k = draw(st.integers(0, len(tokens)))
+            tokens[k:k + 1] = [draw(st.sampled_from(_TOKENS))]
+            lines[i] = " ".join(tokens)
+        elif lines[i] and not re.search("[=&]", lines[i]):
+            # Characters only change records, so no header value grows.
+            k = draw(st.integers(0, len(lines[i]) - 1))
+            ch = draw(st.sampled_from("0123456789.+-eEdD x"))
+            lines[i] = lines[i][:k] + ch + lines[i][k + 1:]
+    text = "\n".join(lines) + "\n"
+    if draw(st.integers(0, 3)):
+        return text, None
+    data = text.encode()
+    k = draw(st.integers(0, len(data)))
+    return (data[:k] + bytes([draw(st.integers(0x80, 0xff))]) + data[k:],
+            data[:k].count(b"\n") + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mutated_fcidumps())
+def test_parse_fuzzed_input_raises_only_fcidump_error(case):
+    document, bad_byte_line = case
+    try:
+        parse_fcidump(document)
+    except FcidumpError as err:
+        assert isinstance(err.line, int) and err.line >= 1
+        assert f"line {err.line}:" in str(err)
+        if bad_byte_line is not None:
+            assert err.line == bad_byte_line
+    else:
+        assert bad_byte_line is None
 
 
 def test_parse_missing_header_fields():

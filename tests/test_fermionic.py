@@ -471,7 +471,7 @@ def test_report_accounting_fields():
     rng = np.random.default_rng(55)
     H = oracles.random_hamiltonian(rng, 3, 3)
     for method in FERMIONIC_METHODS:
-        report = build_fermionic_report(H, method, df_tol=0.0)
+        report = build_fermionic_report(H, method, double_factorize(H, 0.0))
         assert report.method == method
         assert report.lambda_total == pytest.approx(
             report.lambda_one_body + report.lambda_fragments, abs=1e-12)
@@ -492,8 +492,9 @@ def test_report_accounting_fields():
 def test_report_lrps_reduces_fragment_norms():
     rng = np.random.default_rng(56)
     H = oracles.random_hamiltonian(rng, 3, 3)
-    before = build_fermionic_report(H, "df", df_tol=0.0)
-    after = build_fermionic_report(H, "df-lrps", df_tol=0.0)
+    fragments = double_factorize(H, 0.0)
+    before = build_fermionic_report(H, "df", fragments)
+    after = build_fermionic_report(H, "df-lrps", fragments)
     assert after.lambda_fragments <= before.lambda_fragments + 1e-12
     for f_after, f_before in zip(after.fragments, before.fragments):
         assert f_after.one_norm <= f_before.one_norm + 1e-12
@@ -504,7 +505,7 @@ def test_report_df_upper_bounds_half_spectral_range(seed):
     rng = np.random.default_rng(1700 + seed)
     n = int(rng.integers(2, 4))
     H = oracles.random_hamiltonian(rng, n, n)
-    report = build_fermionic_report(H, "df", df_tol=0.0)
+    report = build_fermionic_report(H, "df", double_factorize(H, 0.0))
     evals = np.linalg.eigvalsh(oracles.fock_matrix(H))
     assert report.lambda_total >= 0.5 * (evals[-1] - evals[0]) - 1e-10
 
@@ -554,7 +555,7 @@ def test_assemble_global_bliss_invalid_flavor():
 def test_assembled_shift_preserves_sector(flavor):
     rng = np.random.default_rng(58)
     H = oracles.random_hamiltonian(rng, 2, 2)
-    params = assemble_global_bliss(H, flavor, df_tol=0.0)
+    params = assemble_global_bliss(H, flavor, double_factorize(H, 0.0))
     shifted = apply_bliss(H, params)
     ev_a = oracles.sector_eigenvalues(oracles.fock_matrix(H), 4, 2)
     ev_b = oracles.sector_eigenvalues(oracles.fock_matrix(shifted), 4, 2)
@@ -566,7 +567,7 @@ def test_assembled_shift_fock_operator_identity(flavor):
     """apply_bliss with assembled parameters equals H - K as operators."""
     rng = np.random.default_rng(59)
     H = oracles.random_hamiltonian(rng, 2, 2)
-    params = assemble_global_bliss(H, flavor, df_tol=0.0)
+    params = assemble_global_bliss(H, flavor, double_factorize(H, 0.0))
     lhs = oracles.fock_matrix(apply_bliss(H, params))
     rhs = oracles.fock_matrix(H) - oracles.bliss_matrix(params, H.n_elec)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
@@ -576,7 +577,7 @@ def test_ffr_matches_per_fragment_shifts():
     """Global FFR parameters reproduce the per-fragment shifted tensors."""
     rng = np.random.default_rng(60)
     H = oracles.random_hamiltonian(rng, 2, 2)
-    params = assemble_global_bliss(H, "ffr", df_tol=0.0)
+    params = assemble_global_bliss(H, "ffr", double_factorize(H, 0.0))
     fragments = [lrbs_shift(to_csa_fragment(f))
                  for f in double_factorize(H, tol=0.0)]
     mu2 = sum(f.mu2 for f in fragments)
