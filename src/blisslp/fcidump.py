@@ -121,8 +121,9 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
     Bytes are decoded as UTF-8.  Duplicate entries for the same symmetry
     orbit are tolerated when their values agree to 1e-10 (the last value
     wins); bytes that are not UTF-8, an NELEC outside [0, 2 NORB],
-    conflicting duplicates, non-finite values (``nan``, ``inf``, or an
-    exponent that overflows) and malformed records raise
+    conflicting duplicates, non-finite values (``nan``, ``inf``, an
+    exponent that overflows, or records whose sum in h overflows) and
+    malformed records raise
     :class:`FcidumpError` carrying the line number.
     """
     if isinstance(text, bytes):
@@ -153,6 +154,7 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
     core = 0.0
     one: dict[tuple[int, int], float] = {}
     two: dict[tuple[int, int, int, int], float] = {}
+    record_line: dict[tuple[int, ...], int] = {}
 
     def store(table: dict, key, value: float, lineno: int) -> None:
         if key in table and abs(table[key] - value) > DUPLICATE_ATOL:
@@ -160,6 +162,7 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
                 f"conflicting duplicate entry for indices {key}: "
                 f"{table[key]!r} vs {value!r}", lineno)
         table[key] = value
+        record_line[key] = lineno
 
     for offset, raw in enumerate(lines[body_start:]):
         lineno = body_start + offset + 1
@@ -203,6 +206,18 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
             eri[p, q, r, s] = value
 
     h = t - 0.5 * np.einsum("ikkj->ij", eri)
+    overflow = np.argwhere(~np.isfinite(h))
+    if len(overflow):
+        # Finite records can still overflow h = t - (1/2) sum_k (ik|kj):
+        # name the largest record feeding its first non-finite entry.
+        i, j = overflow[0] + 1
+        values = {**one, **two}
+        feeding = [key for key in [_canonical_pair(i, j)] + [
+            _canonical_quad(i, k, k, j) for k in range(1, n_orb + 1)]
+            if key in values]
+        worst = max(feeding, key=lambda key: abs(values[key]))
+        raise FcidumpError(f"h[{i - 1}, {j - 1}] overflows to {h[i - 1, j - 1]}",
+                           record_line[worst])
     return MolecularHamiltonian(
         n_orb=n_orb, e_const=core, h=h, g=eri / 2.0,
         n_elec=n_elec, ms2=ms2, orbsym=orbsym, isym=isym)

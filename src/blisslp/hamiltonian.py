@@ -92,6 +92,9 @@ class MolecularHamiltonian:
             raise ValueError(f"h must have shape {(n, n)}, got {h.shape}")
         if g.shape != (n, n, n, n):
             raise ValueError(f"g must have shape {(n,) * 4}, got {g.shape}")
+        for name, value in (("e_const", self.e_const), ("h", h), ("g", g)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has a non-finite value")
         tol = SYMMETRY_RTOL * max(1.0, float(np.abs(h).max(initial=0.0)))
         if float(np.abs(h - h.T).max()) > tol:
             raise ValueError("one-electron tensor is not symmetric")

@@ -6,12 +6,16 @@ Hamiltonian H = e_const + sum_ij h_ij F^i_j + sum_ijkl g_ijkl F^i_j F^k_l
 acts through spin-summed excitations F^i_j = sum_s a+_is a_js, so it
 conserves electron number and every estimate can be run sector by sector.
 
-One kernel serves both engines: a per-sector excitation table lists every
+H is also spin-free, so it conserves the spin counts n_alpha and n_beta:
+each sector is the direct sum of its M_S blocks, and the block with
+ceil(n/2) spin-0 electrons holds every level of the sector.  Both engines
+work on that block.
+
+One kernel serves both engines: a per-block excitation table lists every
 nonzero <d|F^k_l|s>, and numpy gathers and scatters through it build dense
-sector matrices for exact diagonalization and apply H to the dense vectors
-of a fully reorthogonalized Lanczos iteration; the exact engine takes the
-one spin block that holds a sector's whole spectrum.  The projected matrix
-uses exact H applications, so Lanczos estimates are variational (the lowest
+block matrices for exact diagonalization and apply H to the dense vectors
+of a fully reorthogonalized Lanczos iteration.  The projected matrix uses
+exact H applications, so Lanczos estimates are variational (the lowest
 never undershoots the true minimum, the highest never overshoots the
 maximum) and the derived spectral range is a lower bound on the exact one.
 """
@@ -51,12 +55,13 @@ __all__ = [
     "SPECTRAL_MEMORY_LIMIT_BYTES",
 ]
 
-EXACT_CAP_SPIN_ORBITALS = 14
-# Sectors at or below this dimension are diagonalized densely even when the
+EXACT_CAP_SPIN_ORBITALS = 16
+# Blocks at or below this dimension are diagonalized densely even when the
 # caller asked for Lanczos; the iteration buys nothing there.
 EXACT_FALLBACK_DIMENSION = 1000
-# Predicted peak memory of one sector above which the engine refuses to
-# start; Lanczos at 20 spin-orbitals and half filling needs about 0.9 GiB.
+# Predicted peak memory of one spin block above which the engine refuses to
+# start; half-filled Lanczos needs about 0.3 GiB at 20 spin-orbitals and
+# 1.2 GiB at 22, and the largest exact block at 16 about 0.6 GiB.
 SPECTRAL_MEMORY_LIMIT_BYTES = 2 * 1024 ** 3
 
 SPECTRAL_METHODS = ("exact", "lanczos")
@@ -122,8 +127,16 @@ class CIVector:
         return sum(a * big.get(occ, 0.0) for occ, a in small.items())
 
 
-def sector_dimension(n_spin_orb: int, n_elec: int) -> int:
-    return math.comb(n_spin_orb, n_elec)
+def sector_dimension(n_spin_orb: int, n_elec: int,
+                     n_alpha: int | None = None) -> int:
+    """Determinants of the sector or, given ``n_alpha``, of its block with
+    n_alpha spin-0 electrons."""
+    if n_alpha is None:
+        return math.comb(n_spin_orb, n_elec)
+    if not 0 <= n_alpha <= n_elec:
+        return 0
+    n_orb = n_spin_orb // 2
+    return math.comb(n_orb, n_alpha) * math.comb(n_orb, n_elec - n_alpha)
 
 
 def sector_determinants(n_spin_orb: int, n_elec: int) -> tuple[int, ...]:
@@ -135,32 +148,64 @@ def sector_determinants(n_spin_orb: int, n_elec: int) -> tuple[int, ...]:
     return tuple(sorted(masks))
 
 
-def _check_memory(n_orb: int, n_elec: int, max_iters: int = 0) -> None:
-    """Refuse a sector predicted to outgrow the memory limit: 32 B per table
-    entry (a determinant with a alpha electrons has a(N-a+1) alpha entries;
-    beta, by symmetry, adds as many over the sector), two N^2 x dim matvec
-    arrays and ``max_iters`` Lanczos vectors."""
+def _spin_blocks(n_orb: int, n_elec: int) -> range:
+    """The n_alpha values of the sector's nonempty blocks."""
+    return range(max(0, n_elec - n_orb), min(n_elec, n_orb) + 1)
+
+
+def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
+                  max_iters: int = 0, exact: bool = False) -> None:
+    """Refuse a sector, or its block with ``n_alpha`` spin-0 electrons,
+    predicted to outgrow the memory limit.
+
+    A block with a spin-0 and b spin-1 electrons has C(N,a) C(N,b)
+    determinants, each with deg = a(N-a+1) + b(N-b+1) table entries out of
+    it and as many into it.  Counted are 32 B per table entry, two
+    N^2 x dim matvec arrays and ``max_iters`` Lanczos vectors; with
+    ``exact``, also 16 B per element of the dense matrix (it and the copy
+    ``eigvalsh`` works on) and 32 B per (c, out, in) triple of the largest
+    block's two-body build, dim deg^2 of them.
+    """
     if not 0 <= n_elec <= 2 * n_orb:
         return  # sector_determinants names the bad n_elec
-    entries = 2 * sum(math.comb(n_orb, a) * math.comb(n_orb, n_elec - a)
-                      * a * (n_orb - a + 1) for a in range(n_elec + 1))
-    dim = math.comb(2 * n_orb, n_elec)
-    need = 32 * entries + 8 * dim * (2 * n_orb ** 2 + max_iters)
+    blocks = _spin_blocks(n_orb, n_elec)
+    if n_alpha is not None:
+        if n_alpha not in blocks:
+            return  # _excitation_table names the bad n_alpha
+        blocks = (n_alpha,)
+    sizes = [(sector_dimension(2 * n_orb, n_elec, a),
+              a * (n_orb - a + 1) + (n_elec - a) * (n_orb - n_elec + a + 1))
+             for a in blocks]
+    dim = sum(d for d, _ in sizes)
+    need = (32 * sum(d * deg for d, deg in sizes)
+            + 8 * dim * (2 * n_orb ** 2 + max_iters))
+    if exact:
+        need += 16 * dim ** 2 + 32 * max(d * deg ** 2 for d, deg in sizes)
     if need > SPECTRAL_MEMORY_LIMIT_BYTES:
+        block = "" if n_alpha is None else f" ({n_alpha} spin-0 electrons)"
         raise ValueError(
-            f"the {n_elec}-electron sector of {2 * n_orb} spin-orbitals needs "
-            f"about {need / 2**30:.1f} GiB, above SPECTRAL_MEMORY_LIMIT_BYTES "
-            f"({SPECTRAL_MEMORY_LIMIT_BYTES} B)")
+            f"the {n_elec}-electron sector of {2 * n_orb} spin-orbitals{block} "
+            f"needs about {need / 2**30:.1f} GiB, above "
+            f"SPECTRAL_MEMORY_LIMIT_BYTES ({SPECTRAL_MEMORY_LIMIT_BYTES} B)")
 
 
-def _excitation_table(n_orb: int, n_elec: int):
-    """The sector basis (sorted bitmasks) and flat arrays (src, dst, pair,
-    sign) listing every nonzero <dst|F^k_l|src> = sign inside the sector,
-    with pair = k*n_orb + l; diagonal k == l entries included."""
-    _check_memory(n_orb, n_elec)
+def _excitation_table(n_orb: int, n_elec: int, n_alpha: int | None = None):
+    """The basis (sorted bitmasks) of the sector or, given ``n_alpha``, of
+    its block with n_alpha spin-0 electrons, and flat arrays (src, dst,
+    pair, sign) listing every nonzero <dst|F^k_l|src> = sign inside it, with
+    pair = k*n_orb + l; diagonal k == l entries included.  F^k_l keeps both
+    spin counts, so a block is closed under it."""
+    _check_memory(n_orb, n_elec, n_alpha)
     n_so = 2 * n_orb
     basis = np.array(sector_determinants(n_so, n_elec), dtype=np.int64)
     bits = (basis[:, None] >> np.arange(n_so)) & 1
+    if n_alpha is not None:
+        if n_alpha not in _spin_blocks(n_orb, n_elec):
+            raise ValueError(f"n_alpha={n_alpha} outside the blocks "
+                             f"{_spin_blocks(n_orb, n_elec)} of the "
+                             f"{n_elec}-electron sector")
+        keep = bits[:, ::2].sum(axis=1) == n_alpha
+        basis, bits = basis[keep], bits[keep]
     below = np.cumsum(bits, axis=1) - bits  # occupied bits below each one
     parts = []
     for ann in range(n_so):  # a_ann, then a+_cre of the same spin
@@ -174,9 +219,12 @@ def _excitation_table(n_orb: int, n_elec: int):
     return basis, tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _sector_operator(hamiltonian: MolecularHamiltonian, n_elec: int):
-    """The sector basis and v -> H v on dense vectors over it."""
-    basis, (src, dst, pair, sign) = _excitation_table(hamiltonian.n_orb, n_elec)
+def _sector_operator(hamiltonian: MolecularHamiltonian, n_elec: int,
+                     n_alpha: int | None = None):
+    """The basis of the sector (or of its ``n_alpha`` block) and v -> H v on
+    dense vectors over it."""
+    basis, (src, dst, pair, sign) = _excitation_table(hamiltonian.n_orb, n_elec,
+                                                      n_alpha)
     dim, n2 = len(basis), hamiltonian.n_orb ** 2
     h, g = hamiltonian.h.ravel(), hamiltonian.g.reshape(n2, n2)
 
@@ -205,23 +253,45 @@ def apply_hamiltonian(hamiltonian: MolecularHamiltonian,
     return CIVector(entries, vector.n_elec, vector.n_spin_orb)
 
 
-def sector_matrix(hamiltonian: MolecularHamiltonian,
-                  n_elec: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Dense Hamiltonian matrix over one sector and its determinant basis."""
-    basis, (src, dst, pair, sign) = _excitation_table(hamiltonian.n_orb, n_elec)
+def _block_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
+                  n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense matrix of one block and its basis, from one ``bincount``."""
+    basis, (src, dst, pair, sign) = _excitation_table(hamiltonian.n_orb, n_elec,
+                                                      n_alpha)
     dim, n2 = len(basis), hamiltonian.n_orb ** 2
     g = hamiltonian.g.reshape(n2, n2)
-    mat = hamiltonian.e_const * np.eye(dim)
-    np.add.at(mat, (dst, src), hamiltonian.h.ravel()[pair] * sign)
-    # g_ijkl F^i_j F^k_l passes through an intermediate c: pair the entries
-    # into c (F^k_l, from s) with those out of c (F^i_j, to d).
-    into, out_of = np.argsort(dst, kind="stable"), np.argsort(src, kind="stable")
-    into_at = np.searchsorted(dst[into], np.arange(dim + 1))
-    out_at = np.searchsorted(src[out_of], np.arange(dim + 1))
-    for c in range(dim):
-        i, o = into[into_at[c]:into_at[c + 1]], out_of[out_at[c]:out_at[c + 1]]
-        block = sign[o, None] * g[pair[o, None], pair[i]] * sign[i]
-        np.add.at(mat, (dst[o, None], src[i]), block)
+    # g_ijkl F^i_j F^k_l passes through an intermediate c: every entry out of
+    # c (F^i_j, to d) meets every entry into c (F^k_l, from s).  All members
+    # of a block have the same number of entries out and in, so grouping
+    # the entries by c gives (dim, deg) tables.
+    out_of = np.argsort(src, kind="stable").reshape(dim, -1)[:, :, None]
+    into = np.argsort(dst, kind="stable").reshape(dim, -1)[:, None, :]
+    index = np.concatenate([
+        np.arange(dim) * (dim + 1), dst * dim + src,
+        (dst[out_of] * dim + src[into]).ravel()])
+    weight = np.concatenate([
+        np.full(dim, hamiltonian.e_const), hamiltonian.h.ravel()[pair] * sign,
+        (sign[out_of] * g[pair[out_of], pair[into]] * sign[into]).ravel()])
+    return np.bincount(index, weight, dim * dim).reshape(dim, dim), basis
+
+
+def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
+                  n_alpha: int | None = None
+                  ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Dense Hamiltonian matrix over one sector, or over its block with
+    ``n_alpha`` spin-0 electrons, and its determinant basis (ascending).
+    The sector matrix is the direct sum of its blocks."""
+    _check_memory(hamiltonian.n_orb, n_elec, n_alpha, exact=True)
+    if n_alpha is not None:
+        mat, basis = _block_matrix(hamiltonian, n_elec, n_alpha)
+        return mat, tuple(basis.tolist())
+    basis = np.array(sector_determinants(hamiltonian.n_spin_orb, n_elec),
+                     dtype=np.int64)
+    mat = np.zeros((len(basis), len(basis)))
+    for a in _spin_blocks(hamiltonian.n_orb, n_elec):
+        block, dets = _block_matrix(hamiltonian, n_elec, a)
+        at = np.searchsorted(basis, dets)
+        mat[np.ix_(at, at)] = block
     return mat, tuple(basis.tolist())
 
 
@@ -305,12 +375,14 @@ def truncated_lanczos(hamiltonian: MolecularHamiltonian, n_elec: int,
     spin, and so would its whole Krylov space.  The run stops when the Ritz
     residual |beta_k s_k| of the extreme pair (Parlett, The Symmetric
     Eigenvalue Problem) falls below ``residual_tol``, or when the basis
-    spans the sector.
+    spans the block.  It runs in the block with ceil(n/2) spin-0 electrons,
+    which holds every level of the sector and the start determinant.
     """
     opts = options or LanczosOptions()
-    _check_memory(hamiltonian.n_orb, n_elec, opts.max_iters)
+    n_alpha = (n_elec + 1) // 2
+    _check_memory(hamiltonian.n_orb, n_elec, n_alpha, opts.max_iters)
     rotated = one_body_eigenbasis(hamiltonian)
-    dets, matvec = _sector_operator(rotated, n_elec)
+    dets, matvec = _sector_operator(rotated, n_elec, n_alpha)
     ref = reference_determinant(rotated, n_elec, extreme)
     size = min(opts.max_iters, len(dets))
     basis, projected = np.zeros((size, len(dets))), np.zeros((size, size))
@@ -359,15 +431,14 @@ class RangeResult:
 
 def _sector_range(hamiltonian: MolecularHamiltonian, n_elec: int, method: str,
                   options: LanczosOptions | None) -> tuple[float, float, bool]:
-    if method == "exact" or (sector_dimension(hamiltonian.n_spin_orb, n_elec)
+    # H is spin-free, so every level has a member with M_S = 0 or 1/2: the
+    # block with ceil(n/2) spin-0 electrons holds the whole spectrum.
+    n_alpha = (n_elec + 1) // 2
+    if method == "exact" or (sector_dimension(hamiltonian.n_spin_orb, n_elec,
+                                              n_alpha)
                              <= EXACT_FALLBACK_DIMENSION):
-        # H is spin-free, so every level has a member with M_S = 0 or 1/2:
-        # the block with ceil(n/2) spin-0 electrons holds the whole spectrum.
-        mat, basis = sector_matrix(hamiltonian, n_elec)
-        spin0 = (np.array(basis)[:, None]
-                 >> np.arange(0, hamiltonian.n_spin_orb, 2)) & 1
-        block = np.flatnonzero(spin0.sum(axis=1) == (n_elec + 1) // 2)
-        values = np.linalg.eigvalsh(mat[np.ix_(block, block)])
+        values = np.linalg.eigvalsh(sector_matrix(hamiltonian, n_elec,
+                                                  n_alpha)[0])
         return float(values[0]), float(values[-1]), True
     low = truncated_lanczos(hamiltonian, n_elec, "lowest", options)
     high = truncated_lanczos(hamiltonian, n_elec, "highest", options)
@@ -383,8 +454,9 @@ def spectral_range(hamiltonian: MolecularHamiltonian,
     Raises:
         ValueError: for an unknown method, when ``method="exact"`` is
             asked for more than ``EXACT_CAP_SPIN_ORBITALS`` spin-orbitals,
-            or when the largest Lanczos sector would need more than
-            ``SPECTRAL_MEMORY_LIMIT_BYTES``.
+            or when a sector's block would need more than
+            ``SPECTRAL_MEMORY_LIMIT_BYTES``; both before any sector is
+            computed.
     """
     if method not in SPECTRAL_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of "
@@ -395,9 +467,12 @@ def spectral_range(hamiltonian: MolecularHamiltonian,
                          f"{hamiltonian.n_spin_orb} (use method='lanczos')")
     sectors = (range(hamiltonian.n_spin_orb + 1) if sector is None
                else (sector,))
-    if method == "lanczos":  # the half-filled sector is the largest
-        _check_memory(hamiltonian.n_orb, hamiltonian.n_orb if sector is None
-                      else sector, (options or LanczosOptions()).max_iters)
+    max_iters = (options or LanczosOptions()).max_iters
+    for n in sorted(sectors, key=lambda n: abs(n - hamiltonian.n_orb)):
+        # The half-filled sector, the largest, is checked first.
+        _check_memory(hamiltonian.n_orb, n, (n + 1) // 2,
+                      max_iters if method == "lanczos" else 0,
+                      exact=method == "exact")
     rows = [(n, *_sector_range(hamiltonian, n, method, options))
             for n in sectors]
     return RangeResult(

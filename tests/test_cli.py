@@ -192,10 +192,10 @@ def test_invalid_option_value_exits_invalid(tmp_path, capsys):
 
 
 def test_exact_spectral_size_cap_exits_invalid(tmp_path, capsys):
-    path = dump_file(tmp_path, n_orb=8)
+    path = dump_file(tmp_path, n_orb=9)
     code = main(["run", "--input", path, "--spectral", "exact"])
     assert code == EXIT_INVALID
-    assert "capped" in capsys.readouterr().err
+    assert "capped at 16 spin-orbitals" in capsys.readouterr().err
 
 
 def test_oversize_lanczos_exits_invalid_fast(tmp_path, capsys):
@@ -347,9 +347,9 @@ def test_compare_equals_separate_runs_and_builds_baseline_once(
     calls = []
     sector_matrix = spectral.sector_matrix
 
-    def counting(hamiltonian, n_elec):
+    def counting(hamiltonian, n_elec, n_alpha=None):
         calls.append(n_elec)
-        return sector_matrix(hamiltonian, n_elec)
+        return sector_matrix(hamiltonian, n_elec, n_alpha)
 
     monkeypatch.setattr(spectral, "sector_matrix", counting)
     comparison = compare(configs)

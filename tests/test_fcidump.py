@@ -100,6 +100,8 @@ def test_parse_duplicate_conflicting_reports_both_values():
     ("0.5 1 1 1 1\ninf 1 1 0 0\n", 4),
     ("-Infinity 0 0 0 0\n", 3),
     ("1.0D999 1 1 0 0\n", 3),
+    # Finite records whose sum in h = t - (1/2) sum_k (ik|kj) overflows.
+    (b" &FCI NORB=2,NELEC=2,\n &END\n1e308 1 2 2 1\n1e308 1 1 1 1\n", 4),
     # A bytes case is a whole file.
     (b" &FCI NORB=1,NELEC=3,\n &END\n", 1),
     (HEADER_N1.encode() + b"0.5 1 1 1 1\n-1.0 1 \xff 0 0\n", 4),

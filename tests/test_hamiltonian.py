@@ -64,6 +64,16 @@ def test_shape_and_symmetry_validation():
                              g=g_bad, n_elec=2)
 
 
+@pytest.mark.parametrize("field", ["e_const", "h", "g"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_tensors_rejected(field, bad):
+    kwargs = dict(n_orb=2, e_const=0.0, h=np.zeros((2, 2)),
+                  g=np.zeros((2, 2, 2, 2)), n_elec=2)
+    kwargs[field] = np.full(np.shape(kwargs[field]), bad)
+    with pytest.raises(ValueError, match=f"{field} has a non-finite value"):
+        MolecularHamiltonian(**kwargs)
+
+
 def test_symmetrize_two_body_helper():
     rng = np.random.default_rng(2)
     g = rng.normal(size=(3, 3, 3, 3))

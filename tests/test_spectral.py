@@ -12,6 +12,7 @@ from blisslp import (
     CIVector,
     Determinant,
     LanczosOptions,
+    LanczosResult,
     MolecularHamiltonian,
     apply_bliss,
     apply_hamiltonian,
@@ -24,7 +25,7 @@ from blisslp import (
     spectral_range,
     truncated_lanczos,
 )
-from blisslp.spectral import _excitation_table, sector_dimension
+from blisslp.spectral import _check_memory, _excitation_table, sector_dimension
 
 
 def sector_civector(rng, n_spin_orb, n_elec) -> CIVector:
@@ -147,6 +148,28 @@ def test_sector_matrix_basis_order(n_orb, n_elec):
     np.testing.assert_allclose(mat, want, atol=1e-10)
 
 
+@settings(max_examples=20, deadline=None)
+@given(n_orb=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_matrix_matches_oracle(n_orb, seed):
+    """Each block of each sector is the Fock-space oracle restricted to the
+    block's determinants, and the sector matrix couples no two blocks."""
+    H = oracles.random_hamiltonian(np.random.default_rng(seed), n_orb, n_orb)
+    fock = oracles.fock_matrix(H)
+    spin0 = sum(1 << 2 * p for p in range(n_orb))
+    for n_elec in range(2 * n_orb + 1):
+        whole, basis = sector_matrix(H, n_elec)
+        alphas = np.array([(d & spin0).bit_count() for d in basis])
+        for n_alpha in range(max(0, n_elec - n_orb), min(n_elec, n_orb) + 1):
+            mat, dets = sector_matrix(H, n_elec, n_alpha)
+            assert len(dets) == sector_dimension(2 * n_orb, n_elec, n_alpha)
+            assert dets == tuple(np.array(basis)[alphas == n_alpha].tolist())
+            np.testing.assert_allclose(mat, fock[np.ix_(dets, dets)],
+                                       atol=1e-10)
+        assert np.all(whole[alphas[:, None] != alphas] == 0.0)
+    with pytest.raises(ValueError, match="n_alpha"):
+        sector_matrix(H, 1, 2)
+
+
 @pytest.mark.parametrize("n_orb, n_elec", [(2, 2), (3, 3), (4, 3)])
 def test_excitation_table_matches_oracle(n_orb, n_elec):
     """Every spin-summed F^k_l element of the sector, listed once, with its
@@ -188,6 +211,33 @@ def test_oversize_sector_refused_before_allocation(monkeypatch):
         truncated_lanczos(big, 12)
     with pytest.raises(ValueError, match="SPECTRAL_MEMORY_LIMIT_BYTES"):
         apply_hamiltonian(big, CIVector({(1 << 12) - 1: 1.0}, 12, 24))
+
+
+def test_memory_model_sizes_the_block():
+    """Half-filled N=10 Lanczos and the largest N=8 exact block fit under
+    the limit; the prediction counts the block, not the whole sector."""
+    _check_memory(10, 10, 5, LanczosOptions().max_iters)
+    _check_memory(8, 8, 4, exact=True)
+    with pytest.raises(ValueError, match="SPECTRAL_MEMORY_LIMIT_BYTES"):
+        _check_memory(8, 8, exact=True)
+
+
+def test_dense_fallback_compares_the_block_dimension(monkeypatch):
+    """At N=7, 7 electrons (block 1225) still run Lanczos, while 5 electrons
+    (block 735 of a 2002-dimensional sector) are diagonalized densely."""
+    H = oracles.random_hamiltonian(np.random.default_rng(2300), 7, 7)
+    calls = []
+
+    def recording(hamiltonian, n_elec, extreme="lowest", options=None):
+        calls.append(n_elec)
+        return LanczosResult(energy=0.0, iterations=1, converged=True,
+                             subspace_dim=1)
+
+    monkeypatch.setattr("blisslp.spectral.truncated_lanczos", recording)
+    spectral_range(H, sector=7, method="lanczos")
+    assert calls == [7, 7]
+    spectral_range(H, sector=5, method="lanczos")
+    assert calls == [7, 7]
 
 
 def test_one_body_eigenbasis_preserves_spectrum():
@@ -295,6 +345,20 @@ def test_lanczos_converges_to_exact_extremes(n_orb, seed):
         assert high.energy == pytest.approx(values[-1], abs=1e-8)
 
 
+def test_block_lanczos_matches_block_eigvalsh():
+    """Lanczos runs in the ceil(n/2) spin-0 block; its extremes are that
+    block's, in every sector of N=4."""
+    H = oracles.random_hamiltonian(np.random.default_rng(2400), 4, 4)
+    for n_elec in range(9):
+        mat, dets = sector_matrix(H, n_elec, (n_elec + 1) // 2)
+        values = np.linalg.eigvalsh(mat)
+        for extreme, want in (("lowest", values[0]), ("highest", values[-1])):
+            result = truncated_lanczos(H, n_elec, extreme)
+            assert result.converged
+            assert result.subspace_dim <= len(dets)
+            assert result.energy == pytest.approx(want, abs=1e-9)
+
+
 def test_lanczos_iteration_cap_flags_unconverged():
     rng = np.random.default_rng(67)
     H = oracles.random_hamiltonian(rng, 3, 3)
@@ -345,10 +409,20 @@ def test_spectral_range_method_validation():
     H = oracles.random_hamiltonian(rng, 2, 2)
     with pytest.raises(ValueError, match="method"):
         spectral_range(H, method="dense")
-    big = MolecularHamiltonian(n_orb=8, e_const=0.0, h=np.zeros((8, 8)),
-                               g=np.zeros((8,) * 4), n_elec=8)
-    with pytest.raises(ValueError, match="capped"):
+    big = MolecularHamiltonian(n_orb=9, e_const=0.0, h=np.zeros((9, 9)),
+                               g=np.zeros((9,) * 4), n_elec=9)
+    with pytest.raises(ValueError, match="capped at 16 spin-orbitals"):
         spectral_range(big, method="exact")
+
+
+def test_exact_range_at_sixteen_spin_orbitals():
+    """N=8 is inside the exact cap; a small sector of it runs in a moment."""
+    H = oracles.random_hamiltonian(np.random.default_rng(2200), 8, 2)
+    values = np.linalg.eigvalsh(sector_matrix(H, 2)[0])
+    result = spectral_range(H, sector=2, method="exact")
+    assert result.converged
+    assert result.e_min == pytest.approx(values[0], abs=1e-10)
+    assert result.e_max == pytest.approx(values[-1], abs=1e-10)
 
 
 def test_lanczos_range_never_exceeds_exact():
