@@ -36,9 +36,10 @@ from .report import (BlissSummary, CompareReport, NormPair, RunReport,
 from .simplex import LpResult, LpStatus, solve_lp
 from .spectral import (CIVector, Determinant, LanczosOptions, LanczosResult,
                        RangeResult, SpectralReport, apply_hamiltonian,
-                       build_spectral_report, deviation_metric,
-                       one_body_eigenbasis, reference_determinant,
-                       sector_determinants, sector_matrix, spectral_range,
+                       build_spectral_report, build_spectral_reports,
+                       deviation_metric, one_body_eigenbasis,
+                       reference_determinant, sector_determinants,
+                       sector_matrix, spectral_range, spectral_ranges,
                        truncated_lanczos)
 
 __version__ = "0.1.0"
@@ -74,8 +75,8 @@ __all__ = [
     "Determinant", "CIVector", "LanczosOptions", "LanczosResult",
     "RangeResult", "SpectralReport", "sector_determinants", "sector_matrix",
     "apply_hamiltonian", "one_body_eigenbasis", "reference_determinant",
-    "truncated_lanczos", "spectral_range", "deviation_metric",
-    "build_spectral_report",
+    "truncated_lanczos", "spectral_range", "spectral_ranges",
+    "deviation_metric", "build_spectral_report", "build_spectral_reports",
     # report
     "NormPair", "BlissSummary", "RunReport", "CompareReport", "to_json",
     "strip_volatile",

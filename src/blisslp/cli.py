@@ -21,14 +21,15 @@ from .fcidump import parse_fcidump, write_fcidump
 # assemble_global_bliss and lp_bliss stay importable for stage wrappers.
 from .fermionic import (FermionicNormReport, assemble_global_bliss,
                         build_fermionic_report)
-from .hamiltonian import MolecularHamiltonian, apply_bliss
+from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
 from .l1min import SolverOptions, dump_problem, merge_duplicate_rows
 from .lp_bliss import build_lp_bliss_problem, lp_bliss, lp_bliss_shifted
 from .pauli import PauliNormBreakdown, pauli_one_norm
 from .report import (BlissSummary, CompareReport, NormPair, RunReport,
                      fermionic_section, spectral_section, to_json)
+# build_spectral_report stays importable for stage wrappers.
 from .spectral import (LanczosOptions, SpectralReport, build_spectral_report,
-                       with_shifted_range)
+                       build_spectral_reports)
 
 __all__ = [
     "METHODS",
@@ -97,13 +98,12 @@ def _now() -> str:
 class Baseline:
     """The unshifted input every method is measured against.  ``family``
     maps a fermionic method to its report on the baseline's DF fragments,
-    computed on first use; ``spectral`` holds its ranges, or None when
-    spectra are off."""
+    computed on first use.  Its spectral ranges come from the sweep that
+    also covers every shifted Hamiltonian (``_spectra``)."""
 
     hamiltonian: MolecularHamiltonian
     pauli: PauliNormBreakdown
     family: Callable[[str], FermionicNormReport]
-    spectral: SpectralReport | None
     lanczos: LanczosOptions
     timings_s: Mapping[str, float]
 
@@ -120,10 +120,8 @@ class Baseline:
         family = functools.cache(lambda method: build_fermionic_report(
             hamiltonian, method, fragments, solver))
         family("df")
-        lanczos = LanczosOptions(residual_tol=config.lanczos_tol)
-        spectral = None if config.spectral == "off" else build_spectral_report(
-            hamiltonian, None, config.spectral, options=lanczos)
-        return cls(hamiltonian, pauli, family, spectral, lanczos,
+        return cls(hamiltonian, pauli, family,
+                   LanczosOptions(residual_tol=config.lanczos_tol),
                    {"parse": t_parsed - t_start,
                     "baseline": time.perf_counter() - t_parsed})
 
@@ -179,40 +177,73 @@ BLISS_METHODS = tuple(name for name, (shift, _, _) in _METHOD_TABLE.items()
 def run_pipeline(config: RunConfig) -> tuple[RunReport, MolecularHamiltonian | None]:
     """Execute one configuration; returns the report and, for shift-producing
     methods, the shifted Hamiltonian."""
-    return _run_method(config, Baseline.load(config))
+    return _run_methods((config,), Baseline.load(config))[0]
 
 
-def _run_method(config: RunConfig, base: Baseline
-                ) -> tuple[RunReport, MolecularHamiltonian | None]:
-    """``run_pipeline`` against ``base``, which must have been loaded from a
-    configuration that agrees with ``config`` on ``_BASELINE_FIELDS``."""
+@dataclass(frozen=True)
+class _Shift:
+    """What one method adds to the baseline, before any spectrum."""
+
+    params: BlissParams | None
+    shifted: MolecularHamiltonian | None
+    pauli_after: float | None
+    df_after: float | None
+    family: FermionicNormReport | None
+    seconds: float
+
+
+def _apply_method(config: RunConfig, base: Baseline) -> _Shift:
     if config.dump_lp is not None and config.method != "lp-bliss":
         print(f"warning: --dump-lp only applies to lp-bliss, ignoring",
               file=sys.stderr)
-    shift, method, metadata = _METHOD_TABLE[config.method]
+    shift, method, _ = _METHOD_TABLE[config.method]
     t_method = time.perf_counter()
     result = method(base, config)
-    params = family = shifted = pauli_after = df_after = None
-    if shift == "global":
-        params, shifted, pauli = result
-        pauli_after = pauli.lambda_total
-        fragments = fermionic.double_factorize(shifted, config.df_tol)
-        df_after = build_fermionic_report(shifted, "df", fragments).lambda_total
-    else:
-        family = result
-        if shift == "fragments":
-            df_after = family.lambda_total
+    if shift != "global":
+        df_after = result.lambda_total if shift == "fragments" else None
+        return _Shift(None, None, None, df_after, result,
+                      time.perf_counter() - t_method)
+    params, shifted, pauli = result
+    fragments = fermionic.double_factorize(shifted, config.df_tol)
+    df_after = build_fermionic_report(shifted, "df", fragments).lambda_total
+    return _Shift(params, shifted, pauli.lambda_total, df_after, None,
+                  time.perf_counter() - t_method)
 
+
+def _spectra(base: Baseline, spectral: str,
+             shifts: Sequence[_Shift]) -> list[SpectralReport | None]:
+    """Each run's spectral report, from one sweep over H and every shifted
+    H: the unshifted report for a run without a shifted Hamiltonian."""
+    if spectral == "off":
+        return [None] * len(shifts)
+    reports = iter(build_spectral_reports(
+        base.hamiltonian, [s.shifted for s in shifts if s.shifted is not None],
+        spectral, options=base.lanczos))
+    unshifted = next(reports)
+    return [unshifted if s.shifted is None else next(reports) for s in shifts]
+
+
+def _run_methods(configs: Sequence[RunConfig], base: Baseline
+                 ) -> list[tuple[RunReport, MolecularHamiltonian | None]]:
+    """``run_pipeline`` of each configuration against ``base``, which must
+    have been loaded from a configuration that agrees with every one of
+    them on ``_BASELINE_FIELDS``."""
+    shifts = [_apply_method(config, base) for config in configs]
     t_spectral = time.perf_counter()
-    spectral = base.spectral
-    if spectral is not None and shifted is not None:
-        spectral = with_shifted_range(spectral, shifted, options=base.lanczos)
-    timings = {**base.timings_s, "method": t_spectral - t_method,
-               "spectral": time.perf_counter() - t_spectral}
-    timings["total"] = sum(timings.values())
+    spectra = _spectra(base, configs[0].spectral, shifts)
+    spectral_s = time.perf_counter() - t_spectral
+    return [(_report(config, base, shift, spectral, spectral_s), shift.shifted)
+            for config, shift, spectral in zip(configs, shifts, spectra)]
 
+
+def _report(config: RunConfig, base: Baseline, shift: _Shift,
+            spectral: SpectralReport | None, spectral_s: float) -> RunReport:
+    # The sweep is shared, so every run reports its whole time, as parse.
+    timings = {**base.timings_s, "method": shift.seconds,
+               "spectral": spectral_s}
+    timings["total"] = sum(timings.values())
     hamiltonian = base.hamiltonian
-    report = RunReport(
+    return RunReport(
         generated_at=_now(),
         input_path=config.input,
         n_orb=hamiltonian.n_orb,
@@ -222,17 +253,18 @@ def _run_method(config: RunConfig, base: Baseline
         method=config.method,
         spectral_method=config.spectral,
         seed=config.seed,
-        lambda_pauli=NormPair(base.pauli.lambda_total, pauli_after),
-        lambda_df=NormPair(base.family("df").lambda_total, df_after),
-        bliss=None if params is None else BlissSummary.from_params(params),
-        fermionic=None if family is None else fermionic_section(family),
+        lambda_pauli=NormPair(base.pauli.lambda_total, shift.pauli_after),
+        lambda_df=NormPair(base.family("df").lambda_total, shift.df_after),
+        bliss=(None if shift.params is None
+               else BlissSummary.from_params(shift.params)),
+        fermionic=(None if shift.family is None
+                   else fermionic_section(shift.family)),
         spectral=None if spectral is None else spectral_section(spectral),
         options={"df_tol": config.df_tol,
                  "lanczos_tol": config.lanczos_tol,
                  "lp_max_iters": config.lp_max_iters},
-        metadata=dict(metadata),
+        metadata=dict(_METHOD_TABLE[config.method][2]),
         timings_s=timings)
-    return report, shifted
 
 
 def _summary_line(report: RunReport) -> str:
@@ -289,8 +321,8 @@ def compare(configs: Sequence[RunConfig]) -> CompareReport:
         if len(values) != 1:
             raise ValueError(f"compare configurations must share one "
                              f"{field}, got {sorted(values, key=repr)}")
-    base = Baseline.load(configs[0])
-    runs = tuple(_run_method(c, base)[0] for c in configs)
+    runs = tuple(report for report, _ in
+                 _run_methods(configs, Baseline.load(configs[0])))
     for report in runs:
         _warn_unconverged(report)
     return CompareReport(generated_at=_now(), input_path=configs[0].input,

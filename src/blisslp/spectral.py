@@ -12,9 +12,15 @@ ceil(n/2) spin-0 electrons holds every level of the sector.  Both engines
 work on that block.
 
 One kernel serves both engines: a per-block excitation table lists every
-nonzero <d|F^k_l|s>, and numpy gathers and scatters through it build dense
-block matrices for exact diagonalization and apply H to the dense vectors
-of a fully reorthogonalized Lanczos iteration.  The projected matrix uses
+nonzero <d|F^k_l|s>.  It is built from the block's alpha and beta strings
+(Knowles and Handy, Chem. Phys. Lett. 111, 315 (1984)): one a+_k a_l table
+per string space, broadcast to the block with the parity of the crossed
+electrons of the other spin.  A block plan turns the table into the
+scatter of one ``bincount`` that builds the dense block matrix of any H,
+for exact diagonalization; a sweep over several Hamiltonians builds each
+sector's plan once and drops it before the next sector.  The Lanczos
+operator folds F^k_l and F^l_k into one row and applies H to the dense
+vectors of a fully reorthogonalized iteration.  The projected matrix uses
 exact H applications, so Lanczos estimates are variational (the lowest
 never undershoots the true minimum, the highest never overshoots the
 maximum) and the derived spectral range is a lower bound on the exact one.
@@ -26,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,9 +53,10 @@ __all__ = [
     "reference_determinant",
     "truncated_lanczos",
     "spectral_range",
+    "spectral_ranges",
     "deviation_metric",
     "build_spectral_report",
-    "with_shifted_range",
+    "build_spectral_reports",
     "EXACT_CAP_SPIN_ORBITALS",
     "EXACT_FALLBACK_DIMENSION",
     "SPECTRAL_MEMORY_LIMIT_BYTES",
@@ -161,13 +168,15 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
     A block with a spin-0 and b spin-1 electrons has C(N,a) C(N,b)
     determinants, each with deg = a(N-a+1) + b(N-b+1) table entries out of
     it and as many into it.  Counted are 32 B per table entry, two
-    N^2 x dim matvec arrays and ``max_iters`` Lanczos vectors; with
+    N^2 x dim matvec arrays and ``max_iters`` Lanczos vectors (the folded
+    operator keeps 24 B per entry and two N(N+1)/2 x dim arrays); with
     ``exact``, also 16 B per element of the dense matrix (it and the copy
     ``eigvalsh`` works on) and 32 B per (c, out, in) triple of the largest
-    block's two-body build, dim deg^2 of them.
+    block's two-body build, dim deg^2 of them: its plan holds 13 B of
+    indices and signs per triple, and a matrix build 8 B of weights.
     """
     if not 0 <= n_elec <= 2 * n_orb:
-        return  # sector_determinants names the bad n_elec
+        return  # _excitation_table names the bad n_elec
     blocks = _spin_blocks(n_orb, n_elec)
     if n_alpha is not None:
         if n_alpha not in blocks:
@@ -189,52 +198,145 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
             f"SPECTRAL_MEMORY_LIMIT_BYTES ({SPECTRAL_MEMORY_LIMIT_BYTES} B)")
 
 
+def _strings(n_orb: int, n_elec: int):
+    """The C(N, n) strings of n same-spin electrons in N orbitals: bitmasks
+    (ascending), occupations (m, N) and prefix counts (m, N + 1), whose
+    column p counts the occupied orbitals below p."""
+    masks = np.sort([sum(1 << p for p in occupied) for occupied
+                     in itertools.combinations(range(n_orb), n_elec)])
+    occupied = (masks[:, None] >> np.arange(n_orb)) & 1
+    below = np.zeros((len(masks), n_orb + 1), dtype=np.int8)
+    np.cumsum(occupied, axis=1, out=below[:, 1:])
+    return masks, occupied, below
+
+
+def _string_excitations(masks: np.ndarray, occupied: np.ndarray,
+                        below: np.ndarray):
+    """Every nonzero a+_k a_l on every string, as (m, deg) arrays listed l
+    first, then k: the target string, l, k and the parity of the string's
+    electrons that the pair crosses; deg = n(N-n+1), diagonal k == l
+    included."""
+    n_orb = occupied.shape[1]
+    allowed = (occupied[:, :, None] == 1) & (
+        (occupied[:, None, :] == 0) | np.eye(n_orb, dtype=bool))
+    string, l, k = np.nonzero(allowed)
+    target = np.searchsorted(masks, (masks[string] ^ (1 << l)) | (1 << k))
+    parity = below[string, l] + below[string, k] - (l < k)
+    return tuple(x.reshape(len(masks), -1) for x in (target, l, k, parity))
+
+
+def _block_table(n_orb: int, n_elec: int, n_alpha: int):
+    """The sorted basis of one block and its (src, dst, key, sign) table,
+    key = ann * N + cre // 2 for the annihilated and created spin-orbitals,
+    from the block's alpha and beta strings (Knowles and Handy, Chem. Phys.
+    Lett. 111, 315 (1984)).  Entries are ordered by key, then src."""
+    n = n_orb
+    (masks_a, occ_a, below_a), (masks_b, occ_b, below_b) = (
+        _strings(n, n_alpha), _strings(n, n_elec - n_alpha))
+    n_a, n_b = len(masks_a), len(masks_b)
+    spread = 1 << 2 * np.arange(n)  # orbital p -> spin-orbital 2p
+    dets = ((occ_a @ spread)[:, None] | ((occ_b @ spread) << 1)).ravel()
+    by_mask = np.argsort(dets)
+    position = np.empty_like(by_mask)
+    position[by_mask] = np.arange(len(by_mask))
+    t_a, l_a, k_a, p_a = _string_excitations(masks_a, occ_a, below_a)
+    t_b, l_b, k_b, p_b = _string_excitations(masks_b, occ_b, below_b)
+    deg_a = t_a.shape[1]
+    deg = deg_a + t_b.shape[1]
+    # With spin-orbital s = 2p + spin, an alpha pair (l, k) crosses the
+    # beta electrons below l and below k, a beta pair the alpha electrons
+    # at or below them: crossings indexed by l*N + k.
+    cross_a = (below_a[:, 1:, None] + below_a[:, None, 1:]).reshape(n_a, -1)
+    cross_b = (below_b[:, :-1, None] + below_b[:, None, :-1]).reshape(n_b, -1)
+    # Row i*n_b + j lists the alpha, then the beta excitations of the
+    # determinant of strings i and j.
+    target = np.empty((n_a, n_b, deg), dtype=np.int64)
+    target[:, :, :deg_a] = t_a[:, None] * n_b + np.arange(n_b)[:, None]
+    target[:, :, deg_a:] = np.arange(n_a)[:, None, None] * n_b + t_b
+    parity = np.empty((n_a, n_b, deg), dtype=np.int8)
+    parity[:, :, :deg_a] = (p_a[:, None]
+                            + cross_b[:, l_a * n + k_a].transpose(1, 0, 2))
+    parity[:, :, deg_a:] = p_b + cross_a[:, l_b * n + k_b]
+    key = np.empty((n_a, n_b, deg), dtype=np.min_scalar_type(2 * n * n))
+    key[:, :, :deg_a] = (2 * l_a * n + k_a)[:, None]
+    key[:, :, deg_a:] = (2 * l_b + 1) * n + k_b
+    # Rows in basis order ascend by source, so a stable sort by key (radix,
+    # for 8 or 16 bits) orders the entries by key, then src.
+    order = np.argsort(key.reshape(len(dets), deg)[by_mask].ravel(),
+                       kind="stable")
+    key = np.repeat(np.arange(2 * n * n, dtype=key.dtype),
+                    np.bincount(key.ravel(), minlength=2 * n * n))
+    target = target.reshape(len(dets), deg)[by_mask].ravel()
+    dst = position[target[order]]
+    del target
+    parity = parity.reshape(len(dets), deg)[by_mask].ravel()[order]
+    sign = (1 - 2 * (parity & 1)).astype(np.int8)
+    return dets[by_mask], (order // max(deg, 1), dst, key, sign)
+
+
 def _excitation_table(n_orb: int, n_elec: int, n_alpha: int | None = None):
     """The basis (sorted bitmasks) of the sector or, given ``n_alpha``, of
     its block with n_alpha spin-0 electrons, and flat arrays (src, dst,
     pair, sign) listing every nonzero <dst|F^k_l|src> = sign inside it, with
-    pair = k*n_orb + l; diagonal k == l entries included.  F^k_l keeps both
-    spin counts, so a block is closed under it."""
+    pair = k*n_orb + l; diagonal k == l entries included.  Entries are
+    ordered by annihilated spin-orbital, then created spin-orbital, then
+    src.  F^k_l keeps both spin counts, so a block is closed under it."""
     _check_memory(n_orb, n_elec, n_alpha)
-    n_so = 2 * n_orb
-    basis = np.array(sector_determinants(n_so, n_elec), dtype=np.int64)
-    bits = (basis[:, None] >> np.arange(n_so)) & 1
+    if not 0 <= n_elec <= 2 * n_orb:
+        raise ValueError(f"n_elec={n_elec} outside [0, {2 * n_orb}]")
+    blocks = _spin_blocks(n_orb, n_elec)
     if n_alpha is not None:
-        if n_alpha not in _spin_blocks(n_orb, n_elec):
-            raise ValueError(f"n_alpha={n_alpha} outside the blocks "
-                             f"{_spin_blocks(n_orb, n_elec)} of the "
-                             f"{n_elec}-electron sector")
-        keep = bits[:, ::2].sum(axis=1) == n_alpha
-        basis, bits = basis[keep], bits[keep]
-    below = np.cumsum(bits, axis=1) - bits  # occupied bits below each one
-    parts = []
-    for ann in range(n_so):  # a_ann, then a+_cre of the same spin
-        occupied = np.flatnonzero(bits[:, ann])
-        for cre in range(ann % 2, n_so, 2):
-            src = occupied[bits[occupied, cre] == 0] if cre != ann else occupied
-            parity = below[src, ann] + below[src, cre] - (ann < cre)
-            dst = np.searchsorted(basis, (basis[src] ^ (1 << ann)) | (1 << cre))
-            pair = np.full(len(src), cre // 2 * n_orb + ann // 2)
-            parts.append((src, dst, pair, 1.0 - 2.0 * (parity & 1)))
-    return basis, tuple(np.concatenate(col) for col in zip(*parts))
+        if n_alpha not in blocks:
+            raise ValueError(f"n_alpha={n_alpha} outside the blocks {blocks} "
+                             f"of the {n_elec}-electron sector")
+        basis, (src, dst, key, sign) = _block_table(n_orb, n_elec, n_alpha)
+    else:  # the direct sum of the blocks, in one sorted basis
+        parts = [_block_table(n_orb, n_elec, a) for a in blocks]
+        basis = np.sort(np.concatenate([dets for dets, _ in parts]))
+        columns = []
+        for dets, (src, dst, key, sign) in parts:
+            at = np.searchsorted(basis, dets)
+            columns.append((at[src], at[dst], key, sign))
+        src, dst, key, sign = (np.concatenate(c) for c in zip(*columns))
+        order = np.lexsort((src, key))
+        src, dst, key, sign = (x[order] for x in (src, dst, key, sign))
+    # Entries run in key order: each key's pair repeats over its run.
+    ann, cre = np.divmod(np.arange(2 * n_orb ** 2), n_orb)
+    pair = np.repeat(cre * n_orb + ann // 2,
+                     np.bincount(key, minlength=2 * n_orb ** 2))
+    return basis, (src, dst, pair, sign)
 
 
 def _sector_operator(hamiltonian: MolecularHamiltonian, n_elec: int,
                      n_alpha: int | None = None):
     """The basis of the sector (or of its ``n_alpha`` block) and v -> H v on
-    dense vectors over it."""
+    dense vectors over it.
+
+    h and g are symmetric in each index pair, so F^k_l and F^l_k share one
+    row of the intermediate w: the N(N+1)/2 pairs k <= l.  Every entry
+    <d|F^k_l|s> has its mirror <s|F^l_k|d> of the same sign in the same row,
+    so the second scatter can run through the entries reversed."""
     basis, (src, dst, pair, sign) = _excitation_table(hamiltonian.n_orb, n_elec,
                                                       n_alpha)
-    dim, n2 = len(basis), hamiltonian.n_orb ** 2
-    h, g = hamiltonian.h.ravel(), hamiltonian.g.reshape(n2, n2)
+    n, dim = hamiltonian.n_orb, len(basis)
+    k, l = np.triu_indices(n)
+    rows = np.empty((n, n), dtype=np.int64)
+    rows[k, l] = rows[l, k] = np.arange(len(k))
+    into = rows.ravel()[pair] * dim + dst
+    del dst, pair
+    weight = sign.astype(float)
+    upper = k * n + l
+    h = hamiltonian.h.ravel()[upper]
+    g = hamiltonian.g.reshape(n * n, n * n)[np.ix_(upper, upper)]
+    size = len(upper) * dim
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        # Row kl of w is F^k_l v; H v = e v + h.w + sum_ij F^i_j (g w)_ij.
-        w = np.bincount(pair * dim + dst, sign * v[src],
-                        n2 * dim).reshape(n2, dim)
+        # Row kl of w is (F^k_l + F^l_k) v, or F^k_k v;
+        # H v = e v + h.w + sum_{i<=j} (F^i_j + F^j_i) (g w)_ij.
+        w = np.bincount(into, weight * v[src], size).reshape(-1, dim)
         u = (g @ w).ravel()
         return (hamiltonian.e_const * v + h @ w
-                + np.bincount(dst, sign * u[pair * dim + src], dim))
+                + np.bincount(src, weight * u[into], dim))
 
     return basis, matvec
 
@@ -253,43 +355,85 @@ def apply_hamiltonian(hamiltonian: MolecularHamiltonian,
     return CIVector(entries, vector.n_elec, vector.n_spin_orb)
 
 
-def _block_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
-                  n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense matrix of one block and its basis, from one ``bincount``."""
-    basis, (src, dst, pair, sign) = _excitation_table(hamiltonian.n_orb, n_elec,
-                                                      n_alpha)
-    dim, n2 = len(basis), hamiltonian.n_orb ** 2
-    g = hamiltonian.g.reshape(n2, n2)
+@dataclass(frozen=True, eq=False)
+class _BlockPlan:
+    """What the dense matrix of one block takes from its table, for any H:
+    ``index`` scatters into the dim x dim matrix the diagonal, the table
+    entries (h.ravel()[pair] * sign) and the (c, out, in) triples
+    (g.ravel()[coupling] * coupling_sign), in that order."""
+
+    block: tuple[int, int, int]  # (n_orb, n_elec, n_alpha)
+    basis: np.ndarray
+    pair: np.ndarray
+    sign: np.ndarray
+    index: np.ndarray
+    coupling: np.ndarray
+    coupling_sign: np.ndarray
+
+
+def _block_plan(n_orb: int, n_elec: int, n_alpha: int) -> _BlockPlan:
+    """The plan of one block's dense matrix."""
+    _check_memory(n_orb, n_elec, n_alpha, exact=True)
+    basis, (src, dst, pair, sign) = _excitation_table(n_orb, n_elec, n_alpha)
+    dim, n_one = len(basis), len(src)
     # g_ijkl F^i_j F^k_l passes through an intermediate c: every entry out of
     # c (F^i_j, to d) meets every entry into c (F^k_l, from s).  All members
     # of a block have the same number of entries out and in, so grouping
     # the entries by c gives (dim, deg) tables.
     out_of = np.argsort(src, kind="stable").reshape(dim, -1)[:, :, None]
     into = np.argsort(dst, kind="stable").reshape(dim, -1)[:, None, :]
-    index = np.concatenate([
-        np.arange(dim) * (dim + 1), dst * dim + src,
-        (dst[out_of] * dim + src[into]).ravel()])
-    weight = np.concatenate([
-        np.full(dim, hamiltonian.e_const), hamiltonian.h.ravel()[pair] * sign,
-        (sign[out_of] * g[pair[out_of], pair[into]] * sign[into]).ravel()])
-    return np.bincount(index, weight, dim * dim).reshape(dim, dim), basis
+    deg = out_of.shape[1]
+    index = np.empty(dim + n_one + dim * deg * deg, dtype=np.int64)
+    index[:dim] = np.arange(dim) * (dim + 1)
+    np.add(dst * dim, src, out=index[dim:dim + n_one])
+    np.add(dst[out_of] * dim, src[into],
+           out=index[dim + n_one:].reshape(dim, deg, deg))
+    pair32 = pair.astype(np.int32)
+    coupling = (pair32[out_of] * np.int32(n_orb ** 2) + pair32[into]).ravel()
+    coupling_sign = (sign[out_of] * sign[into]).ravel()
+    return _BlockPlan((n_orb, n_elec, n_alpha), basis, pair, sign, index,
+                      coupling, coupling_sign)
+
+
+def _block_matrix(hamiltonian: MolecularHamiltonian,
+                  plan: _BlockPlan) -> np.ndarray:
+    """Dense matrix of one block, from one ``bincount`` through its plan."""
+    dim, n_one = len(plan.basis), len(plan.pair)
+    weight = np.empty(len(plan.index))
+    weight[:dim] = hamiltonian.e_const
+    np.multiply(hamiltonian.h.ravel()[plan.pair], plan.sign,
+                out=weight[dim:dim + n_one])
+    np.multiply(hamiltonian.g.ravel()[plan.coupling], plan.coupling_sign,
+                out=weight[dim + n_one:])
+    return np.bincount(plan.index, weight, dim * dim).reshape(dim, dim)
 
 
 def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
-                  n_alpha: int | None = None
+                  n_alpha: int | None = None, plan: _BlockPlan | None = None
                   ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Dense Hamiltonian matrix over one sector, or over its block with
     ``n_alpha`` spin-0 electrons, and its determinant basis (ascending).
-    The sector matrix is the direct sum of its blocks."""
-    _check_memory(hamiltonian.n_orb, n_elec, n_alpha, exact=True)
+    The sector matrix is the direct sum of its blocks.  ``plan``, from
+    ``_block_plan`` for the same block, saves building the block's table."""
+    n_orb = hamiltonian.n_orb
+    _check_memory(n_orb, n_elec, n_alpha, exact=True)
     if n_alpha is not None:
-        mat, basis = _block_matrix(hamiltonian, n_elec, n_alpha)
-        return mat, tuple(basis.tolist())
-    basis = np.array(sector_determinants(hamiltonian.n_spin_orb, n_elec),
-                     dtype=np.int64)
+        if plan is None:
+            plan = _block_plan(n_orb, n_elec, n_alpha)
+        elif plan.block != (n_orb, n_elec, n_alpha):
+            raise ValueError(f"plan of block {plan.block} used for block "
+                             f"{(n_orb, n_elec, n_alpha)}")
+        return _block_matrix(hamiltonian, plan), tuple(plan.basis.tolist())
+    if plan is not None:
+        raise ValueError("a plan serves one block; give its n_alpha")
+    blocks = []
+    for a in _spin_blocks(n_orb, n_elec):
+        plan = _block_plan(n_orb, n_elec, a)
+        blocks.append((_block_matrix(hamiltonian, plan), plan.basis))
+        del plan
+    basis = np.sort(np.concatenate([dets for _, dets in blocks]))
     mat = np.zeros((len(basis), len(basis)))
-    for a in _spin_blocks(hamiltonian.n_orb, n_elec):
-        block, dets = _block_matrix(hamiltonian, n_elec, a)
+    for block, dets in blocks:
         at = np.searchsorted(basis, dets)
         mat[np.ix_(at, at)] = block
     return mat, tuple(basis.tolist())
@@ -429,20 +573,72 @@ class RangeResult:
         return self.e_max - self.e_min
 
 
-def _sector_range(hamiltonian: MolecularHamiltonian, n_elec: int, method: str,
-                  options: LanczosOptions | None) -> tuple[float, float, bool]:
+def _sector_rows(hamiltonians: Sequence[MolecularHamiltonian], n_elec: int,
+                 method: str, options: LanczosOptions | None
+                 ) -> list[tuple[float, float, bool]]:
+    """(e_min, e_max, converged) of each Hamiltonian in one sector.  A dense
+    sector builds one plan, which serves every Hamiltonian and is dropped
+    before the last one is diagonalized."""
     # H is spin-free, so every level has a member with M_S = 0 or 1/2: the
     # block with ceil(n/2) spin-0 electrons holds the whole spectrum.
-    n_alpha = (n_elec + 1) // 2
-    if method == "exact" or (sector_dimension(hamiltonian.n_spin_orb, n_elec,
-                                              n_alpha)
+    n_orb, n_alpha = hamiltonians[0].n_orb, (n_elec + 1) // 2
+    if method == "exact" or (sector_dimension(2 * n_orb, n_elec, n_alpha)
                              <= EXACT_FALLBACK_DIMENSION):
-        values = np.linalg.eigvalsh(sector_matrix(hamiltonian, n_elec,
-                                                  n_alpha)[0])
-        return float(values[0]), float(values[-1]), True
-    low = truncated_lanczos(hamiltonian, n_elec, "lowest", options)
-    high = truncated_lanczos(hamiltonian, n_elec, "highest", options)
-    return low.energy, high.energy, low.converged and high.converged
+        plan = _block_plan(n_orb, n_elec, n_alpha)
+        rows = []
+        for i, hamiltonian in enumerate(hamiltonians):
+            matrix = sector_matrix(hamiltonian, n_elec, n_alpha, plan)[0]
+            if i == len(hamiltonians) - 1:
+                del plan  # the last eigvalsh gets the plan's room
+            values = np.linalg.eigvalsh(matrix)
+            del matrix  # before the next Hamiltonian's block is built
+            rows.append((float(values[0]), float(values[-1]), True))
+        return rows
+    rows = []
+    for hamiltonian in hamiltonians:
+        low = truncated_lanczos(hamiltonian, n_elec, "lowest", options)
+        high = truncated_lanczos(hamiltonian, n_elec, "highest", options)
+        rows.append((low.energy, high.energy, low.converged and high.converged))
+    return rows
+
+
+def spectral_ranges(hamiltonians: Sequence[MolecularHamiltonian],
+                    sector: int | None = None, method: str = "exact",
+                    options: LanczosOptions | None = None
+                    ) -> tuple[RangeResult, ...]:
+    """The ``spectral_range`` of each Hamiltonian, from one sweep over the
+    sectors: each sector is computed for every Hamiltonian before the next.
+
+    Raises:
+        ValueError: for an unknown method, for Hamiltonians of different
+            sizes, when ``method="exact"`` is asked for more than
+            ``EXACT_CAP_SPIN_ORBITALS`` spin-orbitals, or when a sector's
+            block would need more than ``SPECTRAL_MEMORY_LIMIT_BYTES``; all
+            before any sector is computed.
+    """
+    if method not in SPECTRAL_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of "
+                         f"{SPECTRAL_METHODS}")
+    n_orb = hamiltonians[0].n_orb
+    if any(hamiltonian.n_orb != n_orb for hamiltonian in hamiltonians):
+        raise ValueError("the Hamiltonians of one sweep must share n_orb")
+    if method == "exact" and 2 * n_orb > EXACT_CAP_SPIN_ORBITALS:
+        raise ValueError(f"exact diagonalization capped at "
+                         f"{EXACT_CAP_SPIN_ORBITALS} spin-orbitals; got "
+                         f"{2 * n_orb} (use method='lanczos')")
+    sectors = range(2 * n_orb + 1) if sector is None else (sector,)
+    max_iters = (options or LanczosOptions()).max_iters
+    for n in sorted(sectors, key=lambda n: abs(n - n_orb)):
+        # The half-filled sector, the largest, is checked first.
+        _check_memory(n_orb, n, (n + 1) // 2,
+                      max_iters if method == "lanczos" else 0,
+                      exact=method == "exact")
+    table = [_sector_rows(hamiltonians, n, method, options) for n in sectors]
+    return tuple(RangeResult(
+        e_min=min(row[0] for row in rows), e_max=max(row[1] for row in rows),
+        method=method, converged=all(row[2] for row in rows),
+        sector_extremes=tuple((n, *row[:2]) for n, row in zip(sectors, rows)))
+        for rows in zip(*table))
 
 
 def spectral_range(hamiltonian: MolecularHamiltonian,
@@ -458,27 +654,7 @@ def spectral_range(hamiltonian: MolecularHamiltonian,
             ``SPECTRAL_MEMORY_LIMIT_BYTES``; both before any sector is
             computed.
     """
-    if method not in SPECTRAL_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of "
-                         f"{SPECTRAL_METHODS}")
-    if method == "exact" and hamiltonian.n_spin_orb > EXACT_CAP_SPIN_ORBITALS:
-        raise ValueError(f"exact diagonalization capped at "
-                         f"{EXACT_CAP_SPIN_ORBITALS} spin-orbitals; got "
-                         f"{hamiltonian.n_spin_orb} (use method='lanczos')")
-    sectors = (range(hamiltonian.n_spin_orb + 1) if sector is None
-               else (sector,))
-    max_iters = (options or LanczosOptions()).max_iters
-    for n in sorted(sectors, key=lambda n: abs(n - hamiltonian.n_orb)):
-        # The half-filled sector, the largest, is checked first.
-        _check_memory(hamiltonian.n_orb, n, (n + 1) // 2,
-                      max_iters if method == "lanczos" else 0,
-                      exact=method == "exact")
-    rows = [(n, *_sector_range(hamiltonian, n, method, options))
-            for n in sectors]
-    return RangeResult(
-        e_min=min(row[1] for row in rows), e_max=max(row[2] for row in rows),
-        method=method, converged=all(row[3] for row in rows),
-        sector_extremes=tuple(row[:3] for row in rows))
+    return spectral_ranges((hamiltonian,), sector, method, options)[0]
 
 
 def deviation_metric(de: float, de_shifted: float,
@@ -505,30 +681,36 @@ class SpectralReport:
     sector_extremes: tuple[tuple[int, float, float], ...]
 
 
-def build_spectral_report(hamiltonian: MolecularHamiltonian,
-                          shifted: MolecularHamiltonian | None = None,
-                          method: str = "exact",
-                          options: LanczosOptions | None = None) -> SpectralReport:
-    """Assemble ranges of H (full Fock and its n_elec sector) and, when a
-    shifted Hamiltonian is given, the shifted full range and deviation."""
-    full = spectral_range(hamiltonian, None, method, options)
+def build_spectral_reports(hamiltonian: MolecularHamiltonian,
+                           shifted: Sequence[MolecularHamiltonian] = (),
+                           method: str = "exact",
+                           options: LanczosOptions | None = None
+                           ) -> tuple[SpectralReport, ...]:
+    """The ranges of H (full Fock and its n_elec sector) and, after it, one
+    report per shifted Hamiltonian completed with its full range and
+    deviation; one sector sweep computes them all."""
+    full, *others = spectral_ranges((hamiltonian, *shifted), None, method,
+                                    options)
     # Sectors are swept in order 0..n_spin_orb, so row n_elec is the sector.
     _, lo, hi = full.sector_extremes[hamiltonian.n_elec]
     report = SpectralReport(
         delta_e=full.delta, delta_e_ens=hi - lo, delta_e_shifted=None,
         deviation=None, method=method, converged=full.converged,
         sector_extremes=full.sector_extremes)
-    if shifted is None:
-        return report
-    return with_shifted_range(report, shifted, options)
+    return (report, *(
+        replace(report, delta_e_shifted=other.delta,
+                deviation=deviation_metric(report.delta_e, other.delta,
+                                           report.delta_e_ens),
+                converged=report.converged and other.converged)
+        for other in others))
 
 
-def with_shifted_range(report: SpectralReport, shifted: MolecularHamiltonian,
-                       options: LanczosOptions | None = None) -> SpectralReport:
-    """``report`` of the unshifted H, completed with the full range of
-    ``shifted`` and the deviation it gives."""
-    full = spectral_range(shifted, None, report.method, options)
-    return replace(report, delta_e_shifted=full.delta,
-                   deviation=deviation_metric(report.delta_e, full.delta,
-                                              report.delta_e_ens),
-                   converged=report.converged and full.converged)
+def build_spectral_report(hamiltonian: MolecularHamiltonian,
+                          shifted: MolecularHamiltonian | None = None,
+                          method: str = "exact",
+                          options: LanczosOptions | None = None) -> SpectralReport:
+    """Assemble ranges of H (full Fock and its n_elec sector) and, when a
+    shifted Hamiltonian is given, the shifted full range and deviation."""
+    return build_spectral_reports(
+        hamiltonian, () if shifted is None else (shifted,), method,
+        options)[-1]

@@ -87,6 +87,31 @@ def sector_eigenvalues(matrix: np.ndarray, n_spin_orb: int,
     return np.linalg.eigvalsh(matrix[np.ix_(idx, idx)])
 
 
+def excitation_table(n_orb: int, n_elec: int, n_alpha: int | None = None):
+    """The sector's (or its n_alpha spin-0 block's) sorted bitmasks and its
+    (src, dst, pair, sign) entries of <dst|F^k_l|src>, pair = k*n_orb + l,
+    found one (annihilated, created) spin-orbital pair at a time over the
+    enumerated sector: ordered by annihilated, then created spin-orbital,
+    then src."""
+    n_so = 2 * n_orb
+    basis = np.array(sector_indices(n_so, n_elec), dtype=np.int64)
+    bits = (basis[:, None] >> np.arange(n_so)) & 1
+    if n_alpha is not None:
+        keep = bits[:, ::2].sum(axis=1) == n_alpha
+        basis, bits = basis[keep], bits[keep]
+    below = np.cumsum(bits, axis=1) - bits  # occupied bits below each one
+    parts = []
+    for ann in range(n_so):  # a_ann, then a+_cre of the same spin
+        occupied = np.flatnonzero(bits[:, ann])
+        for cre in range(ann % 2, n_so, 2):
+            src = occupied[bits[occupied, cre] == 0] if cre != ann else occupied
+            parity = below[src, ann] + below[src, cre] - (ann < cre)
+            dst = np.searchsorted(basis, (basis[src] ^ (1 << ann)) | (1 << cre))
+            pair = np.full(len(src), cre // 2 * n_orb + ann // 2)
+            parts.append((src, dst, pair, 1.0 - 2.0 * (parity & 1)))
+    return basis, tuple(np.concatenate(col) for col in zip(*parts))
+
+
 def pauli_coefficients(mat: np.ndarray, n_qubits: int) -> np.ndarray:
     """Coefficients c_P = tr(P M) / 2^n over all Pauli products, flattened
     with qubit s as base-4 digit s (identity product at flat index 0)."""

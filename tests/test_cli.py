@@ -210,10 +210,11 @@ def test_oversize_lanczos_exits_invalid_fast(tmp_path, capsys):
     assert "12-electron sector of 24 spin-orbitals" in err
 
 
-def unconverged_report(*args, **kwargs):
-    return SpectralReport(delta_e=2.0, delta_e_ens=1.0, delta_e_shifted=None,
-                          deviation=None, method="lanczos", converged=False,
-                          sector_extremes=((2, -0.5, 0.5),))
+def unconverged_reports(hamiltonian, shifted=(), *args, **kwargs):
+    report = SpectralReport(delta_e=2.0, delta_e_ens=1.0, delta_e_shifted=None,
+                            deviation=None, method="lanczos", converged=False,
+                            sector_extremes=((2, -0.5, 0.5),))
+    return (report,) * (1 + len(shifted))
 
 
 def test_unconverged_lanczos_warns_on_stderr(tmp_path, capsys, monkeypatch):
@@ -222,8 +223,8 @@ def test_unconverged_lanczos_warns_on_stderr(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--method", "df"]) == EXIT_OK
     quiet = capsys.readouterr()
     assert quiet.err == ""
-    monkeypatch.setattr("blisslp.cli.build_spectral_report",
-                        unconverged_report)
+    monkeypatch.setattr("blisslp.cli.build_spectral_reports",
+                        unconverged_reports)
     assert main(argv + ["--method", "df"]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
@@ -347,19 +348,45 @@ def test_compare_equals_separate_runs_and_builds_baseline_once(
     calls = []
     sector_matrix = spectral.sector_matrix
 
-    def counting(hamiltonian, n_elec, n_alpha=None):
+    def counting(hamiltonian, n_elec, n_alpha=None, plan=None):
         calls.append(n_elec)
-        return sector_matrix(hamiltonian, n_elec, n_alpha)
+        return sector_matrix(hamiltonian, n_elec, n_alpha, plan)
 
     monkeypatch.setattr(spectral, "sector_matrix", counting)
     comparison = compare(configs)
     assert [strip_volatile(r.to_dict()) for r in comparison.runs] == separate
-    # One full-Fock sweep (sectors 0..4 of two orbitals) of the unshifted H,
-    # then one per shifting method.
-    assert calls == list(range(5)) * 3
+    # One full-Fock sweep over sectors 0..4 of two orbitals, each sector
+    # computed for the unshifted H and both shifted ones before the next.
+    assert calls == [n for n in range(5) for _ in range(3)]
     with pytest.raises(ValueError, match="share"):
         compare([configs[0], RunConfig(input=path, method="df",
                                        spectral="exact", df_tol=1e-6)])
+
+
+def test_compare_builds_one_plan_per_sector_and_keeps_none(
+        tmp_path, monkeypatch):
+    """A 3-method exact compare builds each sector's block plan once, for
+    H and both shifted Hamiltonians, holds at most one at a time and none
+    after it returns."""
+    import weakref
+
+    from blisslp import spectral
+
+    path = dump_file(tmp_path)
+    plans = []
+    block_plan = spectral._block_plan
+
+    def recording(*args):
+        assert all(plan() is None for plan in plans)
+        plan = block_plan(*args)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(spectral, "_block_plan", recording)
+    compare([RunConfig(input=path, method=m, spectral="exact")
+             for m in ("none", "lp-bliss", "ffr-bliss")])
+    assert len(plans) == 5
+    assert all(plan() is None for plan in plans)
 
 
 def test_compare_factorizes_once_and_shifts_each_fragment_once(

@@ -1,5 +1,6 @@
 """Tests for sector vectors, exact ranges and the Lanczos engine."""
 
+import hashlib
 from math import comb
 
 import numpy as np
@@ -25,7 +26,8 @@ from blisslp import (
     spectral_range,
     truncated_lanczos,
 )
-from blisslp.spectral import _check_memory, _excitation_table, sector_dimension
+from blisslp.spectral import (_check_memory, _excitation_table, _sector_operator,
+                              sector_dimension)
 
 
 def sector_civector(rng, n_spin_orb, n_elec) -> CIVector:
@@ -168,6 +170,117 @@ def test_block_matrix_matches_oracle(n_orb, seed):
         assert np.all(whole[alphas[:, None] != alphas] == 0.0)
     with pytest.raises(ValueError, match="n_alpha"):
         sector_matrix(H, 1, 2)
+
+
+# sha256 of sector_matrix(H, n, a)[0].tobytes() for every block of
+# random_hamiltonian(default_rng(0), 5, 5), recorded from the engine that
+# enumerated the whole sector and looped over (ann, cre) pairs.
+BLOCK_DIGESTS = {
+    (0, 0): "4391d6e0c9df016808c0ecb688f70cb0c5943a60bcc4f61c090c429733cc9038",
+    (1, 0): "a93e4c36bf71591bb82636aabe8b702d845dbcdb57c45a1a9928c97a9d415acf",
+    (1, 1): "a93e4c36bf71591bb82636aabe8b702d845dbcdb57c45a1a9928c97a9d415acf",
+    (2, 0): "66770c1f2c3cd14f124ec86141f284ea26c78e90313389723c1f61969b240653",
+    (2, 1): "ddf5979c9c83fdb0e66497aa35dd0331851d24362af08f62b8f7661cf19797d0",
+    (2, 2): "66770c1f2c3cd14f124ec86141f284ea26c78e90313389723c1f61969b240653",
+    (3, 0): "a555868896b333ad0386c6e5a743396176057ef09fbbdd95ddc6263a4c6c7351",
+    (3, 1): "36ef267e53d788de71fc578e7b5ffd81574d800f84c98c9701cf1a95e2512c62",
+    (3, 2): "74baabebbd10cdd3379cf897354989052dcbca0a24be04954f933e429c92b7d2",
+    (3, 3): "a555868896b333ad0386c6e5a743396176057ef09fbbdd95ddc6263a4c6c7351",
+    (4, 0): "367af9875af46b1d3fe5a447551edfd1b3b380cda7fc7f46de2db5e413993b6a",
+    (4, 1): "1f9b0bf83e0e23671e0a4f5c9d43601983e4cf13a004bcd02d5a9f4acd374143",
+    (4, 2): "eefd1743cc6ac4dfc853afb2eb85a3b48847582f7dc48b2997010a72eb9e1052",
+    (4, 3): "cc21f4215574be6a3e69e01072b8e387b29685e4d6c8839b0b6923a9905ed888",
+    (4, 4): "367af9875af46b1d3fe5a447551edfd1b3b380cda7fc7f46de2db5e413993b6a",
+    (5, 0): "a342ed77f13d3de84014644fd1360ce09c5aa8e930821793a5ffd8681a3f035f",
+    (5, 1): "ddf8935174727554390c3e83f98628fd3dd9127a0ab8d970725752a1d59ef6bd",
+    (5, 2): "837fbd2d700bfc14afb70a251a4619e00e73bd0220e99b88c371440a326111c0",
+    (5, 3): "a954f0ae51767c34400df1487f758b513d0b10c52964731c3051e69a766f6a8d",
+    (5, 4): "ac53c058e9c0c39d880d77d9e469778d84fc0f8b3211a3c4ccf91a31c8b80843",
+    (5, 5): "a342ed77f13d3de84014644fd1360ce09c5aa8e930821793a5ffd8681a3f035f",
+    (6, 1): "ef3347ed620c2eff3801285b67e4b7633ce7564f14a473814101b57738a8b067",
+    (6, 2): "11421cc99dd5e3ded1eeaaa553a34cd837b909ba076f733dddf7d3542662d445",
+    (6, 3): "4b83f9b3a793cb5a43134e0e6966bbb7e01d3702fbe9fff766501c59dc097b06",
+    (6, 4): "b3ef96ecb8315ff8703555f8f9c877b00536310aa2e6a9ae66228bc68b075bd2",
+    (6, 5): "ef3347ed620c2eff3801285b67e4b7633ce7564f14a473814101b57738a8b067",
+    (7, 2): "8a626fd6a401b936237c209b5798b038d3936005ad09997afefaeff8488ffdd0",
+    (7, 3): "679ca3106cf983db22b49be8c84aae371241a946bc4e0901485006943d863f7d",
+    (7, 4): "305c62529bb9535ba0c28c581cbeb3e6132a30b1020fa660aad5e0f3f77489b1",
+    (7, 5): "8a626fd6a401b936237c209b5798b038d3936005ad09997afefaeff8488ffdd0",
+    (8, 3): "f32814406ec65047aa99fbb3fc5af1a8a17d3c66c14330caf57cf972797d66f2",
+    (8, 4): "d807c658633260d184042d52f19ac2862270d713cb345a6a05a5567dbc52bdfb",
+    (8, 5): "f32814406ec65047aa99fbb3fc5af1a8a17d3c66c14330caf57cf972797d66f2",
+    (9, 4): "1fbb612d2068b18bb9123fad331a1cd81bcd54766e67a6d7350aa3742611888f",
+    (9, 5): "1fbb612d2068b18bb9123fad331a1cd81bcd54766e67a6d7350aa3742611888f",
+    (10, 5): "d8e50a1b6648c4535c7d9339491c75b926c9ebf4683313a48215aa5610c609ed",
+}
+
+
+@pytest.mark.parametrize("n_elec", range(11))
+def test_block_matrices_are_pinned(n_elec):
+    """Every block matrix is bit for bit the recorded one: same entries,
+    same summation order."""
+    H = oracles.random_hamiltonian(np.random.default_rng(0), 5, 5)
+    for (n, n_alpha), digest in BLOCK_DIGESTS.items():
+        if n == n_elec:
+            mat, _ = sector_matrix(H, n, n_alpha)
+            assert hashlib.sha256(mat.tobytes()).hexdigest() == digest
+
+
+def test_decay_half_filled_block_is_pinned():
+    H = oracles.decay_hamiltonian(np.random.default_rng(0), 6)
+    mat, _ = sector_matrix(H, 6, 3)
+    assert hashlib.sha256(mat.tobytes()).hexdigest() == (
+        "00d68a29df6680865d90ec819590814e0678bb687f071608595e145959e55b65")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_string_table_equals_sector_loop_table(data):
+    """The table built from alpha and beta strings equals, entry for entry
+    and in order, the one found by enumerating the sector and looping over
+    (annihilated, created) spin-orbital pairs."""
+    n_orb = data.draw(st.integers(2, 5))
+    n_elec = data.draw(st.integers(0, 2 * n_orb))
+    n_alpha = data.draw(st.sampled_from(
+        [None, *range(max(0, n_elec - n_orb), min(n_elec, n_orb) + 1)]))
+    want_basis, want = oracles.excitation_table(n_orb, n_elec, n_alpha)
+    basis, got = _excitation_table(n_orb, n_elec, n_alpha)
+    np.testing.assert_array_equal(basis, want_basis)
+    for got_column, want_column in zip(got, want):
+        np.testing.assert_array_equal(got_column, want_column)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_orb=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_folded_operator_matches_oracle(n_orb, seed):
+    """The pair-folded matvec is the Fock-space oracle, restricted to the
+    block, times a random vector, in every block."""
+    rng = np.random.default_rng(seed)
+    H = oracles.random_hamiltonian(rng, n_orb, n_orb)
+    fock = oracles.fock_matrix(H)
+    for n_elec in range(2 * n_orb + 1):
+        for n_alpha in range(max(0, n_elec - n_orb), min(n_elec, n_orb) + 1):
+            dets, matvec = _sector_operator(H, n_elec, n_alpha)
+            v = rng.normal(size=len(dets))
+            want = fock[np.ix_(dets, dets)] @ v
+            np.testing.assert_allclose(matvec(v), want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_bliss_leaves_the_electron_sector_blocks_unchanged(data, seed):
+    """A BLISS shift vanishes on the n_elec sector, so each of its blocks
+    keeps its matrix."""
+    n_orb = data.draw(st.integers(2, 4))
+    n_elec = data.draw(st.integers(0, 2 * n_orb))
+    rng = np.random.default_rng(seed)
+    H = oracles.random_hamiltonian(rng, n_orb, n_elec)
+    shifted = apply_bliss(H, oracles.random_bliss(rng, n_orb))
+    for n_alpha in range(max(0, n_elec - n_orb), min(n_elec, n_orb) + 1):
+        mat, _ = sector_matrix(H, n_elec, n_alpha)
+        np.testing.assert_allclose(sector_matrix(shifted, n_elec, n_alpha)[0],
+                                   mat, rtol=0, atol=1e-10 * np.abs(mat).max())
 
 
 @pytest.mark.parametrize("n_orb, n_elec", [(2, 2), (3, 3), (4, 3)])
