@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -77,9 +78,10 @@ class RunConfig:
         if self.spectral not in SPECTRAL_CHOICES:
             raise ValueError(f"unknown spectral mode {self.spectral!r}; "
                              f"expected one of {SPECTRAL_CHOICES}")
-        if self.lanczos_tol <= 0.0 or self.df_tol < 0.0:
+        if not (0.0 < self.lanczos_tol < math.inf
+                and 0.0 <= self.df_tol < math.inf):
             raise ValueError("lanczos_tol must be positive and df_tol "
-                             "non-negative")
+                             "non-negative, both finite")
         if self.lp_max_iters is not None and self.lp_max_iters < 1:
             raise ValueError(f"lp_max_iters must be >= 1, got "
                              f"{self.lp_max_iters}")

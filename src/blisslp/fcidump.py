@@ -33,10 +33,17 @@ import numpy as np
 
 from .hamiltonian import MolecularHamiltonian
 
-__all__ = ["FcidumpError", "parse_fcidump", "write_fcidump"]
+__all__ = ["FcidumpError", "parse_fcidump", "write_fcidump",
+           "PARSE_MEMORY_LIMIT_BYTES"]
 
 # Entries listed more than once must agree to this absolute tolerance.
 DUPLICATE_ATOL = 1e-10
+# Predicted peak memory of a parse above which NORB is refused before any
+# array is allocated.  A parse holds five dense float N^4 arrays at once, the
+# expanded (ij|kl), g = (ij|kl)/2, the Hamiltonian's copy of g and two
+# temporaries of its symmetry check: 40 N^4 B, so NORB <= 85 is admitted
+# (N=76 needs 1.2 GiB).
+PARSE_MEMORY_LIMIT_BYTES = 2 * 1024 ** 3
 
 _HEADER_FIELD = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([^=]*?)(?=[,\s][A-Za-z][A-Za-z0-9]*\s*=|$)")
 
@@ -120,7 +127,8 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
 
     Bytes are decoded as UTF-8.  Duplicate entries for the same symmetry
     orbit are tolerated when their values agree to 1e-10 (the last value
-    wins); bytes that are not UTF-8, an NELEC outside [0, 2 NORB],
+    wins); bytes that are not UTF-8, a NORB whose dense N^4 arrays would
+    outgrow ``PARSE_MEMORY_LIMIT_BYTES``, an NELEC outside [0, 2 NORB],
     conflicting duplicates, non-finite values (``nan``, ``inf``, an
     exponent that overflows, or records whose sum in h overflows) and
     malformed records raise
@@ -147,6 +155,12 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
               if "ORBSYM" in fields else None)
     if n_orb < 1:
         raise FcidumpError(f"NORB must be positive, got {n_orb}", 1)
+    need = 40 * n_orb ** 4  # five float N^4 arrays
+    if need > PARSE_MEMORY_LIMIT_BYTES:
+        raise FcidumpError(
+            f"NORB={n_orb} needs about {need / 2**30:.1f} GiB of dense N^4 "
+            f"arrays, above PARSE_MEMORY_LIMIT_BYTES "
+            f"({PARSE_MEMORY_LIMIT_BYTES} B)", 1)
     if not 0 <= n_elec <= 2 * n_orb:
         raise FcidumpError(
             f"NELEC must lie in [0, {2 * n_orb}], got {n_elec}", 1)

@@ -41,7 +41,8 @@ import numpy as np
 from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
 from .l1min import (L1Problem, L1Solution, L1Status, SolverOptions,
                     l1_minimize, merge_duplicate_rows, weighted_median)
-from .pauli import PauliNormBreakdown, pauli_one_norm, pauli_terms
+from .pauli import (PAULI_TERM_WEIGHTS, PauliNormBreakdown, pauli_one_norm,
+                    pauli_terms)
 
 __all__ = [
     "LpBlissVarMap",
@@ -122,7 +123,7 @@ def _rhs_and_weights(
     terms = pauli_terms(hamiltonian)
     b = -np.concatenate([t.ravel() for t in terms])
     weights = np.concatenate([np.full(t.size, w)
-                              for t, w in zip(terms, (1.0, 0.5, 1.0))])
+                              for t, w in zip(terms, PAULI_TERM_WEIGHTS)])
     return b, weights
 
 

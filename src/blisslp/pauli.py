@@ -19,7 +19,11 @@ import numpy as np
 
 from .hamiltonian import MolecularHamiltonian
 
-__all__ = ["PauliNormBreakdown", "pauli_terms", "pauli_one_norm"]
+__all__ = ["PauliNormBreakdown", "PAULI_TERM_WEIGHTS", "pauli_terms",
+           "pauli_one_norm"]
+
+# Weight of each of the three sums in lambda, in ``pauli_terms`` order.
+PAULI_TERM_WEIGHTS = (1.0, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,6 @@ def pauli_one_norm(hamiltonian: MolecularHamiltonian) -> PauliNormBreakdown:
     Sums run in lexicographic index order, so repeated evaluation of the same
     tensors reproduces the decomposition bit for bit.
     """
-    one_body, direct, exchange = pauli_terms(hamiltonian)
-    term1 = float(np.abs(one_body).sum())
-    term2 = 0.5 * float(np.abs(direct).sum())
-    term3 = float(np.abs(exchange).sum())
+    term1, term2, term3 = (weight * float(np.abs(term).sum()) for weight, term
+                           in zip(PAULI_TERM_WEIGHTS, pauli_terms(hamiltonian)))
     return PauliNormBreakdown(term1, term2, term3, term1 + term2 + term3)

@@ -24,6 +24,8 @@ vectors of a fully reorthogonalized iteration.  The projected matrix uses
 exact H applications, so Lanczos estimates are variational (the lowest
 never undershoots the true minimum, the highest never overshoots the
 maximum) and the derived spectral range is a lower bound on the exact one.
+No table spans a sector: ``apply_hamiltonian`` applies H block by block.
+Memory is predicted once on each path that allocates (``_check_memory``).
 """
 
 from __future__ import annotations
@@ -112,6 +114,9 @@ class CIVector:
     n_spin_orb: int
 
     def __post_init__(self) -> None:
+        if not 0 <= self.n_elec <= self.n_spin_orb:
+            raise ValueError(f"n_elec={self.n_elec} outside "
+                             f"[0, {self.n_spin_orb}]")
         entries = dict(self.entries)
         for occ, amp in entries.items():
             if occ < 0 or occ >> self.n_spin_orb:
@@ -163,7 +168,9 @@ def _spin_blocks(n_orb: int, n_elec: int) -> range:
 def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
                   max_iters: int = 0, exact: bool = False) -> None:
     """Refuse a sector, or its block with ``n_alpha`` spin-0 electrons,
-    predicted to outgrow the memory limit.
+    predicted to outgrow the memory limit.  Called once per allocating
+    path: by ``_block_plan``, ``truncated_lanczos``, ``apply_hamiltonian``
+    per block, ``sector_matrix`` for a whole sector, and a sweep up front.
 
     A block with a spin-0 and b spin-1 electrons has C(N,a) C(N,b)
     determinants, each with deg = a(N-a+1) + b(N-b+1) table entries out of
@@ -176,11 +183,11 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
     indices and signs per triple, and a matrix build 8 B of weights.
     """
     if not 0 <= n_elec <= 2 * n_orb:
-        return  # _excitation_table names the bad n_elec
+        return  # _block_table names the bad n_elec
     blocks = _spin_blocks(n_orb, n_elec)
     if n_alpha is not None:
         if n_alpha not in blocks:
-            return  # _excitation_table names the bad n_alpha
+            return  # _block_table names the bad n_alpha
         blocks = (n_alpha,)
     sizes = [(sector_dimension(2 * n_orb, n_elec, a),
               a * (n_orb - a + 1) + (n_elec - a) * (n_orb - n_elec + a + 1))
@@ -226,10 +233,16 @@ def _string_excitations(masks: np.ndarray, occupied: np.ndarray,
 
 
 def _block_table(n_orb: int, n_elec: int, n_alpha: int):
-    """The sorted basis of one block and its (src, dst, key, sign) table,
-    key = ann * N + cre // 2 for the annihilated and created spin-orbitals,
-    from the block's alpha and beta strings (Knowles and Handy, Chem. Phys.
-    Lett. 111, 315 (1984)).  Entries are ordered by key, then src."""
+    """The sorted basis of the block with n_alpha spin-0 electrons and its
+    (src, dst, pair, sign) table of every nonzero <dst|F^k_l|src> = sign,
+    pair = k*n_orb + l, diagonal included, ordered by annihilated
+    spin-orbital, then created spin-orbital, then src."""
+    if not 0 <= n_elec <= 2 * n_orb:
+        raise ValueError(f"n_elec={n_elec} outside [0, {2 * n_orb}]")
+    blocks = _spin_blocks(n_orb, n_elec)
+    if n_alpha not in blocks:
+        raise ValueError(f"n_alpha={n_alpha} outside the blocks {blocks} "
+                         f"of the {n_elec}-electron sector")
     n = n_orb
     (masks_a, occ_a, below_a), (masks_b, occ_b, below_b) = (
         _strings(n, n_alpha), _strings(n, n_elec - n_alpha))
@@ -264,60 +277,29 @@ def _block_table(n_orb: int, n_elec: int, n_alpha: int):
     # for 8 or 16 bits) orders the entries by key, then src.
     order = np.argsort(key.reshape(len(dets), deg)[by_mask].ravel(),
                        kind="stable")
-    key = np.repeat(np.arange(2 * n * n, dtype=key.dtype),
-                    np.bincount(key.ravel(), minlength=2 * n * n))
+    # Sorted by key = ann * N + cre // 2, each key's run is one pair k*N + l.
+    ann, cre = np.divmod(np.arange(2 * n * n), n)
+    pair = np.repeat((cre * n + ann // 2).astype(key.dtype),
+                     np.bincount(key.ravel(), minlength=2 * n * n))
     target = target.reshape(len(dets), deg)[by_mask].ravel()
     dst = position[target[order]]
     del target
     parity = parity.reshape(len(dets), deg)[by_mask].ravel()[order]
     sign = (1 - 2 * (parity & 1)).astype(np.int8)
-    return dets[by_mask], (order // max(deg, 1), dst, key, sign)
-
-
-def _excitation_table(n_orb: int, n_elec: int, n_alpha: int | None = None):
-    """The basis (sorted bitmasks) of the sector or, given ``n_alpha``, of
-    its block with n_alpha spin-0 electrons, and flat arrays (src, dst,
-    pair, sign) listing every nonzero <dst|F^k_l|src> = sign inside it, with
-    pair = k*n_orb + l; diagonal k == l entries included.  Entries are
-    ordered by annihilated spin-orbital, then created spin-orbital, then
-    src.  F^k_l keeps both spin counts, so a block is closed under it."""
-    _check_memory(n_orb, n_elec, n_alpha)
-    if not 0 <= n_elec <= 2 * n_orb:
-        raise ValueError(f"n_elec={n_elec} outside [0, {2 * n_orb}]")
-    blocks = _spin_blocks(n_orb, n_elec)
-    if n_alpha is not None:
-        if n_alpha not in blocks:
-            raise ValueError(f"n_alpha={n_alpha} outside the blocks {blocks} "
-                             f"of the {n_elec}-electron sector")
-        basis, (src, dst, key, sign) = _block_table(n_orb, n_elec, n_alpha)
-    else:  # the direct sum of the blocks, in one sorted basis
-        parts = [_block_table(n_orb, n_elec, a) for a in blocks]
-        basis = np.sort(np.concatenate([dets for dets, _ in parts]))
-        columns = []
-        for dets, (src, dst, key, sign) in parts:
-            at = np.searchsorted(basis, dets)
-            columns.append((at[src], at[dst], key, sign))
-        src, dst, key, sign = (np.concatenate(c) for c in zip(*columns))
-        order = np.lexsort((src, key))
-        src, dst, key, sign = (x[order] for x in (src, dst, key, sign))
-    # Entries run in key order: each key's pair repeats over its run.
-    ann, cre = np.divmod(np.arange(2 * n_orb ** 2), n_orb)
-    pair = np.repeat(cre * n_orb + ann // 2,
-                     np.bincount(key, minlength=2 * n_orb ** 2))
-    return basis, (src, dst, pair, sign)
+    return dets[by_mask], (order // max(deg, 1), dst, pair, sign)
 
 
 def _sector_operator(hamiltonian: MolecularHamiltonian, n_elec: int,
-                     n_alpha: int | None = None):
-    """The basis of the sector (or of its ``n_alpha`` block) and v -> H v on
-    dense vectors over it.
+                     n_alpha: int):
+    """The basis of the sector's ``n_alpha`` block and v -> H v on dense
+    vectors over it.
 
     h and g are symmetric in each index pair, so F^k_l and F^l_k share one
     row of the intermediate w: the N(N+1)/2 pairs k <= l.  Every entry
     <d|F^k_l|s> has its mirror <s|F^l_k|d> of the same sign in the same row,
     so the second scatter can run through the entries reversed."""
-    basis, (src, dst, pair, sign) = _excitation_table(hamiltonian.n_orb, n_elec,
-                                                      n_alpha)
+    basis, (src, dst, pair, sign) = _block_table(hamiltonian.n_orb, n_elec,
+                                                 n_alpha)
     n, dim = hamiltonian.n_orb, len(basis)
     k, l = np.triu_indices(n)
     rows = np.empty((n, n), dtype=np.int64)
@@ -343,16 +325,24 @@ def _sector_operator(hamiltonian: MolecularHamiltonian, n_elec: int,
 
 def apply_hamiltonian(hamiltonian: MolecularHamiltonian,
                       vector: CIVector) -> CIVector:
-    """H|v> with exact fermionic sign bookkeeping; sector is preserved."""
+    """H|v> with exact fermionic sign bookkeeping; sector is preserved.
+    H keeps both spin counts, so only the blocks v touches are built."""
     if vector.n_spin_orb != hamiltonian.n_spin_orb:
         raise ValueError("vector and Hamiltonian sizes differ")
-    basis, matvec = _sector_operator(hamiltonian, vector.n_elec)
-    v = np.zeros(len(basis))
-    v[np.searchsorted(basis, np.fromiter(vector.entries, np.int64))] = \
-        np.fromiter(vector.entries.values(), float)
-    entries = {occ: a for occ, a in zip(basis.tolist(), matvec(v).tolist())
-               if a != 0.0}
-    return CIVector(entries, vector.n_elec, vector.n_spin_orb)
+    n_orb, n_elec = hamiltonian.n_orb, vector.n_elec
+    occupancy = np.fromiter(vector.entries, np.int64, len(vector.entries))
+    alphas = ((occupancy[:, None] >> 2 * np.arange(n_orb)) & 1).sum(axis=1)
+    amplitude = np.fromiter(vector.entries.values(), float, len(alphas))
+    entries = {}
+    for n_alpha in np.unique(alphas).tolist():
+        _check_memory(n_orb, n_elec, n_alpha)
+        basis, matvec = _sector_operator(hamiltonian, n_elec, n_alpha)
+        v = np.zeros(len(basis))
+        mine = alphas == n_alpha
+        v[np.searchsorted(basis, occupancy[mine])] = amplitude[mine]
+        entries.update((occ, a) for occ, a
+                       in zip(basis.tolist(), matvec(v).tolist()) if a != 0.0)
+    return CIVector(dict(sorted(entries.items())), n_elec, vector.n_spin_orb)
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,7 +364,7 @@ class _BlockPlan:
 def _block_plan(n_orb: int, n_elec: int, n_alpha: int) -> _BlockPlan:
     """The plan of one block's dense matrix."""
     _check_memory(n_orb, n_elec, n_alpha, exact=True)
-    basis, (src, dst, pair, sign) = _excitation_table(n_orb, n_elec, n_alpha)
+    basis, (src, dst, pair, sign) = _block_table(n_orb, n_elec, n_alpha)
     dim, n_one = len(basis), len(src)
     # g_ijkl F^i_j F^k_l passes through an intermediate c: every entry out of
     # c (F^i_j, to d) meets every entry into c (F^k_l, from s).  All members
@@ -416,7 +406,6 @@ def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
     The sector matrix is the direct sum of its blocks.  ``plan``, from
     ``_block_plan`` for the same block, saves building the block's table."""
     n_orb = hamiltonian.n_orb
-    _check_memory(n_orb, n_elec, n_alpha, exact=True)
     if n_alpha is not None:
         if plan is None:
             plan = _block_plan(n_orb, n_elec, n_alpha)
@@ -426,6 +415,7 @@ def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
         return _block_matrix(hamiltonian, plan), tuple(plan.basis.tolist())
     if plan is not None:
         raise ValueError("a plan serves one block; give its n_alpha")
+    _check_memory(n_orb, n_elec, exact=True)
     blocks = []
     for a in _spin_blocks(n_orb, n_elec):
         plan = _block_plan(n_orb, n_elec, a)
@@ -488,8 +478,8 @@ class LanczosOptions:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,8 @@ def sector_eigenvalues(matrix: np.ndarray, n_spin_orb: int,
     return np.linalg.eigvalsh(matrix[np.ix_(idx, idx)])
 
 
-def excitation_table(n_orb: int, n_elec: int, n_alpha: int | None = None):
-    """The sector's (or its n_alpha spin-0 block's) sorted bitmasks and its
+def excitation_table(n_orb: int, n_elec: int, n_alpha: int):
+    """The sorted bitmasks of the sector's n_alpha spin-0 block and its
     (src, dst, pair, sign) entries of <dst|F^k_l|src>, pair = k*n_orb + l,
     found one (annihilated, created) spin-orbital pair at a time over the
     enumerated sector: ordered by annihilated, then created spin-orbital,
@@ -96,9 +96,8 @@ def excitation_table(n_orb: int, n_elec: int, n_alpha: int | None = None):
     n_so = 2 * n_orb
     basis = np.array(sector_indices(n_so, n_elec), dtype=np.int64)
     bits = (basis[:, None] >> np.arange(n_so)) & 1
-    if n_alpha is not None:
-        keep = bits[:, ::2].sum(axis=1) == n_alpha
-        basis, bits = basis[keep], bits[keep]
+    keep = bits[:, ::2].sum(axis=1) == n_alpha
+    basis, bits = basis[keep], bits[keep]
     below = np.cumsum(bits, axis=1) - bits  # occupied bits below each one
     parts = []
     for ann in range(n_so):  # a_ann, then a+_cre of the same spin

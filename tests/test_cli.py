@@ -171,6 +171,9 @@ def test_malformed_fcidump_names_line(tmp_path, capsys):
     code = main(["run", "--input", str(path)])
     assert code == EXIT_INVALID
     assert "line 3" in capsys.readouterr().err
+    path.write_text(" &FCI NORB=100000,NELEC=2,\n &END\n 0.0 0 0 0 0\n")
+    assert main(["run", "--input", str(path)]) == EXIT_INVALID
+    assert "line 1: NORB=100000" in capsys.readouterr().err
 
 
 def test_solver_iteration_limit_exits_solver(tmp_path, capsys):
@@ -182,9 +185,12 @@ def test_solver_iteration_limit_exits_solver(tmp_path, capsys):
 
 def test_invalid_option_value_exits_invalid(tmp_path, capsys):
     path = dump_file(tmp_path)
-    assert main(["run", "--input", path,
-                 "--lanczos-tol", "-1.0"]) == EXIT_INVALID
-    capsys.readouterr()
+    for option, value in (("--lanczos-tol", "-1.0"), ("--lanczos-tol", "inf"),
+                          ("--lanczos-tol", "nan"), ("--df-tol", "nan"),
+                          ("--df-tol", "inf")):
+        assert main(["run", "--input", path, "--spectral", "lanczos",
+                     option, value]) == EXIT_INVALID
+        assert "both finite" in capsys.readouterr().err
     for budget in ("0", "-3"):
         assert main(["run", "--input", path, "--method", "lp-bliss",
                      "--lp-max-iters", budget]) == EXIT_INVALID
@@ -449,9 +455,12 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="unknown spectral"):
         RunConfig(input="x", spectral="always")
     assert RunConfig(input="x", df_tol=0.0).df_tol == 0.0
-    with pytest.raises(ValueError, match="lanczos_tol must be positive and "
-                                         "df_tol non-negative"):
-        RunConfig(input="x", df_tol=-1.0)
+    bad = [{"df_tol": -1.0}, {"df_tol": float("nan")}, {"df_tol": float("inf")},
+           {"lanczos_tol": float("nan")}, {"lanczos_tol": float("inf")}]
+    for fields in bad:
+        with pytest.raises(ValueError, match="lanczos_tol must be positive "
+                                             "and df_tol non-negative"):
+            RunConfig(input="x", **fields)
     assert RunConfig(input="x", lp_max_iters=1).lp_max_iters == 1
     for budget in (0, -3):
         with pytest.raises(ValueError, match="lp_max_iters must be >= 1"):

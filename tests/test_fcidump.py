@@ -1,6 +1,8 @@
 """Tests for FCIDUMP parsing and emission."""
 
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +190,29 @@ def test_parse_missing_header_fields():
         parse_fcidump("   \n\n")
 
 
+@pytest.mark.parametrize("n_orb", [100000, 300, 86])
+def test_parse_refuses_oversize_norb_before_allocating(n_orb):
+    """The parse's dense N^4 arrays are sized from the header alone, so an
+    oversize NORB is refused at line 1 with nothing allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FcidumpError, match="PARSE_MEMORY_LIMIT_BYTES") as err:
+            parse_fcidump(f" &FCI NORB={n_orb},NELEC=2,\n &END\n 0.0 0 0 0 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 1
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n_orb", [76, 85])
+def test_parse_admits_paper_scale_norb(n_orb):
+    """NORB up to 85 passes the size check: the header's bad NELEC, checked
+    after it, is what stops these parses before anything is allocated."""
+    with pytest.raises(FcidumpError, match="NELEC must lie in"):
+        parse_fcidump(f" &FCI NORB={n_orb},NELEC=999,\n &END\n")
+
+
 @pytest.mark.parametrize("orbsym", ["a,b", "2*"])
 def test_parse_malformed_orbsym_names_line(orbsym):
     with pytest.raises(FcidumpError, match="ORBSYM") as err:
@@ -226,15 +251,25 @@ def test_roundtrip_first_parse_example():
     assert H2.e_const == pytest.approx(H.e_const, abs=1e-12)
 
 
+@settings(max_examples=16, deadline=None)
+@given(orbsym=st.booleans(), isym=st.booleans(),
+       letter=st.sampled_from("EeDd"))
 @pytest.mark.parametrize("seed", range(6))
-def test_roundtrip_random(seed):
+def test_roundtrip_random(seed, orbsym, isym, letter):
+    """Write/parse round trip, with or without ORBSYM and ISYM, whatever
+    exponent letter the records use."""
     rng = np.random.default_rng(200 + seed)
     n = int(rng.integers(1, 5))
-    H = oracles.random_hamiltonian(rng, n, int(rng.integers(0, 2 * n + 1)))
-    H2 = parse_fcidump(write_fcidump(H))
+    H = replace(
+        oracles.random_hamiltonian(rng, n, int(rng.integers(0, 2 * n + 1))),
+        orbsym=tuple(rng.integers(1, 9, n).tolist()) if orbsym else None,
+        isym=int(rng.integers(1, 9)) if isym else None)
+    header, records = write_fcidump(H).split("&END\n")
+    H2 = parse_fcidump(header + "&END\n" + records.replace("E", letter))
     assert H2.n_orb == H.n_orb
     assert H2.n_elec == H.n_elec
     assert H2.ms2 == H.ms2
+    assert (H2.orbsym, H2.isym) == (H.orbsym, H.isym)
     np.testing.assert_allclose(H2.h, H.h, atol=1e-12)
     np.testing.assert_allclose(H2.g, H.g, atol=1e-12)
     assert H2.e_const == pytest.approx(H.e_const, abs=1e-12)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from blisslp import MolecularHamiltonian, pauli_one_norm
@@ -51,16 +53,27 @@ def test_homogeneity(scale):
         scale * pauli_one_norm(H).lambda_total, abs=1e-12)
 
 
+def _check_jordan_wigner(H):
+    got = pauli_one_norm(H).lambda_total
+    want = oracles.jw_pauli_one_norm(H)
+    assert got == pytest.approx(want, abs=1e-10)
+
+
 @pytest.mark.parametrize("n_orb, seed", [(1, 0), (1, 1), (2, 2), (2, 3),
                                          (3, 4), (3, 5)])
 def test_jordan_wigner_oracle_equivalence(n_orb, seed):
     """lambda equals the non-identity coefficient 1-norm of the explicit
-    qubit operator."""
+    qubit operator, on pinned random Hamiltonians."""
     rng = np.random.default_rng(300 + seed)
-    H = oracles.random_hamiltonian(rng, n_orb, n_orb)
-    got = pauli_one_norm(H).lambda_total
-    want = oracles.jw_pauli_one_norm(H)
-    assert got == pytest.approx(want, abs=1e-10)
+    _check_jordan_wigner(oracles.random_hamiltonian(rng, n_orb, n_orb))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_orb=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_jordan_wigner_oracle_equivalence_drawn(n_orb, seed):
+    """The same equivalence for hypothesis-drawn Hamiltonians of N = 1..3."""
+    rng = np.random.default_rng(seed)
+    _check_jordan_wigner(oracles.random_hamiltonian(rng, n_orb, n_orb))
 
 
 @pytest.mark.parametrize("seed", range(5))

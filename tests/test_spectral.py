@@ -26,7 +26,8 @@ from blisslp import (
     spectral_range,
     truncated_lanczos,
 )
-from blisslp.spectral import (_check_memory, _excitation_table, _sector_operator,
+from blisslp import spectral
+from blisslp.spectral import (_block_table, _check_memory, _sector_operator,
                               sector_dimension)
 
 
@@ -67,6 +68,8 @@ def test_civector_validation_and_algebra():
         CIVector(entries={0b0011: float("nan")}, n_elec=2, n_spin_orb=4)
     with pytest.raises(ValueError, match="sectors"):
         vec.dot(CIVector(entries={}, n_elec=1, n_spin_orb=4))
+    with pytest.raises(ValueError, match="n_elec=5 outside"):
+        CIVector(entries={}, n_elec=5, n_spin_orb=4)
 
 
 def test_sector_enumeration():
@@ -117,6 +120,26 @@ def test_apply_sector_mismatch_error():
     with pytest.raises(ValueError, match="differ"):
         apply_hamiltonian(H, CIVector(entries={0b11: 1.0}, n_elec=2,
                                       n_spin_orb=6))
+
+
+def test_apply_builds_only_the_touched_block(monkeypatch):
+    """A determinant of the 3-electron sector of N=3 lies in one of its four
+    spin blocks, and only that block's table is built."""
+    H = oracles.random_hamiltonian(np.random.default_rng(64), 3, 3)
+    built = []
+
+    def counting(n_orb, n_elec, n_alpha):
+        built.append(n_alpha)
+        return block_table(n_orb, n_elec, n_alpha)
+
+    block_table = spectral._block_table
+    monkeypatch.setattr(spectral, "_block_table", counting)
+    det = 0b000111  # spin-orbitals 0 and 2 (spin 0), 1 (spin 1)
+    out = apply_hamiltonian(H, CIVector({det: 1.0}, 3, 6))
+    assert built == [2]
+    idx = oracles.sector_indices(6, 3)
+    want = oracles.fock_matrix(H)[np.ix_(idx, idx)][:, idx.index(det)]
+    np.testing.assert_allclose(civector_to_dense(out), want, atol=1e-10)
 
 
 def test_apply_linearity_and_hermiticity():
@@ -236,15 +259,14 @@ def test_decay_half_filled_block_is_pinned():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_string_table_equals_sector_loop_table(data):
-    """The table built from alpha and beta strings equals, entry for entry
-    and in order, the one found by enumerating the sector and looping over
-    (annihilated, created) spin-orbital pairs."""
+    """The block table built from alpha and beta strings equals, entry for
+    entry and in order, the one found by enumerating the sector and looping
+    over (annihilated, created) spin-orbital pairs."""
     n_orb = data.draw(st.integers(2, 5))
     n_elec = data.draw(st.integers(0, 2 * n_orb))
-    n_alpha = data.draw(st.sampled_from(
-        [None, *range(max(0, n_elec - n_orb), min(n_elec, n_orb) + 1)]))
+    n_alpha = data.draw(st.integers(max(0, n_elec - n_orb), min(n_elec, n_orb)))
     want_basis, want = oracles.excitation_table(n_orb, n_elec, n_alpha)
-    basis, got = _excitation_table(n_orb, n_elec, n_alpha)
+    basis, got = _block_table(n_orb, n_elec, n_alpha)
     np.testing.assert_array_equal(basis, want_basis)
     for got_column, want_column in zip(got, want):
         np.testing.assert_array_equal(got_column, want_column)
@@ -285,24 +307,27 @@ def test_bliss_leaves_the_electron_sector_blocks_unchanged(data, seed):
 
 @pytest.mark.parametrize("n_orb, n_elec", [(2, 2), (3, 3), (4, 3)])
 def test_excitation_table_matches_oracle(n_orb, n_elec):
-    """Every spin-summed F^k_l element of the sector, listed once, with its
-    entry count equal to the pre-flight memory model's."""
-    basis, (src, dst, pair, sign) = _excitation_table(n_orb, n_elec)
-    assert tuple(basis.tolist()) == sector_determinants(2 * n_orb, n_elec)
-    idx = oracles.sector_indices(2 * n_orb, n_elec)
+    """Every spin-summed F^k_l element of each block of the sector, listed
+    once, with the blocks' entry count equal to the pre-flight memory
+    model's."""
     excitations = oracles.excitation_matrices(n_orb)
-    for k in range(n_orb):
-        for l in range(n_orb):
-            got = np.zeros((len(basis), len(basis)))
-            mine = pair == k * n_orb + l
-            np.add.at(got, (dst[mine], src[mine]), sign[mine])
-            want = excitations[k][l][np.ix_(idx, idx)]
-            np.testing.assert_array_equal(got, want)
-    n_entries = sum(
+    bases, n_entries = [], 0
+    for n_alpha in range(max(0, n_elec - n_orb), min(n_elec, n_orb) + 1):
+        basis, (src, dst, pair, sign) = _block_table(n_orb, n_elec, n_alpha)
+        for k in range(n_orb):
+            for l in range(n_orb):
+                got = np.zeros((len(basis), len(basis)))
+                mine = pair == k * n_orb + l
+                np.add.at(got, (dst[mine], src[mine]), sign[mine])
+                want = excitations[k][l][np.ix_(basis, basis)]
+                np.testing.assert_array_equal(got, want)
+        bases.extend(basis.tolist())
+        n_entries += len(src)
+    assert tuple(sorted(bases)) == sector_determinants(2 * n_orb, n_elec)
+    assert n_entries == sum(
         comb(n_orb, a) * comb(n_orb, n_elec - a)
         * (a * (n_orb - a + 1) + (n_elec - a) * (n_orb - n_elec + a + 1))
         for a in range(n_elec + 1))
-    assert len(src) == n_entries
 
 
 def test_oversize_sector_refused_before_allocation(monkeypatch):
@@ -333,6 +358,26 @@ def test_memory_model_sizes_the_block():
     _check_memory(8, 8, 4, exact=True)
     with pytest.raises(ValueError, match="SPECTRAL_MEMORY_LIMIT_BYTES"):
         _check_memory(8, 8, exact=True)
+
+
+def test_memory_checked_once_per_allocating_path(monkeypatch):
+    """An exact sweep checks each sector up front and once more for its
+    plan, however many Hamiltonians it serves; a plan-fed block matrix is
+    not checked again, and apply_hamiltonian checks each block it touches."""
+    rng = np.random.default_rng(2500)
+    hams = [oracles.random_hamiltonian(rng, 2, 2) for _ in range(3)]
+    checked = []
+    monkeypatch.setattr(spectral, "_check_memory",
+                        lambda *args, **kwargs: checked.append(args[1]))
+    spectral.spectral_ranges(hams)
+    assert sorted(checked) == sorted(2 * list(range(5)))
+    checked.clear()
+    plan = spectral._block_plan(2, 2, 1)
+    sector_matrix(hams[0], 2, 1, plan)
+    assert checked == [2]
+    checked.clear()
+    apply_hamiltonian(hams[0], sector_civector(rng, 4, 2))
+    assert checked == [2, 2, 2]
 
 
 def test_dense_fallback_compares_the_block_dimension(monkeypatch):
@@ -383,8 +428,9 @@ def test_reference_determinant_examples():
 def test_lanczos_options_validation():
     with pytest.raises(ValueError):
         LanczosOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        LanczosOptions(residual_tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="residual_tol must be positive"):
+            LanczosOptions(residual_tol=tol)
 
 
 def test_lanczos_exact_on_two_dim_sector():
