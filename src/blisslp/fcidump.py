@@ -38,11 +38,12 @@ __all__ = ["FcidumpError", "parse_fcidump", "write_fcidump",
 
 # Entries listed more than once must agree to this absolute tolerance.
 DUPLICATE_ATOL = 1e-10
-# Predicted peak memory of a parse above which NORB is refused before any
-# array is allocated.  A parse holds five dense float N^4 arrays at once, the
-# expanded (ij|kl), g = (ij|kl)/2, the Hamiltonian's copy of g and two
-# temporaries of its symmetry check: 40 N^4 B, so NORB <= 85 is admitted
-# (N=76 needs 1.2 GiB).
+# Predicted peak memory of a parse's dense arrays above which NORB is refused
+# before any array is allocated.  A parse holds four dense float N^4 arrays
+# at once, the expanded (ij|kl) scaled in place to g = (ij|kl)/2, the
+# Hamiltonian's copy of g and two temporaries of its symmetry check: 32 N^4 B
+# (tracemalloc at N=20 and 40), so NORB <= 90 is admitted (N=76 needs
+# 0.99 GiB).  The listed records' Python table comes on top of that.
 PARSE_MEMORY_LIMIT_BYTES = 2 * 1024 ** 3
 
 _HEADER_FIELD = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([^=]*?)(?=[,\s][A-Za-z][A-Za-z0-9]*\s*=|$)")
@@ -155,7 +156,7 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
               if "ORBSYM" in fields else None)
     if n_orb < 1:
         raise FcidumpError(f"NORB must be positive, got {n_orb}", 1)
-    need = 40 * n_orb ** 4  # five float N^4 arrays
+    need = 32 * n_orb ** 4  # four float N^4 arrays
     if need > PARSE_MEMORY_LIMIT_BYTES:
         raise FcidumpError(
             f"NORB={n_orb} needs about {need / 2**30:.1f} GiB of dense N^4 "
@@ -232,8 +233,9 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
         worst = max(feeding, key=lambda key: abs(values[key]))
         raise FcidumpError(f"h[{i - 1}, {j - 1}] overflows to {h[i - 1, j - 1]}",
                            record_line[worst])
+    eri *= 0.5  # g = (ij|kl)/2, in place: bit for bit eri / 2.0
     return MolecularHamiltonian(
-        n_orb=n_orb, e_const=core, h=h, g=eri / 2.0,
+        n_orb=n_orb, e_const=core, h=h, g=eri,
         n_elec=n_elec, ms2=ms2, orbsym=orbsym, isym=isym)
 
 

@@ -17,8 +17,13 @@ nonzero <d|F^k_l|s>.  It is built from the block's alpha and beta strings
 per string space, broadcast to the block with the parity of the crossed
 electrons of the other spin.  A block plan turns the table into the
 scatter of one ``bincount`` that builds the dense block matrix of any H,
-for exact diagonalization; a sweep over several Hamiltonians builds each
-sector's plan once and drops it before the next sector.  The Lanczos
+for exact diagonalization.  An even sector's block is M_S = 0, and the
+spin flip, which commutes with H, splits it into two halves of dimension
+(d +- C(N, n/2))/2 (Olsen et al., J. Chem. Phys. 89, 2185 (1988)): its
+plan keeps one intermediate determinant per flip pair and scatters
+straight into both halves, so the sweep never builds that whole block.  A
+sweep over several Hamiltonians builds each sector's plan once and drops
+it before the next sector.  The Lanczos
 operator folds F^k_l and F^l_k into one row and applies H to the dense
 vectors of a fully reorthogonalized iteration.  The projected matrix uses
 exact H applications, so Lanczos estimates are variational (the lowest
@@ -70,10 +75,15 @@ EXACT_CAP_SPIN_ORBITALS = 16
 EXACT_FALLBACK_DIMENSION = 1000
 # Predicted peak memory of one spin block above which the engine refuses to
 # start; half-filled Lanczos needs about 0.3 GiB at 20 spin-orbitals and
-# 1.2 GiB at 22, and the largest exact block at 16 about 0.6 GiB.
+# 1.2 GiB at 22.  At 16 the exact sweep's largest need is the 7- and
+# 9-electron blocks' 0.41 GiB; the 8-electron block's spin-flip halves need
+# 0.27 GiB (0.60 GiB built whole).
 SPECTRAL_MEMORY_LIMIT_BYTES = 2 * 1024 ** 3
 
 SPECTRAL_METHODS = ("exact", "lanczos")
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# Triples whose g entries a block matrix build gathers at once.
+GATHER_TRIPLES = 1 << 15
 
 
 @dataclass(frozen=True, order=True)
@@ -166,11 +176,13 @@ def _spin_blocks(n_orb: int, n_elec: int) -> range:
 
 
 def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
-                  max_iters: int = 0, exact: bool = False) -> None:
+                  max_iters: int = 0, exact: bool = False,
+                  halves: bool = False) -> None:
     """Refuse a sector, or its block with ``n_alpha`` spin-0 electrons,
     predicted to outgrow the memory limit.  Called once per allocating
-    path: by ``_block_plan``, ``truncated_lanczos``, ``apply_hamiltonian``
-    per block, ``sector_matrix`` for a whole sector, and a sweep up front.
+    path: by ``_block_plan``, ``_flip_plan``, ``truncated_lanczos``,
+    ``apply_hamiltonian`` per block, ``sector_matrix`` for a whole sector,
+    and a sweep up front.
 
     A block with a spin-0 and b spin-1 electrons has C(N,a) C(N,b)
     determinants, each with deg = a(N-a+1) + b(N-b+1) table entries out of
@@ -179,8 +191,14 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
     operator keeps 24 B per entry and two N(N+1)/2 x dim arrays); with
     ``exact``, also 16 B per element of the dense matrix (it and the copy
     ``eigvalsh`` works on) and 32 B per (c, out, in) triple of the largest
-    block's two-body build, dim deg^2 of them: its plan holds 13 B of
-    indices and signs per triple, and a matrix build 8 B of weights.
+    block's two-body build, dim deg^2 of them: its plan holds 9 B of
+    index and sign per triple, and a matrix build 8 B of weights.
+    With ``halves`` the exact path builds the spin-flip halves of the
+    M_S = 0 block instead (``_flip_plan``): 8 B per element of both halves
+    and of the larger one's ``eigvalsh`` copy, and 32 B per (c, out, in)
+    triple of its (dim + C(N, n/2))/2 kept intermediates, (deg + 1)^2
+    each: the plan holds 9 B of index and sign per triple, and a build 8 B
+    of weights.
     """
     if not 0 <= n_elec <= 2 * n_orb:
         return  # _block_table names the bad n_elec
@@ -195,7 +213,12 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
     dim = sum(d for d, _ in sizes)
     need = (32 * sum(d * deg for d, deg in sizes)
             + 8 * dim * (2 * n_orb ** 2 + max_iters))
-    if exact:
+    if exact and halves:
+        ((d, deg),) = sizes
+        upper = (d + math.comb(n_orb, n_elec // 2)) // 2
+        need += (8 * (2 * upper ** 2 + (d - upper) ** 2)
+                 + 32 * upper * (deg + 1) ** 2)
+    elif exact:
         need += 16 * dim ** 2 + 32 * max(d * deg ** 2 for d, deg in sizes)
     if need > SPECTRAL_MEMORY_LIMIT_BYTES:
         block = "" if n_alpha is None else f" ({n_alpha} spin-0 electrons)"
@@ -350,14 +373,16 @@ class _BlockPlan:
     """What the dense matrix of one block takes from its table, for any H:
     ``index`` scatters into the dim x dim matrix the diagonal, the table
     entries (h.ravel()[pair] * sign) and the (c, out, in) triples
-    (g.ravel()[coupling] * coupling_sign), in that order."""
+    (g[out_pair, in_pair] * coupling_sign over pairs k*N + l), in that
+    order."""
 
     block: tuple[int, int, int]  # (n_orb, n_elec, n_alpha)
     basis: np.ndarray
     pair: np.ndarray
     sign: np.ndarray
     index: np.ndarray
-    coupling: np.ndarray
+    out_pair: np.ndarray
+    in_pair: np.ndarray
     coupling_sign: np.ndarray
 
 
@@ -378,24 +403,141 @@ def _block_plan(n_orb: int, n_elec: int, n_alpha: int) -> _BlockPlan:
     np.add(dst * dim, src, out=index[dim:dim + n_one])
     np.add(dst[out_of] * dim, src[into],
            out=index[dim + n_one:].reshape(dim, deg, deg))
-    pair32 = pair.astype(np.int32)
-    coupling = (pair32[out_of] * np.int32(n_orb ** 2) + pair32[into]).ravel()
     coupling_sign = (sign[out_of] * sign[into]).ravel()
     return _BlockPlan((n_orb, n_elec, n_alpha), basis, pair, sign, index,
-                      coupling, coupling_sign)
+                      pair[out_of].astype(np.intp), pair[into].astype(np.intp),
+                      coupling_sign)
 
 
 def _block_matrix(hamiltonian: MolecularHamiltonian,
                   plan: _BlockPlan) -> np.ndarray:
     """Dense matrix of one block, from one ``bincount`` through its plan."""
-    dim, n_one = len(plan.basis), len(plan.pair)
+    n, dim, n_one = hamiltonian.n_orb, len(plan.basis), len(plan.pair)
     weight = np.empty(len(plan.index))
     weight[:dim] = hamiltonian.e_const
     np.multiply(hamiltonian.h.ravel()[plan.pair], plan.sign,
                 out=weight[dim:dim + n_one])
-    np.multiply(hamiltonian.g.ravel()[plan.coupling], plan.coupling_sign,
-                out=weight[dim + n_one:])
+    # A few intermediates at a time, so that no gather temporary as long
+    # as the triples is allocated.
+    g, deg = hamiltonian.g.reshape(n * n, n * n), plan.out_pair.shape[1]
+    coupling = weight[dim + n_one:].reshape(dim, deg, deg)
+    step = max(1, GATHER_TRIPLES // max(1, deg * deg))
+    for c in range(0, dim, step):
+        coupling[c:c + step] = g[plan.out_pair[c:c + step],
+                                 plan.in_pair[c:c + step]]
+    weight[dim + n_one:] *= plan.coupling_sign
     return np.bincount(plan.index, weight, dim * dim).reshape(dim, dim)
+
+
+@dataclass(frozen=True, eq=False)
+class _FlipPlan:
+    """What the spin-flip halves of one M_S = 0 block take from its table,
+    for any H: ``index`` scatters the (c, out, in) triples of the kept
+    intermediates c into the two halves, the tau half first; a triple
+    weighs sign * G[out_pair, in_pair], with G = [[g, h], [0, e_const]]
+    over the N^2 pairs k*N + l and pair N^2 standing for c itself."""
+
+    block: tuple[int, int]  # (n_orb, n_elec)
+    n_pairs: int
+    n_self: int
+    index: np.ndarray
+    sign: np.ndarray
+    out_pair: np.ndarray
+    in_pair: np.ndarray
+
+
+def _flip_plan(n_orb: int, n_elec: int) -> _FlipPlan:
+    """The plan of the spin-flip halves of an even sector's M_S = 0 block.
+
+    The spin flip S swaps spin-orbitals 2p and 2p + 1; on a determinant,
+    an ascending product of creators, S|x> = (-1)^D |x'> for D doubly
+    occupied orbitals, and a spin-free H commutes with it.  Each pair
+    x < x' gives (|x> +- S|x>) / sqrt(2) to the S = +-1 halves, and each
+    self-flipped x (S|x> = tau |x>, tau = (-1)^(n/2)) gives |x> to the tau
+    half: dimensions (d +- C(N, n/2))/2.  Both halves list the m pairs
+    first, the tau half then the self-flipped determinants.
+
+    A triple and its flip image add the same signed amount to the same
+    half positions, so only the intermediates c <= c' are kept, those with
+    c < c' at weight 2.  On pair rows and columns the scatter sums E, the
+    triples whose two ends are both kept or both flipped, into the tau
+    half and O, the others, into the other half: the halves' pair blocks
+    are (E + tau O)/2 and (E - tau O)/2, and ``_flip_halves`` forms them in
+    place."""
+    n_alpha = n_elec // 2
+    _check_memory(n_orb, n_elec, n_alpha, exact=True, halves=True)
+    basis, (src, dst, pair, sign) = _block_table(n_orb, n_elec, n_alpha)
+    dim, at = len(basis), np.arange(len(basis))
+    spin0 = sum(1 << 2 * p for p in range(n_orb))
+    image = np.searchsorted(basis, (basis & spin0) << 1 | basis >> 1 & spin0)
+    kind = (at > image) + 2 * (at == image)  # kept, flipped or self-flipped
+    m, tau = int(np.count_nonzero(kind == 0)), 1 - 2 * (n_alpha & 1)
+    upper = dim - m  # the tau half: m pairs and the self-flipped
+    slot = np.empty(dim, dtype=np.int64)
+    slot[kind == 0], slot[kind == 2] = np.arange(m), np.arange(m, upper)
+    slot[kind == 1] = slot[image[kind == 1]]
+    # Entry x <- y lands in row base[kind[y], x], column slot[y], with the
+    # sign factor[kind[y], x] * factor[kind[x], y]: the flip sign of each
+    # flipped end, and tau for a flipped end facing a self-flipped one.
+    other_kind = np.arange(3)[:, None]
+    base = np.where(kind + other_kind == 1, upper ** 2 + slot * m,
+                    slot * upper)
+    doubles = basis & basis >> 1 & spin0
+    odd_doubles = ((doubles[:, None] >> 2 * np.arange(n_orb)) & 1).sum(
+        axis=1) % 2 == 1
+    factor = np.where((kind == 1) & odd_doubles, -1, 1) * np.where(
+        (kind == 1) & (other_kind == 2), tau, 1)
+    factor = factor.astype(np.int8)
+    # Out of each kept c: its deg entries and c itself; into it: the same.
+    # c itself stands for the one-body term of each entry out of c, and
+    # with itself for e_const.
+    kept = at[kind != 1]
+    out_of, into = (np.argsort(ends, kind="stable").reshape(dim, -1)[kept]
+                    for ends in (src, dst))
+    x = np.hstack([dst[out_of], kept[:, None]])[:, :, None]
+    y = np.hstack([src[into], kept[:, None]])[:, None, :]
+    index = base[kind[y], x]
+    index += slot[y]
+    signs = factor[kind[y], x] * factor[kind[x], y]
+    signs[:, :-1] *= sign[out_of][:, :, None]
+    signs[:, :, :-1] *= sign[into][:, None, :]
+    signs *= (2 - kind[kept] // 2).astype(np.int8)[:, None, None]
+    out_pair, in_pair = (np.hstack([pair[table], np.full((len(kept), 1),
+                                                         n_orb ** 2)])
+                         for table in (out_of, into))
+    return _FlipPlan((n_orb, n_elec), m, upper - m, index.ravel(), signs,
+                     out_pair[:, :, None], in_pair[:, None, :])
+
+
+def _flip_halves(hamiltonian: MolecularHamiltonian,
+                 plan: _FlipPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The tau half and the other spin-flip half of the M_S = 0 block of H
+    (``_flip_plan``), from one ``bincount`` into both."""
+    n, m = hamiltonian.n_orb, plan.n_pairs
+    upper = m + plan.n_self
+    coupling = np.zeros((n * n + 1, n * n + 1))
+    coupling[:-1, :-1] = hamiltonian.g.reshape(n * n, n * n)
+    coupling[:-1, -1] = hamiltonian.h.ravel()
+    coupling[-1, -1] = hamiltonian.e_const
+    weight = coupling[plan.out_pair, plan.in_pair]
+    weight *= plan.sign
+    flat = np.bincount(plan.index, weight.ravel(), upper ** 2 + m * m)
+    del weight
+    tau_half = flat[:upper ** 2].reshape(upper, upper)
+    other, pairs = flat[upper ** 2:].reshape(m, m), tau_half[:m, :m]
+    # pairs holds E and other O: make them (E + tau O)/2, (E - tau O)/2.
+    if plan.block[1] % 4:  # tau = -1
+        pairs -= other
+        other *= 2
+    else:
+        pairs += other
+        other *= -2
+    other += pairs
+    pairs *= 0.5
+    other *= 0.5
+    tau_half[:m, m:] *= math.sqrt(0.5)
+    tau_half[m:, :m] *= math.sqrt(0.5)
+    return tau_half, other
 
 
 def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
@@ -415,6 +557,8 @@ def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
         return _block_matrix(hamiltonian, plan), tuple(plan.basis.tolist())
     if plan is not None:
         raise ValueError("a plan serves one block; give its n_alpha")
+    if not 0 <= n_elec <= 2 * n_orb:
+        raise ValueError(f"n_elec={n_elec} outside [0, {2 * n_orb}]")
     _check_memory(n_orb, n_elec, exact=True)
     blocks = []
     for a in _spin_blocks(n_orb, n_elec):
@@ -505,7 +649,8 @@ def truncated_lanczos(hamiltonian: MolecularHamiltonian, n_elec: int,
 
     The start vector is the extreme-filling determinant in the one-body
     eigenbasis plus, unless that determinant is already an eigenvector, a
-    fixed random vector of norm 0.1: the determinant alone has one total
+    fixed generic vector of norm 0.1, sin(k * golden angle) for k = 1..d,
+    built without ``numpy.random``: the determinant alone has one total
     spin, and so would its whole Krylov space.  The run stops when the Ritz
     residual |beta_k s_k| of the extreme pair (Parlett, The Symmetric
     Eigenvalue Problem) falls below ``residual_tol``, or when the basis
@@ -524,7 +669,9 @@ def truncated_lanczos(hamiltonian: MolecularHamiltonian, n_elec: int,
     start[np.searchsorted(dets, ref.occupancy)] = 1.0
     h_start = matvec(start)
     if np.linalg.norm(h_start - (start @ h_start) * start) >= opts.residual_tol:
-        mix = np.random.default_rng(0).normal(size=len(dets))
+        # Generic and fixed, from numpy core: sines of multiples of the
+        # golden angle, so Lanczos imports no numpy.random of its own.
+        mix = np.sin(np.arange(1, len(dets) + 1) * GOLDEN_ANGLE)
         start += 0.1 / np.linalg.norm(mix) * mix
         start /= np.linalg.norm(start)
     pick = 0 if extreme == "lowest" else -1
@@ -568,21 +715,26 @@ def _sector_rows(hamiltonians: Sequence[MolecularHamiltonian], n_elec: int,
                  ) -> list[tuple[float, float, bool]]:
     """(e_min, e_max, converged) of each Hamiltonian in one sector.  A dense
     sector builds one plan, which serves every Hamiltonian and is dropped
-    before the last one is diagonalized."""
+    before the last one is diagonalized; an even sector's plan builds the
+    two spin-flip halves of its block, and both are diagonalized."""
     # H is spin-free, so every level has a member with M_S = 0 or 1/2: the
     # block with ceil(n/2) spin-0 electrons holds the whole spectrum.
     n_orb, n_alpha = hamiltonians[0].n_orb, (n_elec + 1) // 2
     if method == "exact" or (sector_dimension(2 * n_orb, n_elec, n_alpha)
                              <= EXACT_FALLBACK_DIMENSION):
-        plan = _block_plan(n_orb, n_elec, n_alpha)
+        even = n_elec % 2 == 0
+        plan = (_flip_plan(n_orb, n_elec) if even
+                else _block_plan(n_orb, n_elec, n_alpha))
         rows = []
         for i, hamiltonian in enumerate(hamiltonians):
-            matrix = sector_matrix(hamiltonian, n_elec, n_alpha, plan)[0]
+            matrices = (_flip_halves(hamiltonian, plan) if even else (
+                sector_matrix(hamiltonian, n_elec, n_alpha, plan)[0],))
             if i == len(hamiltonians) - 1:
                 del plan  # the last eigvalsh gets the plan's room
-            values = np.linalg.eigvalsh(matrix)
-            del matrix  # before the next Hamiltonian's block is built
-            rows.append((float(values[0]), float(values[-1]), True))
+            values = [np.linalg.eigvalsh(m) for m in matrices if len(m)]
+            del matrices  # before the next Hamiltonian's block is built
+            rows.append((min(float(v[0]) for v in values),
+                         max(float(v[-1]) for v in values), True))
         return rows
     rows = []
     for hamiltonian in hamiltonians:
@@ -622,7 +774,7 @@ def spectral_ranges(hamiltonians: Sequence[MolecularHamiltonian],
         # The half-filled sector, the largest, is checked first.
         _check_memory(n_orb, n, (n + 1) // 2,
                       max_iters if method == "lanczos" else 0,
-                      exact=method == "exact")
+                      exact=method == "exact", halves=n % 2 == 0)
     table = [_sector_rows(hamiltonians, n, method, options) for n in sectors]
     return tuple(RangeResult(
         e_min=min(row[0] for row in rows), e_max=max(row[1] for row in rows),

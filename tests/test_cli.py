@@ -352,17 +352,24 @@ def test_compare_equals_separate_runs_and_builds_baseline_once(
                for m in ("none", "lp-bliss", "ffr-bliss")]
     separate = [strip_volatile(run_pipeline(c)[0].to_dict()) for c in configs]
     calls = []
-    sector_matrix = spectral.sector_matrix
+    sector_matrix, flip_halves = spectral.sector_matrix, spectral._flip_halves
 
     def counting(hamiltonian, n_elec, n_alpha=None, plan=None):
         calls.append(n_elec)
         return sector_matrix(hamiltonian, n_elec, n_alpha, plan)
 
+    def counting_halves(hamiltonian, plan):
+        calls.append(plan.block[1])
+        return flip_halves(hamiltonian, plan)
+
     monkeypatch.setattr(spectral, "sector_matrix", counting)
+    monkeypatch.setattr(spectral, "_flip_halves", counting_halves)
     comparison = compare(configs)
     assert [strip_volatile(r.to_dict()) for r in comparison.runs] == separate
     # One full-Fock sweep over sectors 0..4 of two orbitals, each sector
-    # computed for the unshifted H and both shifted ones before the next.
+    # computed for the unshifted H and both shifted ones before the next:
+    # an odd sector's block by sector_matrix, an even one's spin-flip
+    # halves by _flip_halves.
     assert calls == [n for n in range(5) for _ in range(3)]
     with pytest.raises(ValueError, match="share"):
         compare([configs[0], RunConfig(input=path, method="df",
@@ -380,15 +387,18 @@ def test_compare_builds_one_plan_per_sector_and_keeps_none(
 
     path = dump_file(tmp_path)
     plans = []
-    block_plan = spectral._block_plan
 
-    def recording(*args):
-        assert all(plan() is None for plan in plans)
-        plan = block_plan(*args)
-        plans.append(weakref.ref(plan))
-        return plan
+    def recording(build):
+        def recorded(*args):
+            assert all(plan() is None for plan in plans)
+            plan = build(*args)
+            plans.append(weakref.ref(plan))
+            return plan
+        return recorded
 
-    monkeypatch.setattr(spectral, "_block_plan", recording)
+    # Odd sectors build a block plan, even ones a spin-flip plan.
+    for name in ("_block_plan", "_flip_plan"):
+        monkeypatch.setattr(spectral, name, recording(getattr(spectral, name)))
     compare([RunConfig(input=path, method=m, spectral="exact")
              for m in ("none", "lp-bliss", "ffr-bliss")])
     assert len(plans) == 5

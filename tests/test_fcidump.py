@@ -1,5 +1,6 @@
 """Tests for FCIDUMP parsing and emission."""
 
+import hashlib
 import re
 import tracemalloc
 from dataclasses import replace
@@ -190,7 +191,7 @@ def test_parse_missing_header_fields():
         parse_fcidump("   \n\n")
 
 
-@pytest.mark.parametrize("n_orb", [100000, 300, 86])
+@pytest.mark.parametrize("n_orb", [100000, 300, 91])
 def test_parse_refuses_oversize_norb_before_allocating(n_orb):
     """The parse's dense N^4 arrays are sized from the header alone, so an
     oversize NORB is refused at line 1 with nothing allocated."""
@@ -205,12 +206,36 @@ def test_parse_refuses_oversize_norb_before_allocating(n_orb):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("n_orb", [76, 85])
+@pytest.mark.parametrize("n_orb", [76, 85, 90])
 def test_parse_admits_paper_scale_norb(n_orb):
-    """NORB up to 85 passes the size check: the header's bad NELEC, checked
+    """NORB up to 90 passes the size check: the header's bad NELEC, checked
     after it, is what stops these parses before anything is allocated."""
     with pytest.raises(FcidumpError, match="NELEC must lie in"):
         parse_fcidump(f" &FCI NORB={n_orb},NELEC=999,\n &END\n")
+
+
+# sha256 of the parsed h and g of write_fcidump(H) for H drawn from
+# default_rng(0), recorded from the parser that divided a copy of the
+# expanded (ij|kl) by 2.0.
+PARSED_DIGESTS = {
+    ("random", 4): ("bfcb56cae37254da3c44840ddd621786d9690cfaee79a297fba9180f26d73664",
+                    "a13de667c4cde915c952c9c4489cbb6ae501ced158336e67cd4aa2934fc20f4f"),
+    ("random", 5): ("0f4e053c384cd4e5122ff79e3570febc60b34f6fc44605203bdbd70956084940",
+                    "66cecec23404ab0c1ebdea3e649ddb0c95dcccb1c661d85125205926da133caf"),
+    ("decay", 6): ("5a560f8c2a687093935085c4060fd1f013a3420a9299471a33f5d6913ff32fe0",
+                   "b553216db88d84d6ddc3bc9f32e5e5ac874ed07e4e5579e028dba0e9eb56dd7b"),
+}
+
+
+@pytest.mark.parametrize("kind, n_orb", list(PARSED_DIGESTS))
+def test_parsed_tensors_are_pinned(kind, n_orb):
+    """Scaling (ij|kl) in place gives h and g bit for bit."""
+    rng = np.random.default_rng(0)
+    H = (oracles.random_hamiltonian(rng, n_orb, n_orb) if kind == "random"
+         else oracles.decay_hamiltonian(rng, n_orb))
+    parsed = parse_fcidump(write_fcidump(H))
+    assert tuple(hashlib.sha256(t.tobytes()).hexdigest()
+                 for t in (parsed.h, parsed.g)) == PARSED_DIGESTS[kind, n_orb]
 
 
 @pytest.mark.parametrize("orbsym", ["a,b", "2*"])

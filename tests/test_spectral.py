@@ -1,7 +1,13 @@
 """Tests for sector vectors, exact ranges and the Lanczos engine."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +33,8 @@ from blisslp import (
     truncated_lanczos,
 )
 from blisslp import spectral
-from blisslp.spectral import (_block_table, _check_memory, _sector_operator,
-                              sector_dimension)
+from blisslp.spectral import (_block_table, _check_memory, _flip_halves,
+                              _flip_plan, _sector_operator, sector_dimension)
 
 
 def sector_civector(rng, n_spin_orb, n_elec) -> CIVector:
@@ -193,6 +199,58 @@ def test_block_matrix_matches_oracle(n_orb, seed):
         assert np.all(whole[alphas[:, None] != alphas] == 0.0)
     with pytest.raises(ValueError, match="n_alpha"):
         sector_matrix(H, 1, 2)
+
+
+def test_sector_matrix_refuses_out_of_range_sector():
+    H = oracles.random_hamiltonian(np.random.default_rng(73), 2, 2)
+    for n_elec in (5, -1):
+        with pytest.raises(ValueError, match=rf"n_elec={n_elec} outside \[0, 4\]"):
+            sector_matrix(H, n_elec)
+
+
+def spin_flip_matrix(basis, n_orb) -> np.ndarray:
+    """S on a block basis: each spin-orbital 2p + s goes to 2p + 1 - s, with
+    the parity of re-sorting the flipped creators as its sign."""
+    position = {det: i for i, det in enumerate(basis)}
+    flip = np.zeros((len(basis), len(basis)))
+    for i, det in enumerate(basis):
+        flipped = [s ^ 1 for s in range(2 * n_orb) if det >> s & 1]
+        crossings = sum(a > b for k, a in enumerate(flipped)
+                        for b in flipped[k + 1:])
+        flip[position[sum(1 << s for s in flipped)], i] = (-1) ** crossings
+    return flip
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_orb=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_spin_flip_halves_split_the_even_block(n_orb, seed):
+    """In every even sector the spin flip S commutes with the M_S = 0 block;
+    the halves are symmetric, of dimensions (d +- C(N, n/2))/2, the first
+    holds the (-1)^(n/2) eigenspace of S, and together they hold the
+    block's spectrum."""
+    H = oracles.random_hamiltonian(np.random.default_rng(seed), n_orb, n_orb)
+    for n_elec in range(0, 2 * n_orb + 1, 2):
+        mat, basis = sector_matrix(H, n_elec, n_elec // 2)
+        flip = spin_flip_matrix(basis, n_orb)
+        scale = max(1.0, np.abs(mat).max())
+        assert np.abs(flip @ mat - mat @ flip).max() <= 1e-13 * scale
+        tau_half, other = _flip_halves(H, _flip_plan(n_orb, n_elec))
+        n_self = comb(n_orb, n_elec // 2)
+        assert (len(tau_half), len(other)) == ((len(basis) + n_self) // 2,
+                                               (len(basis) - n_self) // 2)
+        for half in (tau_half, other):
+            np.testing.assert_allclose(half, half.T, rtol=0,
+                                       atol=1e-13 * scale)
+        want = np.linalg.eigvalsh(mat)
+        tol = 1e-12 * np.abs(want).max()
+        s_values, s_vectors = np.linalg.eigh(flip)
+        tau = s_vectors[:, s_values * (-1) ** (n_elec // 2) > 0]
+        np.testing.assert_allclose(np.linalg.eigvalsh(tau_half),
+                                   np.linalg.eigvalsh(tau.T @ mat @ tau),
+                                   rtol=0, atol=tol)
+        got = np.concatenate([np.linalg.eigvalsh(half)
+                              for half in (tau_half, other)])
+        np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=tol)
 
 
 # sha256 of sector_matrix(H, n, a)[0].tobytes() for every block of
@@ -380,6 +438,24 @@ def test_memory_checked_once_per_allocating_path(monkeypatch):
     assert checked == [2, 2, 2]
 
 
+def test_halves_memory_model_bounds_the_traced_build(monkeypatch):
+    """The prediction for the spin-flip halves of half-filled N=6 exceeds
+    the heap the plan, both halves and their eigvalsh allocate."""
+    H = oracles.random_hamiltonian(np.random.default_rng(2600), 6, 6)
+    tracemalloc.start()
+    try:
+        plan = _flip_plan(6, 6)
+        halves = _flip_halves(H, plan)
+        del plan
+        [np.linalg.eigvalsh(half) for half in halves]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(spectral, "SPECTRAL_MEMORY_LIMIT_BYTES", peak)
+    with pytest.raises(ValueError, match="SPECTRAL_MEMORY_LIMIT_BYTES"):
+        _check_memory(6, 6, 3, exact=True, halves=True)
+
+
 def test_dense_fallback_compares_the_block_dimension(monkeypatch):
     """At N=7, 7 electrons (block 1225) still run Lanczos, while 5 electrons
     (block 735 of a 2002-dimensional sector) are diagonalized densely."""
@@ -516,6 +592,33 @@ def test_block_lanczos_matches_block_eigvalsh():
             assert result.converged
             assert result.subspace_dim <= len(dets)
             assert result.energy == pytest.approx(want, abs=1e-9)
+
+
+def test_lanczos_range_imports_no_numpy_random():
+    """The Lanczos start vector is built from numpy core, so a Lanczos
+    range loads no numpy.random module that ``import numpy`` did not."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        loaded = {m for m in sys.modules if m.startswith("numpy.random")}
+        from blisslp import (LanczosOptions, MolecularHamiltonian,
+                             spectral_range, symmetrize_two_body)
+        n = 7  # its 7-electron block (1225) runs Lanczos, not eigvalsh
+        h = np.sin(np.arange(n * n)).reshape(n, n)
+        g = symmetrize_two_body(np.cos(np.arange(n ** 4)).reshape((n,) * 4))
+        H = MolecularHamiltonian(n_orb=n, e_const=0.0, h=h + h.T, g=g,
+                                 n_elec=n)
+        spectral_range(H, n, "lanczos", LanczosOptions(max_iters=5))
+        print(sorted({m for m in sys.modules
+                      if m.startswith("numpy.random")} - loaded))
+    """)
+    src = Path(spectral.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_lanczos_iteration_cap_flags_unconverged():
