@@ -1,5 +1,8 @@
 """Command-line pipeline: load an FCIDUMP, shift, decompose, report.
 
+The spectral engine (``blisslp.spectral``) is imported only by a run that
+asks for spectra, when its sweep starts.
+
 Exit codes: 0 success, 1 file I/O failure, 2 parse or validation failure
 (including the exact-diagonalization size cap), 3 solver stopped without an
 optimum (iteration limit, infeasible, unbounded).
@@ -15,7 +18,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import fermionic
 from .fcidump import parse_fcidump, write_fcidump
@@ -28,9 +31,9 @@ from .lp_bliss import build_lp_bliss_problem, lp_bliss, lp_bliss_shifted
 from .pauli import PauliNormBreakdown, pauli_one_norm
 from .report import (BlissSummary, CompareReport, NormPair, RunReport,
                      fermionic_section, spectral_section, to_json)
-# build_spectral_report stays importable for stage wrappers.
-from .spectral import (LanczosOptions, SpectralReport, build_spectral_report,
-                       build_spectral_reports)
+
+if TYPE_CHECKING:
+    from .spectral import SpectralReport
 
 __all__ = [
     "METHODS",
@@ -106,7 +109,7 @@ class Baseline:
     hamiltonian: MolecularHamiltonian
     pauli: PauliNormBreakdown
     family: Callable[[str], FermionicNormReport]
-    lanczos: LanczosOptions
+    lanczos_tol: float
     timings_s: Mapping[str, float]
 
     @classmethod
@@ -122,8 +125,7 @@ class Baseline:
         family = functools.cache(lambda method: build_fermionic_report(
             hamiltonian, method, fragments, solver))
         family("df")
-        return cls(hamiltonian, pauli, family,
-                   LanczosOptions(residual_tol=config.lanczos_tol),
+        return cls(hamiltonian, pauli, family, config.lanczos_tol,
                    {"parse": t_parsed - t_start,
                     "baseline": time.perf_counter() - t_parsed})
 
@@ -212,15 +214,16 @@ def _apply_method(config: RunConfig, base: Baseline) -> _Shift:
                   time.perf_counter() - t_method)
 
 
-def _spectra(base: Baseline, spectral: str,
+def _spectra(base: Baseline, mode: str,
              shifts: Sequence[_Shift]) -> list[SpectralReport | None]:
     """Each run's spectral report, from one sweep over H and every shifted
     H: the unshifted report for a run without a shifted Hamiltonian."""
-    if spectral == "off":
+    if mode == "off":
         return [None] * len(shifts)
-    reports = iter(build_spectral_reports(
+    from . import spectral
+    reports = iter(spectral.build_spectral_reports(
         base.hamiltonian, [s.shifted for s in shifts if s.shifted is not None],
-        spectral, options=base.lanczos))
+        mode, options=spectral.LanczosOptions(residual_tol=base.lanczos_tol)))
     unshifted = next(reports)
     return [unshifted if s.shifted is None else next(reports) for s in shifts]
 
@@ -420,6 +423,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RuntimeError as exc:  # LP iteration limits included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+
+
+def __getattr__(name: str):
+    # build_spectral_report stays reachable here for stage wrappers.
+    if name == "build_spectral_report":
+        from .spectral import build_spectral_report
+        return build_spectral_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

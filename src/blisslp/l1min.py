@@ -176,8 +176,9 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     the minimizers form an interval, it is the interval's lower end.
 
     Raises:
-        ValueError: if ``values`` is empty or its shape differs from
-            ``weights``.
+        ValueError: if ``values`` is empty, its shape differs from
+            ``weights``, a value or weight is not finite, a weight is
+            negative or the weights sum to zero.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -185,8 +186,12 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
         raise ValueError("median of an empty vector")
     if values.shape != weights.shape:
         raise ValueError("values and weights must have the same shape")
+    if not (np.isfinite(values).all() and np.isfinite(weights).all()):
+        raise ValueError("values and weights must be finite")
     order = np.argsort(values, kind="stable")
     cumulative = np.cumsum(weights[order])
+    if (weights < 0).any() or cumulative[-1] == 0.0:
+        raise ValueError("weights must be non-negative with a positive sum")
     return float(values[order[np.searchsorted(cumulative, 0.5 * cumulative[-1])]])
 
 

@@ -13,13 +13,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .fermionic import FermionicNormReport
-from .hamiltonian import BlissParams
-from .spectral import SpectralReport
+if TYPE_CHECKING:
+    from .fermionic import FermionicNormReport
+    from .hamiltonian import BlissParams
+    from .spectral import SpectralReport
 
 __all__ = [
     "SCHEMA_VERSION",

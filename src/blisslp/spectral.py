@@ -750,6 +750,7 @@ def spectral_ranges(hamiltonians: Sequence[MolecularHamiltonian],
                     ) -> tuple[RangeResult, ...]:
     """The ``spectral_range`` of each Hamiltonian, from one sweep over the
     sectors: each sector is computed for every Hamiltonian before the next.
+    No Hamiltonians give no ranges, ``()``.
 
     Raises:
         ValueError: for an unknown method, for Hamiltonians of different
@@ -761,6 +762,8 @@ def spectral_ranges(hamiltonians: Sequence[MolecularHamiltonian],
     if method not in SPECTRAL_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of "
                          f"{SPECTRAL_METHODS}")
+    if not hamiltonians:
+        return ()
     n_orb = hamiltonians[0].n_orb
     if any(hamiltonian.n_orb != n_orb for hamiltonian in hamiltonians):
         raise ValueError("the Hamiltonians of one sweep must share n_orb")

@@ -229,7 +229,7 @@ def test_unconverged_lanczos_warns_on_stderr(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--method", "df"]) == EXIT_OK
     quiet = capsys.readouterr()
     assert quiet.err == ""
-    monkeypatch.setattr("blisslp.cli.build_spectral_reports",
+    monkeypatch.setattr("blisslp.spectral.build_spectral_reports",
                         unconverged_reports)
     assert main(argv + ["--method", "df"]) == EXIT_OK
     captured = capsys.readouterr()

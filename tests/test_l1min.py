@@ -116,6 +116,16 @@ def test_weighted_median_rejects_bad_input():
         weighted_median(np.array([]), np.array([]))
     with pytest.raises(ValueError, match="shape"):
         weighted_median(np.ones(2), np.ones(3))
+    values = np.array([1.0, 2.0, 3.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_median(values, np.array([1.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            weighted_median(np.array([1.0, bad, 3.0]), np.ones(3))
+    for weights in ([-1.0, -1.0, 5.0], [1.0, -0.5, 1.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="non-negative with a positive"):
+            weighted_median(values, np.array(weights))
+    assert weighted_median(values, np.array([0.0, 0.0, 1.0])) == 3.0
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -671,6 +671,9 @@ def test_spectral_range_method_validation():
     H = oracles.random_hamiltonian(rng, 2, 2)
     with pytest.raises(ValueError, match="method"):
         spectral_range(H, method="dense")
+    assert spectral.spectral_ranges(()) == ()
+    with pytest.raises(ValueError, match="method"):
+        spectral.spectral_ranges((), method="dense")
     big = MolecularHamiltonian(n_orb=9, e_const=0.0, h=np.zeros((9, 9)),
                                g=np.zeros((9,) * 4), n_elec=9)
     with pytest.raises(ValueError, match="capped at 16 spin-orbitals"):
