@@ -1,7 +1,7 @@
 """Command-line pipeline: load an FCIDUMP, shift, decompose, report.
 
 The spectral engine (``blisslp.spectral``) is imported only by a run that
-asks for spectra, when its sweep starts.
+asks for spectra, as its baseline starts to load.
 
 Exit codes: 0 success, 1 file I/O failure, 2 parse or validation failure
 (including the exact-diagonalization size cap), 3 solver stopped without an
@@ -114,6 +114,10 @@ class Baseline:
 
     @classmethod
     def load(cls, config: RunConfig) -> "Baseline":
+        if config.spectral != "off":
+            # Loaded before any array of the run exists, so that its import
+            # transient does not add to the run's peak.
+            from . import spectral  # noqa: F401
         t_start = time.perf_counter()
         hamiltonian = parse_fcidump(Path(config.input).read_bytes())
         if config.n_elec is not None:

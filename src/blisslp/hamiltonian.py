@@ -19,6 +19,7 @@ returns H - K folded back into (e_const, h, g) form.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +42,12 @@ _TWO_BODY_PERMS = ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _check_finite(e_const: float, h: np.ndarray, g: np.ndarray) -> None:
+    for name, value in (("e_const", e_const), ("h", h), ("g", g)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has a non-finite value")
 
 
 def two_body_symmetry_deviation(g: np.ndarray) -> float:
@@ -92,9 +99,7 @@ class MolecularHamiltonian:
             raise ValueError(f"h must have shape {(n, n)}, got {h.shape}")
         if g.shape != (n, n, n, n):
             raise ValueError(f"g must have shape {(n,) * 4}, got {g.shape}")
-        for name, value in (("e_const", self.e_const), ("h", h), ("g", g)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} has a non-finite value")
+        _check_finite(self.e_const, h, g)
         tol = SYMMETRY_RTOL * max(1.0, float(np.abs(h).max(initial=0.0)))
         if float(np.abs(h - h.T).max()) > tol:
             raise ValueError("one-electron tensor is not symmetric")
@@ -163,10 +168,13 @@ def apply_bliss(hamiltonian: MolecularHamiltonian,
         g'_ijkl  = g_ijkl - mu2 d_ij d_kl - (xi_ij d_kl + d_ij xi_kl) / 2
         e_const' = e_const + mu1 n_elec + mu2 n_elec^2
 
-    which leaves every n_elec-sector matrix element unchanged.
+    which leaves every n_elec-sector matrix element unchanged.  The shift
+    keeps the symmetries of H exactly (xi is symmetric bit for bit, and
+    IEEE addition commutes), so only finiteness is checked again.
 
     Raises:
-        ValueError: if the parameter dimension does not match the Hamiltonian.
+        ValueError: if the parameter dimension does not match the
+            Hamiltonian, or the shifted tensors are not finite.
     """
     n = hamiltonian.n_orb
     if params.n_orb != n:
@@ -181,4 +189,9 @@ def apply_bliss(hamiltonian: MolecularHamiltonian,
              - 0.5 * (np.multiply.outer(params.xi, eye)
                       + np.multiply.outer(eye, params.xi)))
     e_new = hamiltonian.e_const + params.mu1 * n_elec + params.mu2 * n_elec ** 2
-    return replace(hamiltonian, e_const=e_new, h=h_new, g=g_new)
+    _check_finite(e_new, h_new, g_new)
+    shifted = copy.copy(hamiltonian)  # no __post_init__: no N^4 transposes
+    object.__setattr__(shifted, "e_const", float(e_new))
+    object.__setattr__(shifted, "h", _readonly(h_new))
+    object.__setattr__(shifted, "g", _readonly(g_new))
+    return shifted

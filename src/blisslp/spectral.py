@@ -1,36 +1,30 @@
 """Spectral-range estimation on the fermionic Fock space.
 
-Determinants are encoded as occupancy bitmasks over spin-orbitals with the
-interleaved convention s = 2*orbital + spin (spin 0 before spin 1).  The
-Hamiltonian H = e_const + sum_ij h_ij F^i_j + sum_ijkl g_ijkl F^i_j F^k_l
-acts through spin-summed excitations F^i_j = sum_s a+_is a_js, so it
-conserves electron number and every estimate can be run sector by sector.
-
-H is also spin-free, so it conserves the spin counts n_alpha and n_beta:
+Determinants are occupancy bitmasks over spin-orbitals s = 2*orbital + spin
+(spin 0 before spin 1).  H = e_const + sum_ij h_ij F^i_j + sum_ijkl g_ijkl
+F^i_j F^k_l acts through spin-summed excitations F^i_j = sum_s a+_is a_js,
+so it conserves electron number and, being spin-free, n_alpha and n_beta:
 each sector is the direct sum of its M_S blocks, and the block with
 ceil(n/2) spin-0 electrons holds every level of the sector.  Both engines
 work on that block.
 
-One kernel serves both engines: a per-block excitation table lists every
-nonzero <d|F^k_l|s>.  It is built from the block's alpha and beta strings
-(Knowles and Handy, Chem. Phys. Lett. 111, 315 (1984)): one a+_k a_l table
-per string space, broadcast to the block with the parity of the crossed
-electrons of the other spin.  A block plan turns the table into the
-scatter of one ``bincount`` that builds the dense block matrix of any H,
-for exact diagonalization.  An even sector's block is M_S = 0, and the
-spin flip, which commutes with H, splits it into two halves of dimension
-(d +- C(N, n/2))/2 (Olsen et al., J. Chem. Phys. 89, 2185 (1988)): its
-plan keeps one intermediate determinant per flip pair and scatters
-straight into both halves, so the sweep never builds that whole block.  A
-sweep over several Hamiltonians builds each sector's plan once and drops
-it before the next sector.  The Lanczos
-operator folds F^k_l and F^l_k into one row and applies H to the dense
-vectors of a fully reorthogonalized iteration.  The projected matrix uses
-exact H applications, so Lanczos estimates are variational (the lowest
+One kernel serves both: a per-block table lists every nonzero <d|F^k_l|s>,
+built from the block's alpha and beta strings (Knowles and Handy, Chem.
+Phys. Lett. 111, 315 (1984)).  For exact diagonalization a block plan
+groups the table by intermediate determinant c, O(dim deg) in all, and a
+build expands the (c, out, in) two-body triples a chunk at a time into the
+dense block of any H.  The spin flip commutes with H and splits an even
+sector's M_S = 0 block into halves of dimension (d +- C(N, n/2))/2 (Olsen
+et al., J. Chem. Phys. 89, 2185 (1988)); its plan keeps one intermediate
+per flip pair and scatters straight into both halves.  A sweep over
+several Hamiltonians builds each sector's plan once and drops it before
+the next sector.  The Lanczos operator folds F^k_l and F^l_k into one row
+and applies H to the dense vectors of a fully reorthogonalized iteration;
+its projected matrix uses exact H applications, so the lowest estimate
 never undershoots the true minimum, the highest never overshoots the
-maximum) and the derived spectral range is a lower bound on the exact one.
-No table spans a sector: ``apply_hamiltonian`` applies H block by block.
-Memory is predicted once on each path that allocates (``_check_memory``).
+maximum, and the range is a lower bound on the exact one.  No table spans
+a sector: ``apply_hamiltonian`` applies H block by block.  Memory is
+predicted once on each path that allocates (``_check_memory``).
 """
 
 from __future__ import annotations
@@ -75,15 +69,15 @@ EXACT_CAP_SPIN_ORBITALS = 16
 EXACT_FALLBACK_DIMENSION = 1000
 # Predicted peak memory of one spin block above which the engine refuses to
 # start; half-filled Lanczos needs about 0.3 GiB at 20 spin-orbitals and
-# 1.2 GiB at 22.  At 16 the exact sweep's largest need is the 7- and
-# 9-electron blocks' 0.41 GiB; the 8-electron block's spin-flip halves need
-# 0.27 GiB (0.60 GiB built whole).
+# 1.2 GiB at 22.  At 16 the exact sweep needs at most 0.24 GiB (7 and 9
+# electrons); the 8-electron halves need 0.16 GiB (0.38 GiB built whole).
 SPECTRAL_MEMORY_LIMIT_BYTES = 2 * 1024 ** 3
 
 SPECTRAL_METHODS = ("exact", "lanczos")
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-# Triples whose g entries a block matrix build gathers at once.
-GATHER_TRIPLES = 1 << 15
+# Triples a matrix build expands at once: 64 KiB per 8-B chunk array, small
+# enough for the allocator to serve from freed heap rather than map afresh.
+GATHER_TRIPLES = 1 << 13
 
 
 @dataclass(frozen=True, order=True)
@@ -188,17 +182,12 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
     determinants, each with deg = a(N-a+1) + b(N-b+1) table entries out of
     it and as many into it.  Counted are 32 B per table entry, two
     N^2 x dim matvec arrays and ``max_iters`` Lanczos vectors (the folded
-    operator keeps 24 B per entry and two N(N+1)/2 x dim arrays); with
-    ``exact``, also 16 B per element of the dense matrix (it and the copy
-    ``eigvalsh`` works on) and 32 B per (c, out, in) triple of the largest
-    block's two-body build, dim deg^2 of them: its plan holds 9 B of
-    index and sign per triple, and a matrix build 8 B of weights.
-    With ``halves`` the exact path builds the spin-flip halves of the
-    M_S = 0 block instead (``_flip_plan``): 8 B per element of both halves
-    and of the larger one's ``eigvalsh`` copy, and 32 B per (c, out, in)
-    triple of its (dim + C(N, n/2))/2 kept intermediates, (deg + 1)^2
-    each: the plan holds 9 B of index and sign per triple, and a build 8 B
-    of weights.
+    operator keeps 17 B per entry and two N(N+1)/2 x dim arrays).  With
+    ``exact`` also 48 B per entry for the plan (34 B) and the one-body
+    pass, 32 B per triple of one ``GATHER_TRIPLES`` chunk, and 16 B per
+    element of the dense matrix and its ``eigvalsh`` copy, or with
+    ``halves`` 8 B per element of both spin-flip halves (``_flip_plan``)
+    and of the larger one's copy.
     """
     if not 0 <= n_elec <= 2 * n_orb:
         return  # _block_table names the bad n_elec
@@ -210,16 +199,16 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
     sizes = [(sector_dimension(2 * n_orb, n_elec, a),
               a * (n_orb - a + 1) + (n_elec - a) * (n_orb - n_elec + a + 1))
              for a in blocks]
-    dim = sum(d for d, _ in sizes)
-    need = (32 * sum(d * deg for d, deg in sizes)
-            + 8 * dim * (2 * n_orb ** 2 + max_iters))
-    if exact and halves:
-        ((d, deg),) = sizes
-        upper = (d + math.comb(n_orb, n_elec // 2)) // 2
-        need += (8 * (2 * upper ** 2 + (d - upper) ** 2)
-                 + 32 * upper * (deg + 1) ** 2)
-    elif exact:
-        need += 16 * dim ** 2 + 32 * max(d * deg ** 2 for d, deg in sizes)
+    dim, entries = sum(d for d, _ in sizes), sum(d * deg for d, deg in sizes)
+    need = 32 * entries + 8 * dim * (2 * n_orb ** 2 + max_iters)
+    if exact:
+        need += 48 * entries + 32 * max(
+            GATHER_TRIPLES, (max(deg for _, deg in sizes) + 1) ** 2)
+        if halves:  # of one block, so dim is its dimension
+            upper = (dim + math.comb(n_orb, n_elec // 2)) // 2
+            need += 8 * (2 * upper ** 2 + (dim - upper) ** 2)
+        else:
+            need += 16 * dim ** 2
     if need > SPECTRAL_MEMORY_LIMIT_BYTES:
         block = "" if n_alpha is None else f" ({n_alpha} spin-0 electrons)"
         raise ValueError(
@@ -329,19 +318,20 @@ def _sector_operator(hamiltonian: MolecularHamiltonian, n_elec: int,
     rows[k, l] = rows[l, k] = np.arange(len(k))
     into = rows.ravel()[pair] * dim + dst
     del dst, pair
-    weight = sign.astype(float)
     upper = k * n + l
     h = hamiltonian.h.ravel()[upper]
     g = hamiltonian.g.reshape(n * n, n * n)[np.ix_(upper, upper)]
     size = len(upper) * dim
+    buf = np.empty(len(src))  # "clip" (in range) takes into it unbuffered
 
     def matvec(v: np.ndarray) -> np.ndarray:
         # Row kl of w is (F^k_l + F^l_k) v, or F^k_k v;
         # H v = e v + h.w + sum_{i<=j} (F^i_j + F^j_i) (g w)_ij.
-        w = np.bincount(into, weight * v[src], size).reshape(-1, dim)
+        np.multiply(np.take(v, src, out=buf, mode="clip"), sign, out=buf)
+        w = np.bincount(into, buf, size).reshape(-1, dim)
         u = (g @ w).ravel()
-        return (hamiltonian.e_const * v + h @ w
-                + np.bincount(src, weight * u[into], dim))
+        np.multiply(np.take(u, into, out=buf, mode="clip"), sign, out=buf)
+        return hamiltonian.e_const * v + h @ w + np.bincount(src, buf, dim)
 
     return basis, matvec
 
@@ -368,82 +358,92 @@ def apply_hamiltonian(hamiltonian: MolecularHamiltonian,
     return CIVector(dict(sorted(entries.items())), n_elec, vector.n_spin_orb)
 
 
+def _by_intermediate(table, dim: int, rows=slice(None)):
+    """For the intermediates ``rows``, the (other end, pair, sign) of their
+    deg entries out and of their deg entries in, each in table order."""
+    src, dst, pair, sign = table
+    ats = [np.argsort(c, kind="stable").reshape(dim, -1)[rows]
+           for c in (src, dst)]
+    return [(end[at], pair[at].astype(np.intp), sign[at])
+            for end, at in zip((dst, src), ats)]
+
+
+def _add_triples(flat: np.ndarray, coupling: np.ndarray, out, into,
+                 place) -> None:
+    """Add to ``flat`` every (c, out, in) triple of a plan's ``out`` and
+    ``into`` tables, coupling[out pair, in pair] times both signs, at
+    ``place(weight, out end, in end)``, which may scale the weights.  The
+    triples are expanded ``GATHER_TRIPLES`` at a time and added in order."""
+    (x, out_pair, out_sign), (y, in_pair, in_sign) = out, into
+    step = max(1, GATHER_TRIPLES // max(1, x.shape[1] ** 2))
+    for c in range(0, len(x), step):
+        c = slice(c, c + step)
+        weight = coupling.take(out_pair[c, :, None] * len(coupling)
+                               + in_pair[c, None, :])
+        weight *= out_sign[c, :, None] * in_sign[c, None, :]
+        index = place(weight, x[c, :, None], y[c, None, :])
+        np.add.at(flat, index.ravel(), weight.ravel())
+        del weight, index  # before the next chunk's are built
+
+
 @dataclass(frozen=True, eq=False)
 class _BlockPlan:
-    """What the dense matrix of one block takes from its table, for any H:
-    ``index`` scatters into the dim x dim matrix the diagonal, the table
-    entries (h.ravel()[pair] * sign) and the (c, out, in) triples
-    (g[out_pair, in_pair] * coupling_sign over pairs k*N + l), in that
-    order."""
+    """What the dense matrix of one block takes from its table, for any H,
+    in O(dim deg) room: for each intermediate c, ``out`` holds the (dst *
+    dim, pair, sign) of its deg entries out and ``into`` the (src, pair,
+    sign) of its deg entries in, pairs k*N + l.  The matrix sums e_const on
+    the diagonal, each entry out of c (h[pair] * sign in column c) and each
+    (c, out, in) triple (g[out pair, in pair] times both signs) in order."""
 
     block: tuple[int, int, int]  # (n_orb, n_elec, n_alpha)
     basis: np.ndarray
-    pair: np.ndarray
-    sign: np.ndarray
-    index: np.ndarray
-    out_pair: np.ndarray
-    in_pair: np.ndarray
-    coupling_sign: np.ndarray
+    out: tuple[np.ndarray, np.ndarray, np.ndarray]
+    into: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _block_plan(n_orb: int, n_elec: int, n_alpha: int) -> _BlockPlan:
     """The plan of one block's dense matrix."""
     _check_memory(n_orb, n_elec, n_alpha, exact=True)
-    basis, (src, dst, pair, sign) = _block_table(n_orb, n_elec, n_alpha)
-    dim, n_one = len(basis), len(src)
-    # g_ijkl F^i_j F^k_l passes through an intermediate c: every entry out of
-    # c (F^i_j, to d) meets every entry into c (F^k_l, from s).  All members
-    # of a block have the same number of entries out and in, so grouping
-    # the entries by c gives (dim, deg) tables.
-    out_of = np.argsort(src, kind="stable").reshape(dim, -1)[:, :, None]
-    into = np.argsort(dst, kind="stable").reshape(dim, -1)[:, None, :]
-    deg = out_of.shape[1]
-    index = np.empty(dim + n_one + dim * deg * deg, dtype=np.int64)
-    index[:dim] = np.arange(dim) * (dim + 1)
-    np.add(dst * dim, src, out=index[dim:dim + n_one])
-    np.add(dst[out_of] * dim, src[into],
-           out=index[dim + n_one:].reshape(dim, deg, deg))
-    coupling_sign = (sign[out_of] * sign[into]).ravel()
-    return _BlockPlan((n_orb, n_elec, n_alpha), basis, pair, sign, index,
-                      pair[out_of].astype(np.intp), pair[into].astype(np.intp),
-                      coupling_sign)
+    basis, table = _block_table(n_orb, n_elec, n_alpha)
+    # g_ijkl F^i_j F^k_l passes through an intermediate c: each entry out of
+    # c (F^i_j, to d) meets each entry into c (F^k_l, from s), deg of each.
+    (dst, *out), into = _by_intermediate(table, len(basis))
+    return _BlockPlan((n_orb, n_elec, n_alpha), basis,
+                      (dst * len(basis), *out), into)
 
 
 def _block_matrix(hamiltonian: MolecularHamiltonian,
                   plan: _BlockPlan) -> np.ndarray:
-    """Dense matrix of one block, from one ``bincount`` through its plan."""
-    n, dim, n_one = hamiltonian.n_orb, len(plan.basis), len(plan.pair)
-    weight = np.empty(len(plan.index))
-    weight[:dim] = hamiltonian.e_const
-    np.multiply(hamiltonian.h.ravel()[plan.pair], plan.sign,
-                out=weight[dim:dim + n_one])
-    # A few intermediates at a time, so that no gather temporary as long
-    # as the triples is allocated.
-    g, deg = hamiltonian.g.reshape(n * n, n * n), plan.out_pair.shape[1]
-    coupling = weight[dim + n_one:].reshape(dim, deg, deg)
-    step = max(1, GATHER_TRIPLES // max(1, deg * deg))
-    for c in range(0, dim, step):
-        coupling[c:c + step] = g[plan.out_pair[c:c + step],
-                                 plan.in_pair[c:c + step]]
-    weight[dim + n_one:] *= plan.coupling_sign
-    return np.bincount(plan.index, weight, dim * dim).reshape(dim, dim)
+    """Dense matrix of one block, each term added in its plan's order."""
+    n, dim = hamiltonian.n_orb, len(plan.basis)
+    row, pair, sign = plan.out
+    mat = np.zeros(dim * dim)
+    mat[::dim + 1] += hamiltonian.e_const
+    np.add.at(mat, (row + np.arange(dim)[:, None]).ravel(),
+              (hamiltonian.h.ravel()[pair] * sign).ravel())
+    _add_triples(mat, hamiltonian.g.reshape(n * n, n * n), plan.out,
+                 plan.into, lambda weight, row, col: row + col)
+    return mat.reshape(dim, dim)
 
 
 @dataclass(frozen=True, eq=False)
 class _FlipPlan:
     """What the spin-flip halves of one M_S = 0 block take from its table,
-    for any H: ``index`` scatters the (c, out, in) triples of the kept
-    intermediates c into the two halves, the tau half first; a triple
-    weighs sign * G[out_pair, in_pair], with G = [[g, h], [0, e_const]]
-    over the N^2 pairs k*N + l and pair N^2 standing for c itself."""
+    for any H, in O(dim deg) room.  For each kept intermediate c, ``out``
+    and ``into`` hold the (end, pair, sign) of its deg entries out and in
+    and of c itself (pair N^2); the out signs carry the weight 2 of a flip
+    pair.  A triple weighs both signs times G[out pair, in pair], G =
+    [[g, h], [0, e_const]], and the flip signs factor[kind[y], x] *
+    factor[kind[x], y]; it lands at base[kind[y], x] + slot[y] for out end
+    x and in end y, the tau half first; ``maps`` = (kind, slot, base,
+    factor)."""
 
     block: tuple[int, int]  # (n_orb, n_elec)
     n_pairs: int
     n_self: int
-    index: np.ndarray
-    sign: np.ndarray
-    out_pair: np.ndarray
-    in_pair: np.ndarray
+    maps: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    out: tuple[np.ndarray, np.ndarray, np.ndarray]
+    into: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _flip_plan(n_orb: int, n_elec: int) -> _FlipPlan:
@@ -466,7 +466,7 @@ def _flip_plan(n_orb: int, n_elec: int) -> _FlipPlan:
     place."""
     n_alpha = n_elec // 2
     _check_memory(n_orb, n_elec, n_alpha, exact=True, halves=True)
-    basis, (src, dst, pair, sign) = _block_table(n_orb, n_elec, n_alpha)
+    basis, table = _block_table(n_orb, n_elec, n_alpha)
     dim, at = len(basis), np.arange(len(basis))
     spin0 = sum(1 << 2 * p for p in range(n_orb))
     image = np.searchsorted(basis, (basis & spin0) << 1 | basis >> 1 & spin0)
@@ -487,42 +487,41 @@ def _flip_plan(n_orb: int, n_elec: int) -> _FlipPlan:
         axis=1) % 2 == 1
     factor = np.where((kind == 1) & odd_doubles, -1, 1) * np.where(
         (kind == 1) & (other_kind == 2), tau, 1)
-    factor = factor.astype(np.int8)
     # Out of each kept c: its deg entries and c itself; into it: the same.
     # c itself stands for the one-body term of each entry out of c, and
     # with itself for e_const.
     kept = at[kind != 1]
-    out_of, into = (np.argsort(ends, kind="stable").reshape(dim, -1)[kept]
-                    for ends in (src, dst))
-    x = np.hstack([dst[out_of], kept[:, None]])[:, :, None]
-    y = np.hstack([src[into], kept[:, None]])[:, None, :]
-    index = base[kind[y], x]
-    index += slot[y]
-    signs = factor[kind[y], x] * factor[kind[x], y]
-    signs[:, :-1] *= sign[out_of][:, :, None]
-    signs[:, :, :-1] *= sign[into][:, None, :]
-    signs *= (2 - kind[kept] // 2).astype(np.int8)[:, None, None]
-    out_pair, in_pair = (np.hstack([pair[table], np.full((len(kept), 1),
-                                                         n_orb ** 2)])
-                         for table in (out_of, into))
-    return _FlipPlan((n_orb, n_elec), m, upper - m, index.ravel(), signs,
-                     out_pair[:, :, None], in_pair[:, None, :])
+    itself = (kept, np.full(len(kept), n_orb ** 2), np.ones(len(kept), np.int8))
+    (x, out_pair, out_sign), into = (
+        [np.column_stack(column) for column in zip(group, itself)]
+        for group in _by_intermediate(table, dim, kept))
+    out_sign *= (2 - kind[kept] // 2).astype(np.int8)[:, None]
+    return _FlipPlan((n_orb, n_elec), m, upper - m,
+                     (kind, slot, base, factor.astype(np.int8)),
+                     (x, out_pair, out_sign), into)
 
 
 def _flip_halves(hamiltonian: MolecularHamiltonian,
                  plan: _FlipPlan) -> tuple[np.ndarray, np.ndarray]:
     """The tau half and the other spin-flip half of the M_S = 0 block of H
-    (``_flip_plan``), from one ``bincount`` into both."""
+    (``_flip_plan``), each term added in its plan's order."""
     n, m = hamiltonian.n_orb, plan.n_pairs
     upper = m + plan.n_self
-    coupling = np.zeros((n * n + 1, n * n + 1))
-    coupling[:-1, :-1] = hamiltonian.g.reshape(n * n, n * n)
-    coupling[:-1, -1] = hamiltonian.h.ravel()
-    coupling[-1, -1] = hamiltonian.e_const
-    weight = coupling[plan.out_pair, plan.in_pair]
-    weight *= plan.sign
-    flat = np.bincount(plan.index, weight.ravel(), upper ** 2 + m * m)
-    del weight
+    coupling = np.block([[hamiltonian.g.reshape(n * n, n * n),
+                          hamiltonian.h.reshape(-1, 1)],
+                         [np.zeros((1, n * n)), hamiltonian.e_const]])
+    kind, slot, base, factor = plan.maps
+
+    def place(weight, x, y):
+        weight *= factor.take(kind[x] * len(kind) + y)
+        at = kind[y] * len(kind) + x  # (kind[y], x) in the maps
+        weight *= factor.take(at)
+        index = base.take(at)
+        index += slot[y]
+        return index
+
+    flat = np.zeros(upper ** 2 + m * m)
+    _add_triples(flat, coupling, plan.out, plan.into, place)
     tau_half = flat[:upper ** 2].reshape(upper, upper)
     other, pairs = flat[upper ** 2:].reshape(m, m), tau_half[:m, :m]
     # pairs holds E and other O: make them (E + tau O)/2, (E - tau O)/2.

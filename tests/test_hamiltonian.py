@@ -1,5 +1,7 @@
 """Tests for the integral container and the symmetry-shift fold."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,30 @@ def test_apply_bliss_preserves_invariants():
     out = apply_bliss(H, oracles.random_bliss(rng, 3))
     np.testing.assert_allclose(out.h, out.h.T, atol=1e-12)
     assert two_body_symmetry_deviation(out.g) < 1e-12
+
+
+@pytest.mark.parametrize("n_orb, seed", [(1, 7), (3, 8), (5, 9)])
+def test_apply_bliss_equals_the_validated_construction(n_orb, seed):
+    """The shift skips the symmetry checks but builds, bit for bit, what a
+    validated construction from the same tensors builds, read-only."""
+    rng = np.random.default_rng(seed)
+    H = oracles.random_hamiltonian(rng, n_orb, n_orb)
+    out = apply_bliss(H, oracles.random_bliss(rng, n_orb))
+    want = replace(H, e_const=out.e_const, h=out.h, g=out.g)
+    assert type(out.e_const) is float and out.e_const == want.e_const
+    for got, ref in ((out.h, want.h), (out.g, want.g)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+    assert (out.n_orb, out.n_elec, out.ms2, out.orbsym, out.isym) == (
+        H.n_orb, H.n_elec, H.ms2, H.orbsym, H.isym)
+    assert not H.h.flags.writeable and out.h is not H.h
+
+
+def test_apply_bliss_still_checks_finiteness():
+    """BlissParams takes a NaN mu1; the shifted constant and h reject it."""
+    H = oracles.random_hamiltonian(np.random.default_rng(10), 2, 2)
+    with pytest.raises(ValueError, match="e_const has a non-finite value"):
+        apply_bliss(H, BlissParams(float("nan"), 0.0, np.zeros((2, 2))))
 
 
 @pytest.mark.parametrize("seed", range(4))

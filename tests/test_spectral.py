@@ -456,6 +456,72 @@ def test_halves_memory_model_bounds_the_traced_build(monkeypatch):
         _check_memory(6, 6, 3, exact=True, halves=True)
 
 
+@pytest.mark.parametrize("n_orb, n_elec", [(6, 5), (8, 8)])
+def test_memory_model_bounds_the_traced_build(monkeypatch, n_orb, n_elec):
+    """The prediction for an odd block and for the half-filled N=8 halves
+    exceeds the heap their plan and matrices allocate."""
+    H = oracles.random_hamiltonian(np.random.default_rng(2700), n_orb, n_orb)
+    n_alpha, even = (n_elec + 1) // 2, n_elec % 2 == 0
+    tracemalloc.start()
+    try:
+        plan = (_flip_plan(n_orb, n_elec) if even
+                else spectral._block_plan(n_orb, n_elec, n_alpha))
+        matrices = (_flip_halves(H, plan) if even
+                    else sector_matrix(H, n_elec, n_alpha, plan))
+        del plan, matrices
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(spectral, "SPECTRAL_MEMORY_LIMIT_BYTES", peak)
+    with pytest.raises(ValueError, match="SPECTRAL_MEMORY_LIMIT_BYTES"):
+        _check_memory(n_orb, n_elec, n_alpha, exact=True, halves=even)
+
+
+def plan_arrays(plan):
+    for value in vars(plan).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+@pytest.mark.parametrize("n_elec", [5, 6])
+def test_plans_hold_no_triple_length_array(n_elec):
+    """A plan keeps O(dim deg) tables: at N=6, no array of the odd block's
+    plan or of the even block's halves plan has more than dim (deg + 1)
+    entries, while the block has dim deg^2 triples."""
+    n_alpha = (n_elec + 1) // 2
+    dim = sector_dimension(12, n_elec, n_alpha)
+    deg = (n_alpha * (7 - n_alpha)
+           + (n_elec - n_alpha) * (7 - n_elec + n_alpha))
+    plan = (_flip_plan(6, n_elec) if n_elec % 2 == 0
+            else spectral._block_plan(6, n_elec, n_alpha))
+    sizes = [array.size for array in plan_arrays(plan)]
+    assert sizes and max(sizes) <= dim * (deg + 1) < dim * deg ** 2
+
+
+def test_sweep_heap_holds_one_block_and_one_chunk():
+    """Over three Hamiltonians at N=6, n=5, the sweep's heap peaks below
+    two dense blocks, one chunk of triples at 17 B each and the plan, which
+    keeps at most 40 B per table entry (34 B: end, pair and sign, out of
+    and into each intermediate)."""
+    rng = np.random.default_rng(2900)
+    hams = [oracles.random_hamiltonian(rng, 6, 6) for _ in range(3)]
+    dim, deg = sector_dimension(12, 5, 3), 3 * 4 + 2 * 5
+    plan = spectral._block_plan(6, 5, 3)
+    plan_bytes = sum(array.nbytes for array in plan_arrays(plan))
+    del plan
+    assert plan_bytes <= 40 * dim * deg
+    tracemalloc.start()
+    try:
+        rows = spectral._sector_rows(hams, 5, "exact", None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * dim ** 2 + 17 * spectral.GATHER_TRIPLES + plan_bytes
+    ranges = [spectral_range(H, 5) for H in hams]
+    assert rows == [(r.e_min, r.e_max, True) for r in ranges]
+
+
 def test_dense_fallback_compares_the_block_dimension(monkeypatch):
     """At N=7, 7 electrons (block 1225) still run Lanczos, while 5 electrons
     (block 735 of a 2002-dimensional sector) are diagonalized densely."""
