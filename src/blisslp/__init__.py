@@ -40,7 +40,7 @@ _EXPORTS = {
                  "one_electron_shift lrps_shift lrps_one_body_correction "
                  "lrbs_shift to_csa_fragment build_fermionic_report "
                  "assemble_global_bliss",
-    "spectral": "Determinant CIVector LanczosOptions LanczosResult "
+    "spectral": "CIVector LanczosOptions LanczosResult "
                 "RangeResult SpectralReport sector_determinants sector_matrix "
                 "apply_hamiltonian one_body_eigenbasis reference_determinant "
                 "truncated_lanczos spectral_range spectral_ranges "

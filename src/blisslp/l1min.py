@@ -176,12 +176,14 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     the minimizers form an interval, it is the interval's lower end.
 
     Raises:
-        ValueError: if ``values`` is empty, its shape differs from
-            ``weights``, a value or weight is not finite, a weight is
+        ValueError: if ``values`` is not 1-D or empty, its shape differs
+            from ``weights``, a value or weight is not finite, a weight is
             negative or the weights sum to zero.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"values must be 1-D, got shape {values.shape}")
     if values.size == 0:
         raise ValueError("median of an empty vector")
     if values.shape != weights.shape:

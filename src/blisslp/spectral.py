@@ -10,20 +10,21 @@ work on that block.
 
 One kernel serves both: a per-block table lists every nonzero <d|F^k_l|s>,
 built from the block's alpha and beta strings (Knowles and Handy, Chem.
-Phys. Lett. 111, 315 (1984)).  For exact diagonalization a block plan
-groups the table by intermediate determinant c, O(dim deg) in all, and a
-build expands the (c, out, in) two-body triples a chunk at a time into the
-dense block of any H.  The spin flip commutes with H and splits an even
-sector's M_S = 0 block into halves of dimension (d +- C(N, n/2))/2 (Olsen
-et al., J. Chem. Phys. 89, 2185 (1988)); its plan keeps one intermediate
-per flip pair and scatters straight into both halves.  A sweep over
-several Hamiltonians builds each sector's plan once and drops it before
-the next sector.  The Lanczos operator folds F^k_l and F^l_k into one row
-and applies H to the dense vectors of a fully reorthogonalized iteration;
-its projected matrix uses exact H applications, so the lowest estimate
-never undershoots the true minimum, the highest never overshoots the
-maximum, and the range is a lower bound on the exact one.  No table spans
-a sector: ``apply_hamiltonian`` applies H block by block.  Memory is
+Phys. Lett. 111, 315 (1984)).  The spin flip commutes with H and splits an
+even sector's M_S = 0 block into halves of dimension (d +- C(N, n/2))/2
+(Olsen et al., J. Chem. Phys. 89, 2185 (1988)).  For exact diagonalization
+one plan groups the table by intermediate determinant c, O(dim deg) in all
+and one c per flip pair, and a build scatters straight into both halves, a
+chunk at a time: each c with itself (e_const and the one-body terms), then
+its (c, out, in) two-body triples.  A plan that does not flip takes every
+determinant as its own image, so its first half is the whole block.  A
+sweep over several Hamiltonians builds each sector's plan once and drops it
+before the next sector.  The Lanczos operator folds F^k_l and F^l_k into
+one row and applies H to the dense vectors of a fully reorthogonalized
+iteration; its projected matrix uses exact H applications, so the lowest
+estimate never undershoots the true minimum, the highest never overshoots
+the maximum, and the range is a lower bound on the exact one.  No table
+spans a sector: ``apply_hamiltonian`` applies H block by block.  Memory is
 predicted once on each path that allocates (``_check_memory``).
 """
 
@@ -40,7 +41,6 @@ import numpy as np
 from .hamiltonian import MolecularHamiltonian, symmetrize_two_body
 
 __all__ = [
-    "Determinant",
     "CIVector",
     "LanczosOptions",
     "LanczosResult",
@@ -78,31 +78,6 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Triples a matrix build expands at once: 64 KiB per 8-B chunk array, small
 # enough for the allocator to serve from freed heap rather than map afresh.
 GATHER_TRIPLES = 1 << 13
-
-
-@dataclass(frozen=True, order=True)
-class Determinant:
-    """A Slater determinant as an occupancy bitmask.
-
-    Bit s of ``occupancy`` is the occupation of spin-orbital s = 2p + spin
-    for spatial orbital p.
-    """
-
-    occupancy: int
-    n_elec: int
-
-    def __post_init__(self) -> None:
-        if self.occupancy < 0:
-            raise ValueError("occupancy bitmask must be non-negative")
-        if self.occupancy.bit_count() != self.n_elec:
-            raise ValueError(
-                f"occupancy {self.occupancy:b} has {self.occupancy.bit_count()} "
-                f"set bits, expected n_elec={self.n_elec}")
-
-    def spin_orbitals(self) -> tuple[int, ...]:
-        """Occupied spin-orbital indices, ascending."""
-        return tuple(s for s in range(self.occupancy.bit_length())
-                     if self.occupancy >> s & 1)
 
 
 @dataclass(frozen=True)
@@ -147,6 +122,8 @@ def sector_dimension(n_spin_orb: int, n_elec: int,
                      n_alpha: int | None = None) -> int:
     """Determinants of the sector or, given ``n_alpha``, of its block with
     n_alpha spin-0 electrons."""
+    if not 0 <= n_elec <= n_spin_orb:
+        raise ValueError(f"n_elec={n_elec} outside [0, {n_spin_orb}]")
     if n_alpha is None:
         return math.comb(n_spin_orb, n_elec)
     if not 0 <= n_alpha <= n_elec:
@@ -174,7 +151,7 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
                   halves: bool = False) -> None:
     """Refuse a sector, or its block with ``n_alpha`` spin-0 electrons,
     predicted to outgrow the memory limit.  Called once per allocating
-    path: by ``_block_plan``, ``_flip_plan``, ``truncated_lanczos``,
+    path: by ``_plan``, ``truncated_lanczos``,
     ``apply_hamiltonian`` per block, ``sector_matrix`` for a whole sector,
     and a sweep up front.
 
@@ -184,10 +161,10 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
     N^2 x dim matvec arrays and ``max_iters`` Lanczos vectors (the folded
     operator keeps 17 B per entry and two N(N+1)/2 x dim arrays).  With
     ``exact`` also 48 B per entry for the plan (34 B) and the one-body
-    pass, 32 B per triple of one ``GATHER_TRIPLES`` chunk, and 16 B per
-    element of the dense matrix and its ``eigvalsh`` copy, or with
-    ``halves`` 8 B per element of both spin-flip halves (``_flip_plan``)
-    and of the larger one's copy.
+    pass, 32 B per triple of one ``GATHER_TRIPLES`` chunk, and 8 B per
+    element of both halves and of the larger one's ``eigvalsh`` copy: with
+    ``halves`` the spin-flip halves of one block (``_plan``), otherwise the
+    dense matrix, a tau half of dimension dim.
     """
     if not 0 <= n_elec <= 2 * n_orb:
         return  # _block_table names the bad n_elec
@@ -204,11 +181,9 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
     if exact:
         need += 48 * entries + 32 * max(
             GATHER_TRIPLES, (max(deg for _, deg in sizes) + 1) ** 2)
-        if halves:  # of one block, so dim is its dimension
-            upper = (dim + math.comb(n_orb, n_elec // 2)) // 2
-            need += 8 * (2 * upper ** 2 + (dim - upper) ** 2)
-        else:
-            need += 16 * dim ** 2
+        # With halves, of one block, so dim is its dimension.
+        upper = (dim + math.comb(n_orb, n_elec // 2)) // 2 if halves else dim
+        need += 8 * (2 * upper ** 2 + (dim - upper) ** 2)
     if need > SPECTRAL_MEMORY_LIMIT_BYTES:
         block = "" if n_alpha is None else f" ({n_alpha} spin-0 electrons)"
         raise ValueError(
@@ -358,14 +333,22 @@ def apply_hamiltonian(hamiltonian: MolecularHamiltonian,
     return CIVector(dict(sorted(entries.items())), n_elec, vector.n_spin_orb)
 
 
-def _by_intermediate(table, dim: int, rows=slice(None)):
-    """For the intermediates ``rows``, the (other end, pair, sign) of their
-    deg entries out and of their deg entries in, each in table order."""
+def _by_intermediate(table, dim: int, rows: np.ndarray, n_orb: int):
+    """For the intermediates ``rows``, the (other end, pair, sign) of c
+    itself (pair N^2, sign 1) and of its deg entries out, then the same of
+    c and its deg entries in, each in table order."""
     src, dst, pair, sign = table
-    ats = [np.argsort(c, kind="stable").reshape(dim, -1)[rows]
-           for c in (src, dst)]
-    return [(end[at], pair[at].astype(np.intp), sign[at])
-            for end, at in zip((dst, src), ats)]
+    groups = []
+    for end, key in ((dst, src), (src, dst)):
+        at = np.argsort(key, kind="stable").reshape(dim, -1)[rows]
+        group = tuple(np.empty((len(rows), at.shape[1] + 1), dtype)
+                      for dtype in (end.dtype, np.intp, np.int8))
+        for column, values, itself in zip(group, (end, pair, sign),
+                                          (rows, n_orb ** 2, 1)):
+            column[:, 0] = itself
+            column[:, 1:] = values[at]
+        groups.append(group)
+    return groups
 
 
 def _add_triples(flat: np.ndarray, coupling: np.ndarray, out, into,
@@ -375,7 +358,7 @@ def _add_triples(flat: np.ndarray, coupling: np.ndarray, out, into,
     ``place(weight, out end, in end)``, which may scale the weights.  The
     triples are expanded ``GATHER_TRIPLES`` at a time and added in order."""
     (x, out_pair, out_sign), (y, in_pair, in_sign) = out, into
-    step = max(1, GATHER_TRIPLES // max(1, x.shape[1] ** 2))
+    step = max(1, GATHER_TRIPLES // max(1, x.shape[1] * y.shape[1]))
     for c in range(0, len(x), step):
         c = slice(c, c + step)
         weight = coupling.take(out_pair[c, :, None] * len(coupling)
@@ -387,67 +370,28 @@ def _add_triples(flat: np.ndarray, coupling: np.ndarray, out, into,
 
 
 @dataclass(frozen=True, eq=False)
-class _BlockPlan:
-    """What the dense matrix of one block takes from its table, for any H,
-    in O(dim deg) room: for each intermediate c, ``out`` holds the (dst *
-    dim, pair, sign) of its deg entries out and ``into`` the (src, pair,
-    sign) of its deg entries in, pairs k*N + l.  The matrix sums e_const on
-    the diagonal, each entry out of c (h[pair] * sign in column c) and each
-    (c, out, in) triple (g[out pair, in pair] times both signs) in order."""
+class _Plan:
+    """What the dense matrix of one block, or the spin-flip halves of an
+    M_S = 0 block, take from its table, for any H, in O(dim deg) room.  For
+    each kept intermediate c, ``out`` and ``into`` hold the (end, pair,
+    sign) of c itself (pair N^2), then of its deg entries out and in; the
+    out signs carry the weight 2 of a flip pair.  A triple weighs both
+    signs times G[out pair, in pair], G = [[g, h], [0, e_const]], and the
+    flip signs factor[kind[y], x] * factor[kind[x], y]; it lands at
+    base[kind[y], x] + slot[y] for out end x and in end y, the tau half
+    first; ``maps`` = (kind, slot, base, factor)."""
 
     block: tuple[int, int, int]  # (n_orb, n_elec, n_alpha)
     basis: np.ndarray
-    out: tuple[np.ndarray, np.ndarray, np.ndarray]
-    into: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _block_plan(n_orb: int, n_elec: int, n_alpha: int) -> _BlockPlan:
-    """The plan of one block's dense matrix."""
-    _check_memory(n_orb, n_elec, n_alpha, exact=True)
-    basis, table = _block_table(n_orb, n_elec, n_alpha)
-    # g_ijkl F^i_j F^k_l passes through an intermediate c: each entry out of
-    # c (F^i_j, to d) meets each entry into c (F^k_l, from s), deg of each.
-    (dst, *out), into = _by_intermediate(table, len(basis))
-    return _BlockPlan((n_orb, n_elec, n_alpha), basis,
-                      (dst * len(basis), *out), into)
-
-
-def _block_matrix(hamiltonian: MolecularHamiltonian,
-                  plan: _BlockPlan) -> np.ndarray:
-    """Dense matrix of one block, each term added in its plan's order."""
-    n, dim = hamiltonian.n_orb, len(plan.basis)
-    row, pair, sign = plan.out
-    mat = np.zeros(dim * dim)
-    mat[::dim + 1] += hamiltonian.e_const
-    np.add.at(mat, (row + np.arange(dim)[:, None]).ravel(),
-              (hamiltonian.h.ravel()[pair] * sign).ravel())
-    _add_triples(mat, hamiltonian.g.reshape(n * n, n * n), plan.out,
-                 plan.into, lambda weight, row, col: row + col)
-    return mat.reshape(dim, dim)
-
-
-@dataclass(frozen=True, eq=False)
-class _FlipPlan:
-    """What the spin-flip halves of one M_S = 0 block take from its table,
-    for any H, in O(dim deg) room.  For each kept intermediate c, ``out``
-    and ``into`` hold the (end, pair, sign) of its deg entries out and in
-    and of c itself (pair N^2); the out signs carry the weight 2 of a flip
-    pair.  A triple weighs both signs times G[out pair, in pair], G =
-    [[g, h], [0, e_const]], and the flip signs factor[kind[y], x] *
-    factor[kind[x], y]; it lands at base[kind[y], x] + slot[y] for out end
-    x and in end y, the tau half first; ``maps`` = (kind, slot, base,
-    factor)."""
-
-    block: tuple[int, int]  # (n_orb, n_elec)
     n_pairs: int
-    n_self: int
     maps: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     out: tuple[np.ndarray, np.ndarray, np.ndarray]
     into: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _flip_plan(n_orb: int, n_elec: int) -> _FlipPlan:
-    """The plan of the spin-flip halves of an even sector's M_S = 0 block.
+def _plan(n_orb: int, n_elec: int, n_alpha: int, flip: bool) -> _Plan:
+    """The plan of one block's dense matrix or, with ``flip``, of the
+    spin-flip halves of an even sector's M_S = 0 block.
 
     The spin flip S swaps spin-orbitals 2p and 2p + 1; on a determinant,
     an ascending product of creators, S|x> = (-1)^D |x'> for D doubly
@@ -455,21 +399,23 @@ def _flip_plan(n_orb: int, n_elec: int) -> _FlipPlan:
     x < x' gives (|x> +- S|x>) / sqrt(2) to the S = +-1 halves, and each
     self-flipped x (S|x> = tau |x>, tau = (-1)^(n/2)) gives |x> to the tau
     half: dimensions (d +- C(N, n/2))/2.  Both halves list the m pairs
-    first, the tau half then the self-flipped determinants.
+    first, the tau half then the self-flipped determinants.  Without
+    ``flip`` every determinant is its own image: the tau half is the whole
+    block in basis order, the other half 0 x 0.
 
     A triple and its flip image add the same signed amount to the same
     half positions, so only the intermediates c <= c' are kept, those with
     c < c' at weight 2.  On pair rows and columns the scatter sums E, the
     triples whose two ends are both kept or both flipped, into the tau
     half and O, the others, into the other half: the halves' pair blocks
-    are (E + tau O)/2 and (E - tau O)/2, and ``_flip_halves`` forms them in
+    are (E + tau O)/2 and (E - tau O)/2, and ``_halves`` forms them in
     place."""
-    n_alpha = n_elec // 2
-    _check_memory(n_orb, n_elec, n_alpha, exact=True, halves=True)
+    _check_memory(n_orb, n_elec, n_alpha, exact=True, halves=flip)
     basis, table = _block_table(n_orb, n_elec, n_alpha)
     dim, at = len(basis), np.arange(len(basis))
     spin0 = sum(1 << 2 * p for p in range(n_orb))
-    image = np.searchsorted(basis, (basis & spin0) << 1 | basis >> 1 & spin0)
+    image = (np.searchsorted(basis, (basis & spin0) << 1 | basis >> 1 & spin0)
+             if flip else at)
     kind = (at > image) + 2 * (at == image)  # kept, flipped or self-flipped
     m, tau = int(np.count_nonzero(kind == 0)), 1 - 2 * (n_alpha & 1)
     upper = dim - m  # the tau half: m pairs and the self-flipped
@@ -487,32 +433,33 @@ def _flip_plan(n_orb: int, n_elec: int) -> _FlipPlan:
         axis=1) % 2 == 1
     factor = np.where((kind == 1) & odd_doubles, -1, 1) * np.where(
         (kind == 1) & (other_kind == 2), tau, 1)
-    # Out of each kept c: its deg entries and c itself; into it: the same.
     # c itself stands for the one-body term of each entry out of c, and
     # with itself for e_const.
-    kept = at[kind != 1]
-    itself = (kept, np.full(len(kept), n_orb ** 2), np.ones(len(kept), np.int8))
-    (x, out_pair, out_sign), into = (
-        [np.column_stack(column) for column in zip(group, itself)]
-        for group in _by_intermediate(table, dim, kept))
+    kept = kind != 1
+    (x, out_pair, out_sign), into = _by_intermediate(table, dim, at[kept],
+                                                     n_orb)
     out_sign *= (2 - kind[kept] // 2).astype(np.int8)[:, None]
-    return _FlipPlan((n_orb, n_elec), m, upper - m,
-                     (kind, slot, base, factor.astype(np.int8)),
-                     (x, out_pair, out_sign), into)
+    return _Plan((n_orb, n_elec, n_alpha), basis, m,
+                 (kind, slot, base, factor.astype(np.int8)),
+                 (x, out_pair, out_sign), into)
 
 
-def _flip_halves(hamiltonian: MolecularHamiltonian,
-                 plan: _FlipPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The tau half and the other spin-flip half of the M_S = 0 block of H
-    (``_flip_plan``), each term added in its plan's order."""
+def _halves(hamiltonian: MolecularHamiltonian,
+            plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """The tau half and the other half of H's block (``_plan``), summed in
+    two passes over the intermediates c: first each entry out of c, c
+    itself first, with c itself (e_const and the one-body terms), then the
+    deg x deg two-body triples, each pass in its plan's order."""
     n, m = hamiltonian.n_orb, plan.n_pairs
-    upper = m + plan.n_self
+    upper = len(plan.basis) - m
     coupling = np.block([[hamiltonian.g.reshape(n * n, n * n),
                           hamiltonian.h.reshape(-1, 1)],
                          [np.zeros((1, n * n)), hamiltonian.e_const]])
     kind, slot, base, factor = plan.maps
 
     def place(weight, x, y):
+        if not m:  # every determinant is its own image
+            return x * upper + y
         weight *= factor.take(kind[x] * len(kind) + y)
         at = kind[y] * len(kind) + x  # (kind[y], x) in the maps
         weight *= factor.take(at)
@@ -521,7 +468,10 @@ def _flip_halves(hamiltonian: MolecularHamiltonian,
         return index
 
     flat = np.zeros(upper ** 2 + m * m)
-    _add_triples(flat, coupling, plan.out, plan.into, place)
+    _add_triples(flat, coupling, plan.out,
+                 [column[:, :1] for column in plan.into], place)
+    _add_triples(flat, coupling, *([column[:, 1:] for column in table]
+                                   for table in (plan.out, plan.into)), place)
     tau_half = flat[:upper ** 2].reshape(upper, upper)
     other, pairs = flat[upper ** 2:].reshape(m, m), tau_half[:m, :m]
     # pairs holds E and other O: make them (E + tau O)/2, (E - tau O)/2.
@@ -540,20 +490,22 @@ def _flip_halves(hamiltonian: MolecularHamiltonian,
 
 
 def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
-                  n_alpha: int | None = None, plan: _BlockPlan | None = None
+                  n_alpha: int | None = None, plan: _Plan | None = None
                   ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Dense Hamiltonian matrix over one sector, or over its block with
     ``n_alpha`` spin-0 electrons, and its determinant basis (ascending).
     The sector matrix is the direct sum of its blocks.  ``plan``, from
-    ``_block_plan`` for the same block, saves building the block's table."""
+    ``_plan`` for the same block without flip, saves building the block's
+    table."""
     n_orb = hamiltonian.n_orb
     if n_alpha is not None:
         if plan is None:
-            plan = _block_plan(n_orb, n_elec, n_alpha)
-        elif plan.block != (n_orb, n_elec, n_alpha):
-            raise ValueError(f"plan of block {plan.block} used for block "
-                             f"{(n_orb, n_elec, n_alpha)}")
-        return _block_matrix(hamiltonian, plan), tuple(plan.basis.tolist())
+            plan = _plan(n_orb, n_elec, n_alpha, False)
+        elif plan.block != (n_orb, n_elec, n_alpha) or plan.n_pairs:
+            raise ValueError(f"plan of block {plan.block}"
+                             f"{' halves' if plan.n_pairs else ''} used for "
+                             f"block {(n_orb, n_elec, n_alpha)}")
+        return _halves(hamiltonian, plan)[0], tuple(plan.basis.tolist())
     if plan is not None:
         raise ValueError("a plan serves one block; give its n_alpha")
     if not 0 <= n_elec <= 2 * n_orb:
@@ -561,8 +513,8 @@ def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
     _check_memory(n_orb, n_elec, exact=True)
     blocks = []
     for a in _spin_blocks(n_orb, n_elec):
-        plan = _block_plan(n_orb, n_elec, a)
-        blocks.append((_block_matrix(hamiltonian, plan), plan.basis))
+        plan = _plan(n_orb, n_elec, a, False)
+        blocks.append((_halves(hamiltonian, plan)[0], plan.basis))
         del plan
     basis = np.sort(np.concatenate([dets for _, dets in blocks]))
     mat = np.zeros((len(basis), len(basis)))
@@ -590,8 +542,9 @@ def one_body_eigenbasis(hamiltonian: MolecularHamiltonian) -> MolecularHamiltoni
 
 
 def reference_determinant(hamiltonian: MolecularHamiltonian, n_elec: int,
-                          extreme: str = "lowest") -> Determinant:
-    """Extreme-filling start vector in a frame where h is diagonal.
+                          extreme: str = "lowest") -> int:
+    """Occupancy bitmask of the extreme-filling start determinant in a
+    frame where h is diagonal.
 
     Spatial orbitals are ranked by their diagonal h value (ascending for
     "lowest", descending for "highest", ties broken by orbital index) and
@@ -600,13 +553,12 @@ def reference_determinant(hamiltonian: MolecularHamiltonian, n_elec: int,
     if extreme not in ("lowest", "highest"):
         raise ValueError(f"extreme must be 'lowest' or 'highest', got {extreme!r}")
     if not 0 <= n_elec <= hamiltonian.n_spin_orb:
-        raise ValueError(f"n_elec={n_elec} exceeds {hamiltonian.n_spin_orb} "
-                         "spin-orbitals")
+        raise ValueError(f"n_elec={n_elec} outside "
+                         f"[0, {hamiltonian.n_spin_orb}]")
     energies = np.diag(hamiltonian.h) * (1.0 if extreme == "lowest" else -1.0)
     order = sorted(range(hamiltonian.n_orb), key=lambda p: (energies[p], p))
     fill = [2 * p + spin for p in order for spin in (0, 1)]
-    occupancy = sum(1 << s for s in fill[:n_elec])
-    return Determinant(occupancy=occupancy, n_elec=n_elec)
+    return sum(1 << s for s in fill[:n_elec])
 
 
 @dataclass(frozen=True)
@@ -619,8 +571,10 @@ class LanczosOptions:
     residual_tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, int) or self.max_iters < 1):
+            raise ValueError(f"max_iters must be a positive int, got "
+                             f"{self.max_iters!r}")
         if not 0.0 < self.residual_tol < math.inf:
             raise ValueError("residual_tol must be positive and finite")
 
@@ -665,7 +619,7 @@ def truncated_lanczos(hamiltonian: MolecularHamiltonian, n_elec: int,
     size = min(opts.max_iters, len(dets))
     basis, projected = np.zeros((size, len(dets))), np.zeros((size, size))
     start = basis[0]
-    start[np.searchsorted(dets, ref.occupancy)] = 1.0
+    start[np.searchsorted(dets, ref)] = 1.0
     h_start = matvec(start)
     if np.linalg.norm(h_start - (start @ h_start) * start) >= opts.residual_tol:
         # Generic and fixed, from numpy core: sines of multiples of the
@@ -714,20 +668,20 @@ def _sector_rows(hamiltonians: Sequence[MolecularHamiltonian], n_elec: int,
                  ) -> list[tuple[float, float, bool]]:
     """(e_min, e_max, converged) of each Hamiltonian in one sector.  A dense
     sector builds one plan, which serves every Hamiltonian and is dropped
-    before the last one is diagonalized; an even sector's plan builds the
-    two spin-flip halves of its block, and both are diagonalized."""
+    before the last one is diagonalized; an even sector's plan splits its
+    block into the two spin-flip halves, and both are diagonalized."""
     # H is spin-free, so every level has a member with M_S = 0 or 1/2: the
     # block with ceil(n/2) spin-0 electrons holds the whole spectrum.
     n_orb, n_alpha = hamiltonians[0].n_orb, (n_elec + 1) // 2
     if method == "exact" or (sector_dimension(2 * n_orb, n_elec, n_alpha)
                              <= EXACT_FALLBACK_DIMENSION):
-        even = n_elec % 2 == 0
-        plan = (_flip_plan(n_orb, n_elec) if even
-                else _block_plan(n_orb, n_elec, n_alpha))
+        plan = _plan(n_orb, n_elec, n_alpha, n_elec % 2 == 0)
         rows = []
         for i, hamiltonian in enumerate(hamiltonians):
-            matrices = (_flip_halves(hamiltonian, plan) if even else (
-                sector_matrix(hamiltonian, n_elec, n_alpha, plan)[0],))
+            # A whole block is built through sector_matrix, the exact build
+            # that bench/spans.py times.
+            matrices = (sector_matrix(hamiltonian, n_elec, n_alpha, plan)[:1]
+                        if n_elec % 2 else _halves(hamiltonian, plan))
             if i == len(hamiltonians) - 1:
                 del plan  # the last eigvalsh gets the plan's room
             values = [np.linalg.eigvalsh(m) for m in matrices if len(m)]

@@ -45,10 +45,28 @@ def excitation_matrices(n_orb: int) -> list[list[np.ndarray]]:
 
 def fock_matrix(hamiltonian: MolecularHamiltonian) -> np.ndarray:
     """Dense e + sum h F + sum g F F over the whole Fock space."""
+    return _operator_sum(hamiltonian, excitation_matrices(hamiltonian.n_orb))
+
+
+def fock_blocks(hamiltonian: MolecularHamiltonian, bases):
+    """``fock_matrix(hamiltonian)[np.ix_(dets, dets)]`` for each ``dets`` of
+    ``bases``, each closed under every F^i_j (fixed spin-0 and spin-1
+    counts): F^k_l maps the dets into themselves, so F^i_j F^k_l restricts
+    factor by factor, and F^i_j restricted is the sum of
+    ``excitation_matrices`` over the ladder operators' dets columns."""
     n = hamiltonian.n_orb
-    f = excitation_matrices(n)
-    dim = 1 << (2 * n)
-    out = hamiltonian.e_const * np.eye(dim)
+    ams = annihilation_matrices(2 * n)
+    for dets in bases:
+        cols = [a[:, dets] for a in ams]
+        yield _operator_sum(hamiltonian, [
+            [sum(cols[2 * i + s].T @ cols[2 * j + s] for s in (0, 1))
+             for j in range(n)] for i in range(n)])
+
+
+def _operator_sum(hamiltonian: MolecularHamiltonian, f) -> np.ndarray:
+    """e + sum h F + sum g F F with F^i_j = f[i][j]."""
+    n = hamiltonian.n_orb
+    out = hamiltonian.e_const * np.eye(len(f[0][0]))
     for i in range(n):
         for j in range(n):
             out += hamiltonian.h[i, j] * f[i][j]

@@ -352,24 +352,19 @@ def test_compare_equals_separate_runs_and_builds_baseline_once(
                for m in ("none", "lp-bliss", "ffr-bliss")]
     separate = [strip_volatile(run_pipeline(c)[0].to_dict()) for c in configs]
     calls = []
-    sector_matrix, flip_halves = spectral.sector_matrix, spectral._flip_halves
+    halves = spectral._halves
 
-    def counting(hamiltonian, n_elec, n_alpha=None, plan=None):
-        calls.append(n_elec)
-        return sector_matrix(hamiltonian, n_elec, n_alpha, plan)
-
-    def counting_halves(hamiltonian, plan):
+    def counting(hamiltonian, plan):
         calls.append(plan.block[1])
-        return flip_halves(hamiltonian, plan)
+        return halves(hamiltonian, plan)
 
-    monkeypatch.setattr(spectral, "sector_matrix", counting)
-    monkeypatch.setattr(spectral, "_flip_halves", counting_halves)
+    monkeypatch.setattr(spectral, "_halves", counting)
     comparison = compare(configs)
     assert [strip_volatile(r.to_dict()) for r in comparison.runs] == separate
     # One full-Fock sweep over sectors 0..4 of two orbitals, each sector
-    # computed for the unshifted H and both shifted ones before the next:
-    # an odd sector's block by sector_matrix, an even one's spin-flip
-    # halves by _flip_halves.
+    # computed for the unshifted H and both shifted ones before the next,
+    # each by one build: an odd sector's block, an even one's spin-flip
+    # halves.
     assert calls == [n for n in range(5) for _ in range(3)]
     with pytest.raises(ValueError, match="share"):
         compare([configs[0], RunConfig(input=path, method="df",
@@ -378,9 +373,9 @@ def test_compare_equals_separate_runs_and_builds_baseline_once(
 
 def test_compare_builds_one_plan_per_sector_and_keeps_none(
         tmp_path, monkeypatch):
-    """A 3-method exact compare builds each sector's block plan once, for
-    H and both shifted Hamiltonians, holds at most one at a time and none
-    after it returns."""
+    """A 3-method exact compare builds each sector's plan once, for H and
+    both shifted Hamiltonians, holds at most one at a time and none after
+    it returns."""
     import weakref
 
     from blisslp import spectral
@@ -388,17 +383,15 @@ def test_compare_builds_one_plan_per_sector_and_keeps_none(
     path = dump_file(tmp_path)
     plans = []
 
-    def recording(build):
-        def recorded(*args):
-            assert all(plan() is None for plan in plans)
-            plan = build(*args)
-            plans.append(weakref.ref(plan))
-            return plan
-        return recorded
+    build = spectral._plan
 
-    # Odd sectors build a block plan, even ones a spin-flip plan.
-    for name in ("_block_plan", "_flip_plan"):
-        monkeypatch.setattr(spectral, name, recording(getattr(spectral, name)))
+    def recording(*args):
+        assert all(plan() is None for plan in plans)
+        plan = build(*args)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(spectral, "_plan", recording)
     compare([RunConfig(input=path, method=m, spectral="exact")
              for m in ("none", "lp-bliss", "ffr-bliss")])
     assert len(plans) == 5

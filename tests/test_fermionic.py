@@ -198,6 +198,8 @@ def test_canonical_median():
     assert canonical_median(np.array([5.0])) == 5.0
     with pytest.raises(ValueError):
         canonical_median(np.array([]))
+    with pytest.raises(ValueError, match="1-D"):
+        canonical_median(np.ones((2, 2)))
 
 
 def test_one_electron_shift_example():

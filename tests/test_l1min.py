@@ -116,6 +116,9 @@ def test_weighted_median_rejects_bad_input():
         weighted_median(np.array([]), np.array([]))
     with pytest.raises(ValueError, match="shape"):
         weighted_median(np.ones(2), np.ones(3))
+    for shape in ((2, 3), (1, 1), ()):
+        with pytest.raises(ValueError, match="1-D"):
+            weighted_median(np.ones(shape), np.ones(shape))
     values = np.array([1.0, 2.0, 3.0])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):

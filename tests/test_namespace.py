@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # The names ``from blisslp import *`` binds.
 PUBLIC_API = """
     BLISS_METHODS BlissParams BlissSummary CIVector CompareReport CsaFragment
-    DFFragment Determinant EXIT_INVALID EXIT_IO EXIT_OK EXIT_SOLVER
+    DFFragment EXIT_INVALID EXIT_IO EXIT_OK EXIT_SOLVER
     FERMIONIC_METHODS FcidumpError FermionicNormReport FragmentNorm
     IterationLimitError L1Problem L1Solution L1Status LanczosOptions
     LanczosResult LpBlissIterationLimit LpBlissVarMap LpResult LpStatus

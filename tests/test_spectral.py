@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import oracles
 from blisslp import (
     CIVector,
-    Determinant,
     LanczosOptions,
     LanczosResult,
     MolecularHamiltonian,
@@ -33,8 +32,8 @@ from blisslp import (
     truncated_lanczos,
 )
 from blisslp import spectral
-from blisslp.spectral import (_block_table, _check_memory, _flip_halves,
-                              _flip_plan, _sector_operator, sector_dimension)
+from blisslp.spectral import (_block_table, _check_memory, _halves, _plan,
+                              _sector_operator, sector_dimension)
 
 
 def sector_civector(rng, n_spin_orb, n_elec) -> CIVector:
@@ -47,16 +46,6 @@ def sector_civector(rng, n_spin_orb, n_elec) -> CIVector:
 def civector_to_dense(vec: CIVector) -> np.ndarray:
     masks = sector_determinants(vec.n_spin_orb, vec.n_elec)
     return np.array([vec.entries.get(m, 0.0) for m in masks])
-
-
-def test_determinant_validation():
-    det = Determinant(occupancy=0b1101, n_elec=3)
-    assert det.spin_orbitals() == (0, 2, 3)
-    with pytest.raises(ValueError, match="non-negative"):
-        Determinant(occupancy=-1, n_elec=0)
-    with pytest.raises(ValueError, match="set bits"):
-        Determinant(occupancy=0b11, n_elec=1)
-    assert Determinant(0b01, 1) < Determinant(0b10, 1)
 
 
 def test_civector_validation_and_algebra():
@@ -84,8 +73,12 @@ def test_sector_enumeration():
     assert masks == tuple(sorted(masks))
     assert all(m.bit_count() == 2 for m in masks)
     assert sector_determinants(4, 0) == (0,)
-    with pytest.raises(ValueError):
-        sector_determinants(4, 5)
+    assert sector_dimension(12, 5, 7) == 0
+    for n_elec in (5, -1):
+        with pytest.raises(ValueError, match=rf"n_elec={n_elec} outside \[0, 4\]"):
+            sector_determinants(4, n_elec)
+        with pytest.raises(ValueError, match=rf"n_elec={n_elec} outside \[0, 4\]"):
+            sector_dimension(4, n_elec)
 
 
 def test_apply_diagonal_hamiltonian():
@@ -208,6 +201,20 @@ def test_sector_matrix_refuses_out_of_range_sector():
             sector_matrix(H, n_elec)
 
 
+def test_sector_matrix_refuses_a_foreign_plan():
+    """A plan builds the block it was made for, and sector_matrix takes
+    only a plan that flips nothing."""
+    H = oracles.random_hamiltonian(np.random.default_rng(74), 2, 2)
+    want = sector_matrix(H, 2, 1)[0]
+    np.testing.assert_array_equal(
+        sector_matrix(H, 2, 1, _plan(2, 2, 1, False))[0], want)
+    for plan in (_plan(2, 3, 1, False), _plan(2, 2, 1, True)):
+        with pytest.raises(ValueError, match=r"used for block \(2, 2, 1\)"):
+            sector_matrix(H, 2, 1, plan)
+    with pytest.raises(ValueError, match="give its n_alpha"):
+        sector_matrix(H, 2, plan=_plan(2, 2, 1, False))
+
+
 def spin_flip_matrix(basis, n_orb) -> np.ndarray:
     """S on a block basis: each spin-orbital 2p + s goes to 2p + 1 - s, with
     the parity of re-sorting the flipped creators as its sign."""
@@ -234,7 +241,7 @@ def test_spin_flip_halves_split_the_even_block(n_orb, seed):
         flip = spin_flip_matrix(basis, n_orb)
         scale = max(1.0, np.abs(mat).max())
         assert np.abs(flip @ mat - mat @ flip).max() <= 1e-13 * scale
-        tau_half, other = _flip_halves(H, _flip_plan(n_orb, n_elec))
+        tau_half, other = _halves(H, _plan(n_orb, n_elec, n_elec // 2, True))
         n_self = comb(n_orb, n_elec // 2)
         assert (len(tau_half), len(other)) == ((len(basis) + n_self) // 2,
                                                (len(basis) - n_self) // 2)
@@ -251,6 +258,54 @@ def test_spin_flip_halves_split_the_even_block(n_orb, seed):
         got = np.concatenate([np.linalg.eigvalsh(half)
                               for half in (tau_half, other)])
         np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=tol)
+
+
+def flip_halves_bases(basis, n_orb, tau) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the tau half and of the other half, in their order:
+    (|x> + tau S|x>)/sqrt(2), then (|x> - tau S|x>)/sqrt(2), for each pair
+    x < x' ascending, and the self-flipped |x> after the tau half's."""
+    flip = spin_flip_matrix(basis, n_orb)
+    at = np.arange(len(basis))
+    image = np.abs(flip).argmax(axis=0)
+    pairs, eye = at[at < image], np.eye(len(basis))
+    return (np.column_stack([(eye[:, pairs] + tau * flip[:, pairs]) / np.sqrt(2),
+                             eye[:, at == image]]),
+            (eye[:, pairs] - tau * flip[:, pairs]) / np.sqrt(2))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_orb=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_plan_builds_the_oracle_block_or_halves(n_orb, seed):
+    """Without flip every block's plan builds the Fock-space oracle
+    restricted to the block as its tau half and a 0 x 0 other half; with
+    flip each M_S = 0 block's plan builds the oracle in the halves' bases."""
+    H = oracles.random_hamiltonian(np.random.default_rng(seed), n_orb, n_orb)
+    blocks = [(n, a) for n in range(2 * n_orb + 1)
+              for a in range(max(0, n - n_orb), min(n, n_orb) + 1)]
+    bases = [_block_table(n_orb, n, a)[0] for n, a in blocks]
+    wants = oracles.fock_blocks(H, bases)
+    for (n_elec, n_alpha), dets, want in zip(blocks, bases, wants):
+        tol = 1e-12 * max(1.0, np.abs(want).max())
+        for flip in {False, 2 * n_alpha == n_elec}:
+            halves = _halves(H, _plan(n_orb, n_elec, n_alpha, flip))
+            if flip:
+                change = flip_halves_bases(dets, n_orb, (-1) ** n_alpha)
+                expected = [u.T @ want @ u for u in change]
+            else:
+                expected = [want, np.zeros((0, 0))]
+            for got, wanted in zip(halves, expected):
+                assert got.shape == wanted.shape
+                np.testing.assert_allclose(got, wanted, rtol=0, atol=tol)
+
+
+def test_fock_blocks_restrict_the_fock_matrix():
+    """The block oracle behind the plan property is the Fock-space one."""
+    H = oracles.random_hamiltonian(np.random.default_rng(3000), 3, 3)
+    fock = oracles.fock_matrix(H)
+    bases = [_block_table(3, n, a)[0] for n, a in ((3, 1), (4, 2), (6, 3))]
+    for dets, block in zip(bases, oracles.fock_blocks(H, bases)):
+        np.testing.assert_allclose(block, fock[np.ix_(dets, dets)], rtol=0,
+                                   atol=1e-12 * np.abs(block).max())
 
 
 # sha256 of sector_matrix(H, n, a)[0].tobytes() for every block of
@@ -312,6 +367,18 @@ def test_decay_half_filled_block_is_pinned():
     mat, _ = sector_matrix(H, 6, 3)
     assert hashlib.sha256(mat.tobytes()).hexdigest() == (
         "00d68a29df6680865d90ec819590814e0678bb687f071608595e145959e55b65")
+
+
+def test_decay_half_filled_halves_are_pinned():
+    """The spin-flip halves of the same block are bit for bit the recorded
+    ones, summed first over each intermediate with itself, then over its
+    two-body triples."""
+    H = oracles.decay_hamiltonian(np.random.default_rng(0), 6)
+    digests = [hashlib.sha256(half.tobytes()).hexdigest()
+               for half in _halves(H, _plan(6, 6, 3, True))]
+    assert digests == [
+        "9dc48c72b295313f20c81fcd637475f7b205b088341162167ac3fb8f035664a3",
+        "fbb3be856f09ef2e2b2800aa7d114c9ce2469ec55aa93228e99e4d7fa67a2f1c"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -430,7 +497,7 @@ def test_memory_checked_once_per_allocating_path(monkeypatch):
     spectral.spectral_ranges(hams)
     assert sorted(checked) == sorted(2 * list(range(5)))
     checked.clear()
-    plan = spectral._block_plan(2, 2, 1)
+    plan = _plan(2, 2, 1, False)
     sector_matrix(hams[0], 2, 1, plan)
     assert checked == [2]
     checked.clear()
@@ -444,8 +511,8 @@ def test_halves_memory_model_bounds_the_traced_build(monkeypatch):
     H = oracles.random_hamiltonian(np.random.default_rng(2600), 6, 6)
     tracemalloc.start()
     try:
-        plan = _flip_plan(6, 6)
-        halves = _flip_halves(H, plan)
+        plan = _plan(6, 6, 3, True)
+        halves = _halves(H, plan)
         del plan
         [np.linalg.eigvalsh(half) for half in halves]
         peak = tracemalloc.get_traced_memory()[1]
@@ -464,9 +531,8 @@ def test_memory_model_bounds_the_traced_build(monkeypatch, n_orb, n_elec):
     n_alpha, even = (n_elec + 1) // 2, n_elec % 2 == 0
     tracemalloc.start()
     try:
-        plan = (_flip_plan(n_orb, n_elec) if even
-                else spectral._block_plan(n_orb, n_elec, n_alpha))
-        matrices = (_flip_halves(H, plan) if even
+        plan = _plan(n_orb, n_elec, n_alpha, even)
+        matrices = (_halves(H, plan) if even
                     else sector_matrix(H, n_elec, n_alpha, plan))
         del plan, matrices
         peak = tracemalloc.get_traced_memory()[1]
@@ -493,8 +559,7 @@ def test_plans_hold_no_triple_length_array(n_elec):
     dim = sector_dimension(12, n_elec, n_alpha)
     deg = (n_alpha * (7 - n_alpha)
            + (n_elec - n_alpha) * (7 - n_elec + n_alpha))
-    plan = (_flip_plan(6, n_elec) if n_elec % 2 == 0
-            else spectral._block_plan(6, n_elec, n_alpha))
+    plan = _plan(6, n_elec, n_alpha, n_elec % 2 == 0)
     sizes = [array.size for array in plan_arrays(plan)]
     assert sizes and max(sizes) <= dim * (deg + 1) < dim * deg ** 2
 
@@ -507,7 +572,7 @@ def test_sweep_heap_holds_one_block_and_one_chunk():
     rng = np.random.default_rng(2900)
     hams = [oracles.random_hamiltonian(rng, 6, 6) for _ in range(3)]
     dim, deg = sector_dimension(12, 5, 3), 3 * 4 + 2 * 5
-    plan = spectral._block_plan(6, 5, 3)
+    plan = _plan(6, 5, 3, False)
     plan_bytes = sum(array.nbytes for array in plan_arrays(plan))
     del plan
     assert plan_bytes <= 40 * dim * deg
@@ -555,21 +620,24 @@ def test_one_body_eigenbasis_preserves_spectrum():
 def test_reference_determinant_examples():
     H = MolecularHamiltonian(n_orb=2, e_const=0.0, h=np.diag([-1.0, 5.0]),
                              g=np.zeros((2,) * 4), n_elec=2)
-    assert reference_determinant(H, 2, "lowest").occupancy == 0b0011
-    assert reference_determinant(H, 2, "highest").occupancy == 0b1100
+    assert reference_determinant(H, 2, "lowest") == 0b0011
+    assert reference_determinant(H, 2, "highest") == 0b1100
     flat = MolecularHamiltonian(n_orb=2, e_const=0.0, h=0.7 * np.eye(2),
                                 g=np.zeros((2,) * 4), n_elec=2)
-    assert reference_determinant(flat, 2, "lowest").occupancy == 0b0011
-    assert reference_determinant(H, 3, "lowest").occupancy == 0b0111
+    assert reference_determinant(flat, 2, "lowest") == 0b0011
+    assert reference_determinant(H, 3, "lowest") == 0b0111
     with pytest.raises(ValueError, match="extreme"):
         reference_determinant(H, 2, "middle")
-    with pytest.raises(ValueError):
-        reference_determinant(H, 5)
+    for n_elec in (5, -1):
+        with pytest.raises(ValueError, match=rf"n_elec={n_elec} outside \[0, 4\]"):
+            reference_determinant(H, n_elec)
 
 
 def test_lanczos_options_validation():
-    with pytest.raises(ValueError):
-        LanczosOptions(max_iters=0)
+    for bad in (0, -2, 1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="max_iters must be a positive int"):
+            LanczosOptions(max_iters=bad)
+    assert LanczosOptions(max_iters=1).max_iters == 1
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="residual_tol must be positive"):
             LanczosOptions(residual_tol=tol)
