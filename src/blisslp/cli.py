@@ -162,7 +162,7 @@ def _family(name: str):
 
 _MU1_CONVENTION = {"mu1_convention": (
     "median of the eigenvalues of the Pauli effective one-body term "
-    "h_ij + 2 sum_k g_ijkk after the fragment (mu2, xi) shift")}
+    "h_ij + 2 sum_k g_ijkk after the fragment xi shift")}
 
 # name -> (shift kind, method, report metadata).
 _METHOD_TABLE = {

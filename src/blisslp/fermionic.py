@@ -10,16 +10,17 @@ The qubitization 1-norm of such a fragment is
 for an optional scalar shift phi; the unshifted fragment has phi = None.
 Full-rank fragments carry a symmetric coefficient matrix lambda and cost
 
-    lambda_CSA = sum_{i != j} |l_ij - mu2 - (th_i + th_j)/2|
-               + (1/2) sum_i |l_ii - mu2 - th_i|.
+    lambda_CSA = sum_{i != j} |l_ij - (th_i + th_j)/2|
+               + (1/2) sum_i |l_ii - th_i|.
 
 Two fragment-shift strategies are provided: the analytic median shift that
 preserves the perfect-square structure (:func:`lrps_shift`) and a small LP
-over (mu2, theta) that trades the structure for a lower bound-free optimum
-(:func:`lrbs_shift`).  :func:`build_fermionic_report` runs one family of
-shifts over given DF fragments, so one factorization serves every family,
-and sums the per-fragment symmetry shifts, from which :func:`global_bliss`
-assembles one global parameter triple.
+over theta (a uniform shift of every l_ij is one of every th_i) that trades
+the structure for a lower bound-free optimum (:func:`lrbs_shift`).
+:func:`build_fermionic_report` runs one family of shifts over given DF
+fragments, so one factorization serves every family, and sums the
+per-fragment symmetry shifts, from which :func:`global_bliss` assembles one
+global parameter pair (mu1, xi).
 """
 
 from __future__ import annotations
@@ -123,11 +124,10 @@ class DFFragment:
 @dataclass(frozen=True)
 class CsaFragment:
     """Full-rank fragment sum_ij,st lam_ij n_is n_jt in the frame ``u``,
-    with an optional shift (mu2, theta) recorded alongside."""
+    with an optional shift theta recorded alongside."""
 
     u: np.ndarray
     lam: np.ndarray
-    mu2: float = 0.0
     theta: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -149,7 +149,6 @@ class CsaFragment:
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu2", float(self.mu2))
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -158,7 +157,7 @@ class CsaFragment:
 
     def shifted_lam(self) -> np.ndarray:
         th = self.theta
-        return self.lam - self.mu2 - 0.5 * (th[:, None] + th[None, :])
+        return self.lam - 0.5 * (th[:, None] + th[None, :])
 
 
 @dataclass(frozen=True)
@@ -182,17 +181,17 @@ class LrpsCorrection:
 
     The fragment identity reads
 
-        H_frag = H_frag(phi) + S_1e - constant - K(mu2, xi)
+        H_frag = H_frag(phi) + S_1e - constant - K(mu1, xi)
 
     where ``one_body`` is the tensor of S_1e = sign * 2 phi n_elec * L(eps),
-    ``constant`` = sign * phi^2 * n_elec^2, and (mu2, xi) parametrize the
-    number-symmetry operator K with mu2 = sign * phi^2 and
-    xi = -2 sign phi * L(eps).
+    ``constant`` = sign * phi^2 * n_elec^2, and (mu1, xi) parametrize the
+    number-symmetry operator K with mu1 = sign * phi^2 * n_elec and
+    xi = sign * phi * (phi I - 2 L(eps)).
     """
 
     one_body: np.ndarray
     constant: float
-    mu2: float
+    mu1: float
     xi: np.ndarray
 
 
@@ -328,35 +327,33 @@ def lrps_one_body_correction(fragment: DFFragment,
     return LrpsCorrection(
         one_body=sign * 2.0 * phi * n_elec * mat,
         constant=sign * phi ** 2 * n_elec ** 2,
-        mu2=sign * phi ** 2,
-        xi=-2.0 * sign * phi * mat)
+        mu1=sign * phi ** 2 * n_elec,
+        xi=sign * phi * (phi * np.eye(mat.shape[0]) - 2.0 * mat))
 
 
 def lrbs_shift(fragment: CsaFragment,
                options: SolverOptions | None = None) -> CsaFragment:
-    """Minimize lambda_csa over (mu2, theta) by linear programming.
+    """Minimize lambda_csa over theta by linear programming.
 
     Raises:
         ValueError: if the fragment already carries a nonzero shift.
         IterationLimitError: if the LP backend exhausts its pivot budget.
     """
-    if fragment.mu2 != 0.0 or float(np.abs(fragment.theta).max(initial=0.0)) != 0.0:
+    if float(np.abs(fragment.theta).max(initial=0.0)) != 0.0:
         raise ValueError("fragment already carries a shift")
     n = fragment.n_orb
     eye = np.eye(n)
-    # Row (i, j) is the residual lam_ij - mu2 - (theta_i + theta_j) / 2.
-    theta = 0.5 * (eye[:, None, :] + eye[None, :, :]).reshape(n * n, n)
-    a = np.column_stack([np.ones(n * n), theta])
+    # Row (i, j) is the residual lam_ij - (theta_i + theta_j) / 2.
+    a = 0.5 * (eye[:, None, :] + eye[None, :, :]).reshape(n * n, n)
     weights = np.where(eye, 0.5, 1.0).ravel()
-    names = ("mu2",) + tuple(f"theta_{i}" for i in range(n))
+    names = tuple(f"theta_{i}" for i in range(n))
     problem = merge_duplicate_rows(
         L1Problem(a, fragment.lam.ravel(), weights, names))
     solution = l1_minimize(problem, options)
     if solution.status is L1Status.ITERATION_LIMIT:
         raise IterationLimitError(
             f"fragment shift LP stopped after {solution.iterations} pivots")
-    return replace(fragment, mu2=float(solution.x_opt[0]),
-                   theta=solution.x_opt[1:].copy())
+    return replace(fragment, theta=solution.x_opt.copy())
 
 
 def to_csa_fragment(fragment: DFFragment) -> CsaFragment:
@@ -380,7 +377,6 @@ class FragmentNorm:
     one_norm: float
     kind: str
     phi: float | None = None
-    mu2: float | None = None
     theta_max_abs: float | None = None
 
 
@@ -392,7 +388,7 @@ class FermionicNormReport:
     built from perfect squares, ``fragment_bound_sum`` equals the sum of
     per-fragment spectral lower bounds dE/2, which coincide with lambda_df;
     it is None when fragments are full rank.  ``fragment_shift`` is
-    K(0, mu2, xi) summed over the fragment shifts; see :func:`global_bliss`.
+    K(mu1, xi) summed over the fragment shifts; see :func:`global_bliss`.
     """
 
     method: str
@@ -416,7 +412,7 @@ def _reflection_correction(fragment: DFFragment, shifted: bool) -> np.ndarray:
 
 # A step maps (index, DF fragment, n_elec, LP options) to the fragment's norm
 # row, its one-body remainder (shift term plus reflection correction) and
-# the (mu2, xi) of the number-symmetry operator K that H - K subtracts.
+# the (mu1, xi) of the number-symmetry operator K that H - K subtracts.
 def _df_step(index, fragment, n_elec, lp_options):
     return (FragmentNorm(index, lambda_df(fragment), "df"),
             _reflection_correction(fragment, False), (0.0, 0.0))
@@ -429,7 +425,7 @@ def _lrps_step(index, fragment, n_elec, lp_options):
     corr = lrps_one_body_correction(shifted, n_elec)
     return (FragmentNorm(index, lambda_df(shifted), "df", phi=shifted.phi),
             corr.one_body + _reflection_correction(shifted, True),
-            (-corr.mu2, -corr.xi))
+            (-corr.mu1, -corr.xi))
 
 
 def _lrbs_step(index, fragment, n_elec, lp_options):
@@ -438,9 +434,9 @@ def _lrbs_step(index, fragment, n_elec, lp_options):
     u, lam = shifted.u, shifted.shifted_lam()
     theta = u.T @ np.diag(shifted.theta) @ u
     reflection = u.T @ np.diag(2.0 * lam.sum(axis=1)) @ u
-    row = FragmentNorm(index, lambda_csa(shifted), "csa", mu2=shifted.mu2,
+    row = FragmentNorm(index, lambda_csa(shifted), "csa",
                        theta_max_abs=float(np.abs(shifted.theta).max(initial=0.0)))
-    return row, n_elec * theta + reflection, (shifted.mu2, theta)
+    return row, n_elec * theta + reflection, (0.0, theta)
 
 
 # method -> (step, median mu1, perfect squares).  A shifted family centres
@@ -474,14 +470,14 @@ def build_fermionic_report(hamiltonian: MolecularHamiltonian, method: str,
     step, median_mu1, perfect_squares = _FAMILIES[method]
     if fragments is None:
         fragments = double_factorize(hamiltonian)
-    rows, mu2 = [], 0.0
+    rows, shift_mu1 = [], 0.0
     one_body, xi = np.zeros_like(hamiltonian.h), np.zeros_like(hamiltonian.h)
     for index, fragment in enumerate(fragments):
-        row, frag_one_body, (frag_mu2, frag_xi) = step(
+        row, frag_one_body, (frag_mu1, frag_xi) = step(
             index, fragment, hamiltonian.n_elec, lp_options)
         rows.append(row)
         one_body += frag_one_body
-        mu2 += frag_mu2
+        shift_mu1 += frag_mu1
         xi += frag_xi
 
     gamma = np.linalg.eigh(hamiltonian.h + one_body)[0]
@@ -498,29 +494,29 @@ def build_fermionic_report(hamiltonian: MolecularHamiltonian, method: str,
         gamma=gamma,
         fragments=tuple(rows),
         fragment_bound_sum=lambda_frag if perfect_squares else None,
-        fragment_shift=BlissParams(0.0, mu2, 0.5 * (xi + xi.T)),
+        fragment_shift=BlissParams(shift_mu1, 0.5 * (xi + xi.T)),
         metadata=(("one_body_convention",
                    "reflection corrections folded before diagonalization"),))
 
 
 def global_bliss(hamiltonian: MolecularHamiltonian,
                  report: FermionicNormReport) -> BlissParams:
-    """The global parameter triple of a family report on ``hamiltonian``:
-    its ``fragment_shift`` with mu1 the canonical median of the eigenvalues
-    of the Pauli effective one-body term h_ij + 2 sum_k g_ijkk of H shifted
-    by (0, mu2, xi) alone, since that shift moves the one-body eigenvalues
-    whose spread mu1 centres."""
-    shift = report.fragment_shift
-    without_mu1 = apply_bliss(hamiltonian, shift)
+    """The global parameter pair of a family report on ``hamiltonian``:
+    the xi of its ``fragment_shift`` with mu1 the canonical median of the
+    eigenvalues of the Pauli effective one-body term h_ij + 2 sum_k g_ijkk
+    of H shifted by (0, xi) alone, since xi moves the one-body eigenvalues
+    whose spread mu1 centres (a mu1 only translates them)."""
+    xi = report.fragment_shift.xi
+    without_mu1 = apply_bliss(hamiltonian, BlissParams(0.0, xi))
     mu1 = canonical_median(np.linalg.eigvalsh(pauli_terms(without_mu1)[0]))
-    return BlissParams(mu1, shift.mu2, shift.xi)
+    return BlissParams(mu1, xi)
 
 
 def assemble_global_bliss(hamiltonian: MolecularHamiltonian, flavor: str,
                           fragments: list[DFFragment] | None = None,
                           lp_options: SolverOptions | None = None
                           ) -> BlissParams:
-    """Aggregate per-fragment shifts into one global parameter triple, the
+    """Aggregate per-fragment shifts into one global parameter pair, the
     :func:`global_bliss` of the report of its family.
 
     ``flavor="flr"`` sums the square-preserving median shifts of "df-lrps",

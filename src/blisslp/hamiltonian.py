@@ -8,13 +8,17 @@ where F_ij = sum_sigma a+_{i,sigma} a_{j,sigma} is the spin-summed excitation
 operator over spatial orbitals.  All tensors are real; ``g`` carries the full
 8-fold permutational symmetry g_ijkl = g_jikl = g_ijlk = g_klij.
 
-A :class:`BlissParams` triple (mu1, mu2, xi) encodes the shift operator
+A :class:`BlissParams` pair (mu1, xi) encodes the shift operator
 
-    K = mu1 (N - n_elec) + mu2 (N^2 - n_elec^2) + sum_ij xi[i, j] F_ij (N - n_elec),
+    K = mu1 (N - n_elec) + sum_ij xi[i, j] F_ij (N - n_elec),
 
 with N the total number operator.  K annihilates every n_elec-electron state,
 so H and H - K have identical spectra on that sector.  :func:`apply_bliss`
 returns H - K folded back into (e_const, h, g) form.
+
+The paper's quadratic term mu2 (N^2 - n_elec^2) = sum_i mu2 F_ii (N - n_elec)
++ mu2 n_elec (N - n_elec) is no parameter of its own: (mu1, mu2, xi) and
+(mu1 + mu2 n_elec, xi + mu2 I) are one operator.
 """
 
 from __future__ import annotations
@@ -126,14 +130,13 @@ class MolecularHamiltonian:
 
 @dataclass(frozen=True)
 class BlissParams:
-    """Parameters (mu1, mu2, xi) of a number-symmetry shift operator.
+    """Parameters (mu1, xi) of a number-symmetry shift operator.
 
     ``xi`` is symmetric; the constructor mirrors the upper triangle so the
     stored matrix satisfies xi[i, j] == xi[j, i] bitwise.
     """
 
     mu1: float
-    mu2: float
     xi: np.ndarray
 
     def __post_init__(self) -> None:
@@ -146,7 +149,6 @@ class BlissParams:
         upper = np.triu(xi)
         xi = upper + upper.T - np.diag(np.diag(xi))
         object.__setattr__(self, "mu1", float(self.mu1))
-        object.__setattr__(self, "mu2", float(self.mu2))
         object.__setattr__(self, "xi", _readonly(xi))
 
     @property
@@ -155,7 +157,7 @@ class BlissParams:
 
     @classmethod
     def zeros(cls, n_orb: int) -> "BlissParams":
-        return cls(0.0, 0.0, np.zeros((n_orb, n_orb)))
+        return cls(0.0, np.zeros((n_orb, n_orb)))
 
 
 def apply_bliss(hamiltonian: MolecularHamiltonian,
@@ -165,12 +167,13 @@ def apply_bliss(hamiltonian: MolecularHamiltonian,
     The modified tensors are
 
         h'_ij    = h_ij - mu1 d_ij + n_elec xi_ij
-        g'_ijkl  = g_ijkl - mu2 d_ij d_kl - (xi_ij d_kl + d_ij xi_kl) / 2
-        e_const' = e_const + mu1 n_elec + mu2 n_elec^2
+        g'_ijkl  = g_ijkl - (xi_ij d_kl + d_ij xi_kl) / 2
+        e_const' = e_const + mu1 n_elec
 
     which leaves every n_elec-sector matrix element unchanged.  The shift
     keeps the symmetries of H exactly (xi is symmetric bit for bit, and
-    IEEE addition commutes), so only finiteness is checked again.
+    IEEE addition commutes), so only finiteness is checked again.  Only
+    the O(N^3) entries with k = l or i = j of g's copy are touched.
 
     Raises:
         ValueError: if the parameter dimension does not match the
@@ -182,13 +185,13 @@ def apply_bliss(hamiltonian: MolecularHamiltonian,
             f"dimension mismatch: Hamiltonian has {n} orbitals, "
             f"shift has {params.n_orb}")
     n_elec = hamiltonian.n_elec
-    eye = np.eye(n)
-    h_new = hamiltonian.h - params.mu1 * eye + n_elec * params.xi
-    g_new = (hamiltonian.g
-             - params.mu2 * np.multiply.outer(eye, eye)
-             - 0.5 * (np.multiply.outer(params.xi, eye)
-                      + np.multiply.outer(eye, params.xi)))
-    e_new = hamiltonian.e_const + params.mu1 * n_elec + params.mu2 * n_elec ** 2
+    xi, eye, d = params.xi, np.eye(n), np.arange(n)
+    h_new = hamiltonian.h - params.mu1 * eye + n_elec * xi
+    g_new = hamiltonian.g.copy()
+    g_new[:, :, d, d] -= 0.5 * (xi[:, :, None] + eye[:, :, None] * np.diag(xi))
+    k, l = np.nonzero(eye == 0.0)  # i = j and k != l
+    g_new[d[:, None], d[:, None], k, l] -= 0.5 * xi[k, l]
+    e_new = hamiltonian.e_const + params.mu1 * n_elec
     _check_finite(e_new, h_new, g_new)
     shifted = copy.copy(hamiltonian)  # no __post_init__: no N^4 transposes
     object.__setattr__(shifted, "e_const", float(e_new))

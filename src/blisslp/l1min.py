@@ -206,8 +206,8 @@ def merge_duplicate_rows(problem: L1Problem) -> L1Problem:
     # Each row (a_i, b_i) is compared as one opaque byte string: np.unique
     # with axis=0 compares field by field and is about ten times slower on
     # LP-BLISS problems.  Bytes match exactly when the finite floats do, once
-    # adding 0.0 has turned -0.0 into 0.0.
-    keys = np.column_stack([problem.a, problem.b]) + 0.0
+    # adding 0.0 has turned -0.0 into 0.0, and the view needs C order.
+    keys = np.ascontiguousarray(np.column_stack([problem.a, problem.b]) + 0.0)
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)

@@ -1,6 +1,6 @@
 """Globally optimal symmetry shifts for the Pauli 1-norm.
 
-The Pauli 1-norm of a shifted Hamiltonian H - K(mu1, mu2, xi) is a sum of
+The Pauli 1-norm of a shifted Hamiltonian H - K(mu1, xi) is a sum of
 absolute values of terms that are affine in the shift parameters, so its
 exact minimum is a weighted L1 problem.  This module builds that problem,
 solves it, and returns the optimal parameters together with the recomputed
@@ -17,19 +17,19 @@ are zero in A.
 The problem splits into independent blocks.  The shift enters g_ijkl only
 through d_ij and d_kl, and the one-body term only through d_ij and xi_ij,
 so every row of A touches either no variable, exactly one off-diagonal
-xi_pq (p < q), or only the diagonal variables mu1, mu2, xi_00, ...,
+xi_pq (p < q), or only the diagonal variables mu1, xi_00, ...,
 xi_(N-1)(N-1).  The objective is then a constant, plus one term per
 off-diagonal xi_pq, each a one-variable problem min sum_r w_r |a_r x - b_r|
 solved exactly by the weighted median of b_r / a_r with weights w_r |a_r|,
-plus one small L1 problem over the N + 2 diagonal variables, which
+plus one small L1 problem over the N + 1 diagonal variables, which
 :func:`blisslp.l1min.l1_minimize` solves.  The blocks share no variable, so
 minimizing each one minimizes the sum: the result is the global optimum of
 the whole problem.
 :func:`build_lp_bliss_problem` still states the whole problem, for dumps and
 as the reference the split is tested against.
 
-Variables are ordered [mu1, mu2, xi_00, xi_01, ..., xi_(N-1)(N-1)] with one
-variable per upper-triangle entry of the symmetric xi matrix.
+Variables are ordered [mu1, xi_00, xi_01, ..., xi_(N-1)(N-1)], one per
+upper-triangle entry of xi; the problem has full column rank.
 """
 
 from __future__ import annotations
@@ -65,13 +65,9 @@ class LpBlissVarMap:
         return 0
 
     @property
-    def mu2_index(self) -> int:
-        return 1
-
-    @property
     def n_vars(self) -> int:
         n = self.n_orb
-        return 2 + n * (n + 1) // 2
+        return 1 + n * (n + 1) // 2
 
     def xi_index(self, i: int, j: int) -> int:
         """Variable index of xi_ij; (i, j) and (j, i) share one variable."""
@@ -80,10 +76,10 @@ class LpBlissVarMap:
             raise ValueError(f"orbital pair ({i}, {j}) out of range for N={n}")
         if i > j:
             i, j = j, i
-        return 2 + i * n - i * (i - 1) // 2 + (j - i)
+        return 1 + i * n - i * (i - 1) // 2 + (j - i)
 
     def var_names(self) -> tuple[str, ...]:
-        names = ["mu1", "mu2"]
+        names = ["mu1"]
         for i in range(self.n_orb):
             for j in range(i, self.n_orb):
                 names.append(f"xi_{i}_{j}")
@@ -151,7 +147,7 @@ def params_from_solution(vmap: LpBlissVarMap, x: np.ndarray) -> BlissParams:
     for i in range(n):
         for j in range(i, n):
             xi[i, j] = xi[j, i] = x[vmap.xi_index(i, j)]
-    return BlissParams(float(x[vmap.mu1_index]), float(x[vmap.mu2_index]), xi)
+    return BlissParams(float(x[vmap.mu1_index]), xi)
 
 
 def lp_bliss(hamiltonian: MolecularHamiltonian,
@@ -190,7 +186,7 @@ def lp_bliss_shifted(hamiltonian: MolecularHamiltonian,
     vmap = LpBlissVarMap(hamiltonian.n_orb)
     b, weights = _rhs_and_weights(hamiltonian)
     # Ascending, like the columns, so entries[j] belongs to diagonal[j].
-    diagonal = [vmap.mu1_index, vmap.mu2_index] + [
+    diagonal = [vmap.mu1_index] + [
         vmap.xi_index(i, i) for i in range(vmap.n_orb)]
     x = np.zeros(vmap.n_vars)
     entries = []

@@ -35,7 +35,7 @@ __all__ = [
     "strip_volatile",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # Fields allowed to differ between identical reruns; everything else in a
 # report must be bit-reproducible.
 VOLATILE_KEYS = ("generated_at", "timings_s")
@@ -65,22 +65,20 @@ class NormPair:
 
 @dataclass(frozen=True)
 class BlissSummary:
-    """Scalar digest of a shift-parameter triple."""
+    """Scalar digest of a shift-parameter pair."""
 
     mu1: float
-    mu2: float
     xi_max_abs: float
     xi_one_norm: float
 
     @classmethod
     def from_params(cls, params: BlissParams) -> "BlissSummary":
-        return cls(mu1=float(params.mu1), mu2=float(params.mu2),
+        return cls(mu1=float(params.mu1),
                    xi_max_abs=float(np.abs(params.xi).max(initial=0.0)),
                    xi_one_norm=float(np.abs(params.xi).sum()))
 
     def to_dict(self) -> dict:
-        return {"mu1": self.mu1, "mu2": self.mu2,
-                "xi_max_abs": self.xi_max_abs,
+        return {"mu1": self.mu1, "xi_max_abs": self.xi_max_abs,
                 "xi_one_norm": self.xi_one_norm}
 
 
@@ -95,8 +93,7 @@ def fermionic_section(report: FermionicNormReport) -> dict:
         "fragment_bound_sum": _opt(report.fragment_bound_sum),
         "fragments": [
             {"index": f.index, "kind": f.kind, "one_norm": float(f.one_norm),
-             "phi": _opt(f.phi), "mu2": _opt(f.mu2),
-             "theta_max_abs": _opt(f.theta_max_abs)}
+             "phi": _opt(f.phi), "theta_max_abs": _opt(f.theta_max_abs)}
             for f in report.fragments],
         "metadata": dict(report.metadata),
     }

@@ -759,10 +759,14 @@ def deviation_metric(de: float, de_shifted: float,
                      de_ens: float) -> float | None:
     """Normalized position of a shifted range between the sector range
     (0.0) and the original full range (1.0); None when the original range
-    does not exceed the sector range and the metric is undefined."""
+    does not exceed the sector range and the metric is undefined.  A shifted
+    range at most 8 ulps of ``de`` below the sector range, rounding of the
+    same range, reads 0.0; a larger shortfall stays negative."""
     denom = de - de_ens
     if denom <= 0.0:
         return None
+    if de_ens - 8 * math.ulp(de) <= de_shifted < de_ens:
+        return 0.0
     return (de_shifted - de_ens) / denom
 
 

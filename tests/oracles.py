@@ -82,17 +82,14 @@ def number_matrix(n_spin_orb: int) -> np.ndarray:
 
 
 def bliss_matrix(params: BlissParams, n_elec: int) -> np.ndarray:
-    """K = mu1 (N - Ne) + mu2 (N^2 - Ne^2) + sum xi F (N - Ne) as a dense
-    Fock-space matrix."""
+    """K = mu1 (N - Ne) + sum xi F (N - Ne) as a dense Fock-space matrix."""
     n = params.n_orb
     f = excitation_matrices(n)
     dim = 1 << (2 * n)
     num = number_matrix(2 * n)
     shifted = num - n_elec * np.eye(dim)
     xi_op = sum(params.xi[i, j] * f[i][j] for i in range(n) for j in range(n))
-    return (params.mu1 * shifted
-            + params.mu2 * (num @ num - n_elec ** 2 * np.eye(dim))
-            + xi_op @ shifted)
+    return params.mu1 * shifted + xi_op @ shifted
 
 
 def sector_indices(n_spin_orb: int, n_elec: int) -> list[int]:
@@ -174,8 +171,9 @@ def random_hamiltonian(rng: np.random.Generator, n_orb: int, n_elec: int,
 def random_bliss(rng: np.random.Generator, n_orb: int,
                  scale: float = 1.0) -> BlissParams:
     xi = rng.normal(size=(n_orb, n_orb), scale=scale)
-    return BlissParams(float(rng.normal(scale=scale)),
-                       float(rng.normal(scale=scale)), 0.5 * (xi + xi.T))
+    mu1 = float(rng.normal(scale=scale))
+    rng.normal(scale=scale)  # unused; keeps every later draw in place
+    return BlissParams(mu1, 0.5 * (xi + xi.T))
 
 
 def decay_hamiltonian(rng: np.random.Generator, n_orb: int,

@@ -170,7 +170,7 @@ def test_criterion_05_fragment_shift_identity():
                 rhs += corr.one_body[i, j] * f_ops[i][j]
         rhs -= corr.constant * np.eye(16)
         rhs -= oracles.bliss_matrix(
-            BlissParams(0.0, corr.mu2, corr.xi), n_elec)
+            BlissParams(corr.mu1, corr.xi), n_elec)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     verdict(5, "fragment = shifted + corrections on Fock space", 30.0,
             started, worst < 1e-10, f"max matrix deviation {worst:.2e} "

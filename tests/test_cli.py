@@ -57,7 +57,7 @@ def test_every_method_exits_zero(tmp_path, method):
     assert code == EXIT_OK
     report = json.loads(out.read_text())
     assert report["method"] == method
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["lambda_pauli"]["before"] > 0.0
 
 
@@ -99,8 +99,7 @@ def test_bliss_methods_populate_after_fields(tmp_path, capsys, method):
     assert pair["after"] is not None
     assert pair["ratio"] == pytest.approx(pair["after"] / pair["before"])
     assert report["lambda_df"]["after"] is not None
-    assert set(report["bliss"]) == {"mu1", "mu2", "xi_max_abs",
-                                    "xi_one_norm"}
+    assert set(report["bliss"]) == {"mu1", "xi_max_abs", "xi_one_norm"}
     assert report["bliss"]["xi_one_norm"] >= report["bliss"]["xi_max_abs"]
 
 

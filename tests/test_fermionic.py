@@ -59,7 +59,6 @@ def test_csa_fragment_validation():
         CsaFragment(u=np.eye(2), lam=np.array([[0.0, 1.0], [0.0, 0.0]]))
     frag = CsaFragment(u=np.eye(2), lam=np.eye(2))
     np.testing.assert_array_equal(frag.theta, np.zeros(2))
-    assert frag.mu2 == 0.0
 
 
 def test_factorize_rank_one_tensor():
@@ -188,7 +187,7 @@ def test_lambda_df_grid_scan_minimum():
 def test_lambda_csa_values():
     assert lambda_csa(CsaFragment(u=np.eye(2), lam=np.eye(2))) == pytest.approx(1.0)
     lam = 0.7 * np.ones((3, 3))
-    frag = CsaFragment(u=np.eye(3), lam=lam, mu2=0.7)
+    frag = CsaFragment(u=np.eye(3), lam=lam, theta=np.full(3, 0.7))
     assert lambda_csa(frag) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -267,7 +266,7 @@ def test_lrps_correction_zero_phi():
     frag = DFFragment(u=np.eye(2), eps=np.array([1.0, -2.0]), sign=1, phi=0.0)
     corr = lrps_one_body_correction(frag, n_elec=2)
     assert corr.constant == 0.0
-    assert corr.mu2 == 0.0
+    assert corr.mu1 == 0.0
     assert np.all(corr.one_body == 0.0)
     assert np.all(corr.xi == 0.0)
 
@@ -294,7 +293,7 @@ def test_lrps_fragment_identity_on_fock_space(seed, sign):
         for j in range(2):
             rhs += corr.one_body[i, j] * f_ops[i][j]
     rhs -= corr.constant * np.eye(16)
-    rhs -= oracles.bliss_matrix(BlissParams(0.0, corr.mu2, corr.xi), n_elec)
+    rhs -= oracles.bliss_matrix(BlissParams(corr.mu1, corr.xi), n_elec)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -333,19 +332,17 @@ def test_lrbs_shift_beats_sampling(seed):
     assert best <= lambda_csa(frag) + 1e-9
     for _ in range(10_000):
         trial = CsaFragment(u=frag.u, lam=frag.lam,
-                            mu2=float(rng.normal()), theta=rng.normal(size=3))
+                            theta=float(rng.normal()) + rng.normal(size=3))
         assert best <= lambda_csa(trial) + 1e-8
 
 
 def test_lrbs_problem_matches_row_by_row_definition(monkeypatch):
-    """Row (i, j) reads lam_ij - mu2 - (theta_i + theta_j) / 2, weight 1/2
-    on the diagonal and 1 off it, in row-major (i, j) order."""
+    """Row (i, j) reads lam_ij - (theta_i + theta_j) / 2, weight 1/2 on
+    the diagonal and 1 off it, in row-major (i, j) order; no theta direction
+    leaves every row unchanged."""
     from blisslp import fermionic
 
     rng = np.random.default_rng(1510)
-    n = 4
-    lam = rng.normal(size=(n, n))
-    frag = CsaFragment(u=np.eye(n), lam=0.5 * (lam + lam.T))
     seen = []
 
     def merge(problem):
@@ -353,24 +350,27 @@ def test_lrbs_problem_matches_row_by_row_definition(monkeypatch):
         return merge_duplicate_rows(problem)
 
     monkeypatch.setattr(fermionic, "merge_duplicate_rows", merge)
-    lrbs_shift(frag)
-    a = np.zeros((n * n, 1 + n))
-    b, weights = [], []
-    for i in range(n):
-        for j in range(n):
-            a[i * n + j, 0] = 1.0
-            a[i * n + j, 1 + i] += 0.5
-            a[i * n + j, 1 + j] += 0.5
-            b.append(frag.lam[i, j])
-            weights.append(0.5 if i == j else 1.0)
-    (problem,) = seen
-    np.testing.assert_array_equal(problem.a, a)
-    np.testing.assert_array_equal(problem.b, b)
-    np.testing.assert_array_equal(problem.weights, weights)
+    for n in range(2, 7):
+        lam = rng.normal(size=(n, n))
+        frag = CsaFragment(u=np.eye(n), lam=0.5 * (lam + lam.T))
+        lrbs_shift(frag)
+        a = np.zeros((n * n, n))
+        b, weights = [], []
+        for i in range(n):
+            for j in range(n):
+                a[i * n + j, i] += 0.5
+                a[i * n + j, j] += 0.5
+                b.append(frag.lam[i, j])
+                weights.append(0.5 if i == j else 1.0)
+        problem = seen.pop()
+        np.testing.assert_array_equal(problem.a, a)
+        np.testing.assert_array_equal(problem.b, b)
+        np.testing.assert_array_equal(problem.weights, weights)
+        assert np.linalg.matrix_rank(problem.a) == n
 
 
 def test_lrbs_shift_rejects_shifted_and_limits():
-    frag = CsaFragment(u=np.eye(2), lam=np.eye(2), mu2=0.3)
+    frag = CsaFragment(u=np.eye(2), lam=np.eye(2), theta=np.full(2, 0.3))
     with pytest.raises(ValueError, match="shift"):
         lrbs_shift(frag)
     rng = np.random.default_rng(49)
@@ -519,7 +519,6 @@ def test_assemble_global_bliss_pure_one_body():
     for flavor in ("flr", "ffr"):
         params = assemble_global_bliss(H, flavor)
         assert params.mu1 == pytest.approx(2.0)
-        assert params.mu2 == 0.0
         np.testing.assert_array_equal(params.xi, np.zeros((3, 3)))
 
 
@@ -582,7 +581,45 @@ def test_ffr_matches_per_fragment_shifts():
     params = assemble_global_bliss(H, "ffr", double_factorize(H, 0.0))
     fragments = [lrbs_shift(to_csa_fragment(f))
                  for f in double_factorize(H, tol=0.0)]
-    mu2 = sum(f.mu2 for f in fragments)
     xi = sum(f.u.T @ np.diag(f.theta) @ f.u for f in fragments)
-    assert params.mu2 == pytest.approx(mu2, abs=1e-12)
     np.testing.assert_allclose(params.xi, 0.5 * (xi + xi.T), atol=1e-12)
+
+
+def test_lrps_report_sums_the_fragment_operators():
+    """A df-lrps report's fragment_shift is the sum of the K(mu1, xi) that
+    H - K subtracts, one negated median-shift correction per fragment."""
+    H = oracles.decay_hamiltonian(np.random.default_rng(61), 4)
+    fragments = double_factorize(H)
+    shift = build_fermionic_report(H, "df-lrps", fragments).fragment_shift
+    corrs = [lrps_one_body_correction(lrps_shift(f), H.n_elec)
+             for f in fragments]
+    assert shift.mu1 == pytest.approx(-sum(c.mu1 for c in corrs), abs=1e-12)
+    np.testing.assert_allclose(shift.xi, -sum(c.xi for c in corrs),
+                               atol=1e-12)
+
+
+# lambda_csa of each df-lrbs fragment of decay_hamiltonian(default_rng(0), 8),
+# recorded with the reference simplex when the LP also had a uniform shift
+# variable: that variable is a uniform shift of theta, so the minima agree.
+PINNED_LRBS_DECAY8 = (
+    0.5248425690106673, 3.8433211188849032, 2.585592435963333,
+    1.8832895488708874, 0.8182657580067205, 0.8884532721335937,
+    0.8521498171310756, 0.43109790424386674, 0.37646576225370393,
+    0.20191370508548434, 0.19995828596394874, 0.20173523420590858,
+    0.12999689595542283, 0.10707676639829926, 0.0837984684043815,
+    0.05774663788755262, 0.049725236034284366, 0.0367614901202876,
+    0.026611101104098794, 0.020998945951286006, 0.015498748275362873,
+    0.011274711915798659, 0.006658657591208797, 0.005125727664343882,
+    0.002300785347590152, 0.002354707352991307, 0.0012782046195417432,
+    0.0008267829159022259, 0.0005852519186759519, 0.0005109752521784304,
+    0.0002664488262055327, 3.838453700694738e-05, 5.127758407327266e-05,
+    1.3656665202812068e-05, 2.880322257829046e-06, 2.9282363173863598e-06)
+
+
+def test_lrbs_fragment_norms_are_pinned():
+    H = oracles.decay_hamiltonian(np.random.default_rng(0), 8)
+    rows = build_fermionic_report(H, "df-lrbs").fragments
+    assert len(rows) == len(PINNED_LRBS_DECAY8)
+    for row, pinned in zip(rows, PINNED_LRBS_DECAY8):
+        assert row.one_norm == pytest.approx(
+            pinned, rel=1e-9, abs=1e-12 if pinned < 1e-3 else 0.0)

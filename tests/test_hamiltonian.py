@@ -2,8 +2,12 @@
 
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from blisslp import (
@@ -86,13 +90,13 @@ def test_symmetrize_two_body_helper():
 
 def test_bliss_params_canonical_symmetry():
     xi = np.array([[1.0, 2.0], [2.0, 3.0]])
-    params = BlissParams(0.5, -0.5, xi)
+    params = BlissParams(0.5, xi)
     assert params.n_orb == 2
     np.testing.assert_array_equal(params.xi, params.xi.T)
     with pytest.raises(ValueError, match="symmetric"):
-        BlissParams(0.0, 0.0, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        BlissParams(0.0, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
-        BlissParams(0.0, 0.0, np.zeros((2, 3)))
+        BlissParams(0.0, np.zeros((2, 3)))
 
 
 def test_bliss_zeros_is_identity_shift():
@@ -108,7 +112,7 @@ def test_apply_bliss_scalar_example():
     """N=1, Ne=1, h=2, mu1=2 zeroes h and moves the constant."""
     H = MolecularHamiltonian(n_orb=1, e_const=0.25, h=np.array([[2.0]]),
                              g=np.zeros((1, 1, 1, 1)), n_elec=1)
-    out = apply_bliss(H, BlissParams(2.0, 0.0, np.zeros((1, 1))))
+    out = apply_bliss(H, BlissParams(2.0, np.zeros((1, 1))))
     assert out.h[0, 0] == 0.0
     assert out.e_const == 0.25 + 2.0
 
@@ -121,19 +125,37 @@ def test_apply_bliss_dimension_mismatch():
 
 
 def test_apply_bliss_tensor_formulas():
-    rng = np.random.default_rng(5)
-    H = oracles.random_hamiltonian(rng, 3, 2)
-    K = oracles.random_bliss(rng, 3)
-    out = apply_bliss(H, K)
-    eye = np.eye(3)
-    np.testing.assert_allclose(
-        out.h, H.h - K.mu1 * eye + H.n_elec * K.xi, atol=1e-14)
-    expected_g = (H.g - K.mu2 * np.einsum("ij,kl->ijkl", eye, eye)
-                  - 0.5 * (np.einsum("ij,kl->ijkl", K.xi, eye)
-                           + np.einsum("ij,kl->ijkl", eye, K.xi)))
-    np.testing.assert_allclose(out.g, expected_g, atol=1e-14)
-    assert out.e_const == pytest.approx(
-        H.e_const + K.mu1 * 2 + K.mu2 * 4, abs=1e-14)
+    """Bit for bit the dense formulas, though g is touched only where
+    k = l or i = j."""
+    for n_orb, n_elec, seed in ((3, 2, 5), (1, 1, 11), (2, 3, 12), (6, 6, 13)):
+        rng = np.random.default_rng(seed)
+        H = oracles.random_hamiltonian(rng, n_orb, n_elec)
+        K = oracles.random_bliss(rng, n_orb)
+        out = apply_bliss(H, K)
+        eye = np.eye(n_orb)
+        expected_h = H.h - K.mu1 * eye + n_elec * K.xi
+        expected_g = H.g - 0.5 * (np.multiply.outer(K.xi, eye)
+                                  + np.multiply.outer(eye, K.xi))
+        assert out.h.tobytes() == expected_h.tobytes()
+        assert out.g.tobytes() == expected_g.tobytes()
+        assert out.e_const == H.e_const + K.mu1 * n_elec
+
+
+def test_apply_bliss_allocates_one_two_body_tensor():
+    """The shift's peak is the copy of g plus O(N^3) slabs and the
+    finiteness mask, not N^4 outer products."""
+    n = 20
+    rng = np.random.default_rng(14)
+    H = oracles.random_hamiltonian(rng, n, n)
+    K = oracles.random_bliss(rng, n)
+    tracemalloc.start()
+    try:
+        out = apply_bliss(H, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.g.nbytes == 8 * n ** 4
+    assert peak <= 1.3 * 8 * n ** 4
 
 
 def test_apply_bliss_preserves_invariants():
@@ -165,7 +187,7 @@ def test_apply_bliss_still_checks_finiteness():
     """BlissParams takes a NaN mu1; the shifted constant and h reject it."""
     H = oracles.random_hamiltonian(np.random.default_rng(10), 2, 2)
     with pytest.raises(ValueError, match="e_const has a non-finite value"):
-        apply_bliss(H, BlissParams(float("nan"), 0.0, np.zeros((2, 2))))
+        apply_bliss(H, BlissParams(float("nan"), np.zeros((2, 2))))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -202,3 +224,26 @@ def test_global_fock_space_identity():
     lhs = oracles.fock_matrix(apply_bliss(H, K))
     rhs = oracles.fock_matrix(H) - oracles.bliss_matrix(K, H.n_elec)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_orb=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_quadratic_term_folds_into_mu1_and_xi(n_orb, seed, data):
+    """mu1 (N - Ne) + mu2 (N^2 - Ne^2) + sum xi F (N - Ne), the three-
+    parameter K, is the two-parameter K of (mu1 + mu2 Ne, xi + mu2 I)."""
+    n_elec = data.draw(st.integers(0, 2 * n_orb))
+    rng = np.random.default_rng(seed)
+    mu1, mu2 = rng.normal(size=2)
+    xi = rng.normal(size=(n_orb, n_orb))
+    xi = 0.5 * (xi + xi.T)
+    dim = 1 << (2 * n_orb)
+    f = oracles.excitation_matrices(n_orb)
+    num = oracles.number_matrix(2 * n_orb)
+    shifted = num - n_elec * np.eye(dim)
+    xi_op = sum(xi[i, j] * f[i][j] for i in range(n_orb) for j in range(n_orb))
+    three = (mu1 * shifted + mu2 * (num @ num - n_elec ** 2 * np.eye(dim))
+             + xi_op @ shifted)
+    folded = BlissParams(mu1 + mu2 * n_elec, xi + mu2 * np.eye(n_orb))
+    np.testing.assert_allclose(oracles.bliss_matrix(folded, n_elec), three,
+                               rtol=0, atol=1e-12)

@@ -295,6 +295,25 @@ def test_merge_preserves_objective_everywhere():
             evaluate_objective(merged, x), abs=1e-12)
 
 
+def test_merge_takes_any_memory_order():
+    """A Fortran-ordered a, or a column selection, merges as its C-ordered
+    copy does."""
+    rng = np.random.default_rng(29)
+    base = random_problem(rng, 4, 10)
+    a = np.vstack([base.a, base.a[:5]])
+    b = np.concatenate([base.b, base.b[:5]])
+    weights = rng.uniform(0.1, 1.0, size=15)
+    keep = [0, 2, 3]
+    for a_c, a_other in ((a, np.asfortranarray(a)),
+                         (np.ascontiguousarray(a[:, keep]), a[:, keep])):
+        want = merge_duplicate_rows(L1Problem(a_c, b, weights))
+        got = merge_duplicate_rows(L1Problem(a_other, b, weights))
+        assert want.n_rows == 10
+        for name in ("a", "b", "weights"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+
 def test_dump_problem_format():
     problem = L1Problem(np.array([[1.0, -2.0], [0.0, 0.5]]),
                         np.array([1.0, -3.0]), np.array([1.0, 0.5]),

@@ -50,8 +50,8 @@ def sample_params(vmap: LpBlissVarMap, rng) -> np.ndarray:
 @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
 def test_var_map_bijection(n_orb):
     vmap = LpBlissVarMap(n_orb)
-    assert vmap.n_vars == 2 + n_orb * (n_orb + 1) // 2
-    indices = {vmap.mu1_index, vmap.mu2_index}
+    assert vmap.n_vars == 1 + n_orb * (n_orb + 1) // 2
+    indices = {vmap.mu1_index}
     for i in range(n_orb):
         for j in range(i, n_orb):
             assert vmap.xi_index(i, j) == vmap.xi_index(j, i)
@@ -76,7 +76,7 @@ def test_one_orbital_has_no_exchange_rows():
     rng = np.random.default_rng(31)
     H = oracles.random_hamiltonian(rng, 1, 1)
     problem, vmap = build_lp_bliss_problem(H)
-    assert vmap.n_vars == 3
+    assert vmap.n_vars == 2
     assert problem.n_rows == 1 + 1 + 0
 
 
@@ -110,7 +110,6 @@ def test_params_roundtrip_through_solution_vector():
     x = sample_params(vmap, rng)
     params = params_from_solution(vmap, x)
     assert params.mu1 == x[vmap.mu1_index]
-    assert params.mu2 == x[vmap.mu2_index]
     for i in range(3):
         for j in range(3):
             assert params.xi[i, j] == x[vmap.xi_index(i, j)]
@@ -182,14 +181,49 @@ def test_iteration_limit_carries_best_incumbent():
 
 
 @pytest.mark.parametrize("n_orb, n_elec, seed, digest", [
-    (2, 1, 41, "3103b4096a200bca06ee18e3ca92a6bcee8151d7ffdd3cd293a9d2371a057ecc"),
-    (3, 3, 42, "3678dbe9e9fef91470bd3ee7ecaf6019e0258a170f35c8266649f357279caa3e"),
+    (2, 1, 41, "602c840b17a33f7c9645f3d87b985a321da49981a9dcb79a1665cbf4392b5325"),
+    (3, 3, 42, "29adc4991bc359411805c81559e9aa00bc40e737b3b90774adc5fc227f243462"),
 ])
 def test_merged_problem_dump_is_pinned(n_orb, n_elec, seed, digest):
     """Coefficients, row order and merged weights match the recorded LP."""
     H = oracles.random_hamiltonian(np.random.default_rng(seed), n_orb, n_elec)
     text = dump_problem(merge_duplicate_rows(build_lp_bliss_problem(H)[0]))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n_orb", [2, 3, 4, 5])
+def test_problem_has_full_column_rank(n_orb):
+    """No shift direction leaves every term unchanged: each parameter
+    vector is its own operator."""
+    H = oracles.random_hamiltonian(np.random.default_rng(n_orb), n_orb, n_orb)
+    problem, vmap = build_lp_bliss_problem(H)
+    assert np.linalg.matrix_rank(problem.a) == vmap.n_vars
+
+
+# lp_bliss's shifted Pauli norm, recorded with the reference simplex on the
+# three-parameter problem: the minimum, unlike the shift, is unique.
+PINNED_LP_BLISS = {
+    ("random", 2): 10.149008323848417,
+    ("random", 3): 35.401043355634215,
+    ("random", 4): 81.92372342346826,
+    ("random", 5): 191.66883855952275,
+    ("random", 6): 350.7501137264009,
+    ("random", 7): 685.6936947429145,
+    ("random", 8): 1141.209959383721,
+    ("decay", 6): 10.512217685209677,
+    ("decay", 8): 18.80714560845214,
+}
+
+
+@pytest.mark.parametrize("kind, n_orb", PINNED_LP_BLISS)
+def test_optimum_is_pinned(kind, n_orb):
+    """random_hamiltonian(default_rng(N), N, N) and decay_hamiltonian(
+    default_rng(0), N)."""
+    rng = np.random.default_rng(n_orb if kind == "random" else 0)
+    H = (oracles.random_hamiltonian(rng, n_orb, n_orb) if kind == "random"
+         else oracles.decay_hamiltonian(rng, n_orb))
+    assert lp_bliss(H)[1].lambda_total == pytest.approx(
+        PINNED_LP_BLISS[kind, n_orb], rel=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -236,7 +270,7 @@ def test_no_row_couples_two_blocks(kind, n_orb, extra_elec):
     H = seeded_hamiltonian(kind, n_orb, n_orb + extra_elec, seed=1400 + n_orb)
     problem, vmap = build_lp_bliss_problem(H)
     diagonal = np.zeros(vmap.n_vars, dtype=bool)
-    diagonal[[vmap.mu1_index, vmap.mu2_index]] = True
+    diagonal[vmap.mu1_index] = True
     diagonal[[vmap.xi_index(i, i) for i in range(n_orb)]] = True
     nonzero = problem.a != 0.0
     off_count = nonzero[:, ~diagonal].sum(axis=1)
@@ -256,7 +290,7 @@ def test_block_solve_matches_highs_on_whole_problem(n_orb, n_elec):
 
 
 def test_solver_options_apply_to_diagonal_block():
-    """One backend solve over the N + 2 diagonal variables, with the default
+    """One backend solve over the N + 1 diagonal variables, with the default
     budget 50 (n_vars + n_rows) of that block; an exhausted budget quotes
     the shifted norm."""
     H = oracles.random_hamiltonian(np.random.default_rng(38), 3, 3)
@@ -270,8 +304,8 @@ def test_solver_options_apply_to_diagonal_block():
     lp_bliss(H, SolverOptions(solver=Recording()))
     [((two_m, columns), budget)] = seen
     m = two_m // 2
-    assert columns == 5 + m
-    assert budget == 50 * (5 + m)
+    assert columns == 4 + m
+    assert budget == 50 * (4 + m)
     with pytest.raises(LpBlissIterationLimit) as err:
         lp_bliss(H, SolverOptions(max_iters=2))
     assert f"{err.value.norm.lambda_total:.12g}" in str(err.value)

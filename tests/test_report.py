@@ -52,9 +52,8 @@ def test_norm_pair_ratio():
 
 def test_bliss_summary_from_params():
     xi = np.array([[1.0, -2.0], [-2.0, 0.5]])
-    summary = BlissSummary.from_params(BlissParams(0.1, -0.2, xi))
+    summary = BlissSummary.from_params(BlissParams(0.1, xi))
     assert summary.mu1 == 0.1
-    assert summary.mu2 == -0.2
     assert summary.xi_max_abs == 2.0
     assert summary.xi_one_norm == pytest.approx(5.5)
 
@@ -65,7 +64,7 @@ def test_fermionic_section_shape():
     section = fermionic_section(build_fermionic_report(H, "df-lrps"))
     assert section["method"] == "df-lrps"
     assert isinstance(section["fragments"], list)
-    assert all(set(f) == {"index", "kind", "one_norm", "phi", "mu2",
+    assert all(set(f) == {"index", "kind", "one_norm", "phi",
                           "theta_max_abs"} for f in section["fragments"])
     assert section["lambda_total"] == pytest.approx(
         section["lambda_one_body"] + section["lambda_fragments"])

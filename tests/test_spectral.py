@@ -1,6 +1,7 @@
 """Tests for sector vectors, exact ranges and the Lanczos engine."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -840,6 +841,20 @@ def test_lanczos_range_never_exceeds_exact():
 ])
 def test_deviation_metric_values(de, de_shifted, de_ens, want):
     assert deviation_metric(de, de_shifted, de_ens) == pytest.approx(want)
+
+
+def test_deviation_metric_rounds_a_shortfall_of_a_few_ulps_to_zero():
+    """A shifted range at most 8 ulps of delta_e below the sector range is
+    the sector range; a larger shortfall is reported."""
+    # The flr-bliss ranges of decay_hamiltonian(default_rng(0), 4).
+    de, de_ens = 17.461343792679017, 8.017942585773904
+    assert deviation_metric(de, 8.0179425857739, de_ens) == 0.0
+    margin = 8 * math.ulp(de)
+    assert deviation_metric(de, de_ens - margin, de_ens) == 0.0
+    below = deviation_metric(de, de_ens - 2.0 * margin, de_ens)
+    assert below == pytest.approx(-2.0 * margin / (de - de_ens))
+    assert deviation_metric(de, de_ens, de_ens) == 0.0
+    assert deviation_metric(de, math.nextafter(de_ens, 20.0), de_ens) > 0.0
 
 
 def test_deviation_metric_undefined():
