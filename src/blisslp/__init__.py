@@ -42,9 +42,8 @@ _EXPORTS = {
                  "assemble_global_bliss",
     "spectral": "CIVector LanczosOptions LanczosResult "
                 "RangeResult SpectralReport sector_determinants sector_matrix "
-                "apply_hamiltonian one_body_eigenbasis reference_determinant "
-                "truncated_lanczos spectral_range spectral_ranges "
-                "deviation_metric build_spectral_report "
+                "apply_hamiltonian truncated_lanczos spectral_range "
+                "spectral_ranges deviation_metric build_spectral_report "
                 "build_spectral_reports",
     "report": "NormPair BlissSummary RunReport CompareReport to_json "
               "strip_volatile",

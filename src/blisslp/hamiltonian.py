@@ -24,7 +24,7 @@ The paper's quadratic term mu2 (N^2 - n_elec^2) = sum_i mu2 F_ii (N - n_elec)
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,9 +110,7 @@ class MolecularHamiltonian:
         tol = SYMMETRY_RTOL * max(1.0, float(np.abs(g).max(initial=0.0)))
         if two_body_symmetry_deviation(g) > tol:
             raise ValueError("two-electron tensor violates 8-fold symmetry")
-        if not 0 <= self.n_elec <= 2 * n:
-            raise ValueError(
-                f"n_elec must lie in [0, {2 * n}], got {self.n_elec}")
+        _check_n_elec(n, self.n_elec)
         object.__setattr__(self, "e_const", float(self.e_const))
         object.__setattr__(self, "h", _readonly(h))
         object.__setattr__(self, "g", _readonly(g))
@@ -124,8 +122,29 @@ class MolecularHamiltonian:
         return 2 * self.n_orb
 
     def with_n_elec(self, n_elec: int) -> "MolecularHamiltonian":
-        """Copy of this Hamiltonian targeting a different electron sector."""
-        return replace(self, n_elec=n_elec)
+        """Copy of this Hamiltonian targeting a different electron sector;
+        it shares the read-only tensors, and only ``n_elec`` is checked."""
+        _check_n_elec(self.n_orb, n_elec)
+        return _derive(self, n_elec=n_elec)
+
+
+def _check_n_elec(n_orb: int, n_elec: int) -> None:
+    if not 0 <= n_elec <= 2 * n_orb:
+        raise ValueError(f"n_elec must lie in [0, {2 * n_orb}], got {n_elec}")
+
+
+def _derive(hamiltonian: MolecularHamiltonian,
+            **fields) -> MolecularHamiltonian:
+    """``hamiltonian`` with ``fields`` replaced, its other (read-only)
+    arrays shared.  ``__post_init__`` does not run, so there are no N^4
+    copies or transposes: the caller vouches for the new fields, and new
+    arrays are made read-only here."""
+    derived = copy.copy(hamiltonian)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = _readonly(value)
+        object.__setattr__(derived, name, value)
+    return derived
 
 
 @dataclass(frozen=True)
@@ -193,8 +212,4 @@ def apply_bliss(hamiltonian: MolecularHamiltonian,
     g_new[d[:, None], d[:, None], k, l] -= 0.5 * xi[k, l]
     e_new = hamiltonian.e_const + params.mu1 * n_elec
     _check_finite(e_new, h_new, g_new)
-    shifted = copy.copy(hamiltonian)  # no __post_init__: no N^4 transposes
-    object.__setattr__(shifted, "e_const", float(e_new))
-    object.__setattr__(shifted, "h", _readonly(h_new))
-    object.__setattr__(shifted, "g", _readonly(g_new))
-    return shifted
+    return _derive(hamiltonian, e_const=float(e_new), h=h_new, g=g_new)

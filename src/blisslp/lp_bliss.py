@@ -34,11 +34,12 @@ upper-triangle entry of xi; the problem has full column rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
+from .hamiltonian import (BlissParams, MolecularHamiltonian, _derive,
+                          apply_bliss)
 from .l1min import (L1Problem, L1Solution, L1Status, SolverOptions,
                     l1_minimize, merge_duplicate_rows, weighted_median)
 from .pauli import (PAULI_TERM_WEIGHTS, PauliNormBreakdown, pauli_one_norm,
@@ -106,7 +107,7 @@ class LpBlissIterationLimit(RuntimeError):
 def _shift_columns(hamiltonian: MolecularHamiltonian, vmap: LpBlissVarMap):
     """Yield column v of A, the terms of the zero Hamiltonian shifted by e_v,
     in variable order."""
-    zero = replace(hamiltonian, h=np.zeros_like(hamiltonian.h),
+    zero = _derive(hamiltonian, h=np.zeros_like(hamiltonian.h),
                    g=np.zeros_like(hamiltonian.g))
     for e_v in np.eye(vmap.n_vars):
         shifted = apply_bliss(zero, params_from_solution(vmap, e_v))

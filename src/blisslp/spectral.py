@@ -19,11 +19,12 @@ chunk at a time: each c with itself (e_const and the one-body terms), then
 its (c, out, in) two-body triples.  A plan that does not flip takes every
 determinant as its own image, so its first half is the whole block.  A
 sweep over several Hamiltonians builds each sector's plan once and drops it
-before the next sector.  The Lanczos operator folds F^k_l and F^l_k into
-one row and applies H to the dense vectors of a fully reorthogonalized
-iteration; its projected matrix uses exact H applications, so the lowest
-estimate never undershoots the true minimum, the highest never overshoots
-the maximum, and the range is a lower bound on the exact one.  No table
+before the next sector.  Lanczos runs once per sector and Hamiltonian,
+from a fixed sine vector, and both extremes come from that one Krylov
+space; its operator folds F^k_l and F^l_k into one row.  The projected
+matrix uses exact H applications, so the lowest Ritz value never
+undershoots the true minimum, the highest never overshoots the maximum,
+and the range is a lower bound on the exact one.  No table
 spans a sector: ``apply_hamiltonian`` applies H block by block.  Memory is
 predicted once on each path that allocates (``_check_memory``).
 """
@@ -38,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hamiltonian import MolecularHamiltonian, symmetrize_two_body
+from .hamiltonian import MolecularHamiltonian
 
 __all__ = [
     "CIVector",
@@ -50,8 +51,6 @@ __all__ = [
     "sector_dimension",
     "apply_hamiltonian",
     "sector_matrix",
-    "one_body_eigenbasis",
-    "reference_determinant",
     "truncated_lanczos",
     "spectral_range",
     "spectral_ranges",
@@ -524,48 +523,11 @@ def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
     return mat, tuple(basis.tolist())
 
 
-def one_body_eigenbasis(hamiltonian: MolecularHamiltonian) -> MolecularHamiltonian:
-    """Rotate all orbitals so the one-body tensor is diagonal.
-
-    The rotation is a one-particle basis change, so every sector spectrum is
-    preserved (up to arithmetic roundoff in the transformed tensors).
-    """
-    _, vecs = np.linalg.eigh(hamiltonian.h)
-    h_rot = vecs.T @ hamiltonian.h @ vecs
-    h_rot = 0.5 * (h_rot + h_rot.T)
-    g_rot = np.einsum("pi,qj,rk,sl,pqrs->ijkl", vecs, vecs, vecs, vecs,
-                      hamiltonian.g, optimize=True)
-    return MolecularHamiltonian(
-        n_orb=hamiltonian.n_orb, e_const=hamiltonian.e_const, h=h_rot,
-        g=symmetrize_two_body(g_rot), n_elec=hamiltonian.n_elec,
-        ms2=hamiltonian.ms2)
-
-
-def reference_determinant(hamiltonian: MolecularHamiltonian, n_elec: int,
-                          extreme: str = "lowest") -> int:
-    """Occupancy bitmask of the extreme-filling start determinant in a
-    frame where h is diagonal.
-
-    Spatial orbitals are ranked by their diagonal h value (ascending for
-    "lowest", descending for "highest", ties broken by orbital index) and
-    filled spin 0 then spin 1.
-    """
-    if extreme not in ("lowest", "highest"):
-        raise ValueError(f"extreme must be 'lowest' or 'highest', got {extreme!r}")
-    if not 0 <= n_elec <= hamiltonian.n_spin_orb:
-        raise ValueError(f"n_elec={n_elec} outside "
-                         f"[0, {hamiltonian.n_spin_orb}]")
-    energies = np.diag(hamiltonian.h) * (1.0 if extreme == "lowest" else -1.0)
-    order = sorted(range(hamiltonian.n_orb), key=lambda p: (energies[p], p))
-    fill = [2 * p + spin for p in order for spin in (0, 1)]
-    return sum(1 << s for s in fill[:n_elec])
-
-
 @dataclass(frozen=True)
 class LanczosOptions:
-    """Knobs of the Lanczos iteration: it stops after ``max_iters`` H
-    applications, or once the Ritz residual of the extreme pair drops below
-    ``residual_tol``."""
+    """Knobs of the Lanczos iteration: its one run, which serves both
+    extremes, stops after ``max_iters`` H applications, or once the Ritz
+    residuals of both extreme pairs drop below ``residual_tol``."""
 
     max_iters: int = 200
     residual_tol: float = 1e-5
@@ -581,53 +543,43 @@ class LanczosOptions:
 
 @dataclass(frozen=True)
 class LanczosResult:
-    """Extreme Ritz value of the Krylov subspace.
+    """Extreme Ritz values of one Krylov subspace: ``e_min`` never
+    undershoots the sector minimum, ``e_max`` never overshoots its maximum.
 
-    ``converged`` is False only when the iteration cap was hit before the
-    Ritz residual dropped below tolerance or the sector was exhausted; the
-    energy is still the best variational estimate found.
+    ``converged`` is False only when the iteration cap was hit before both
+    Ritz residuals dropped below tolerance or the block was exhausted; the
+    values are still the best variational estimates found.
     """
 
-    energy: float
+    e_min: float
+    e_max: float
     iterations: int
     converged: bool
-    subspace_dim: int
 
 
 def truncated_lanczos(hamiltonian: MolecularHamiltonian, n_elec: int,
-                      extreme: str = "lowest",
                       options: LanczosOptions | None = None) -> LanczosResult:
-    """Variational extreme-eigenvalue estimate by fully reorthogonalized
-    Lanczos; the name is kept for the API, nothing is truncated.
+    """Both extreme eigenvalues of a sector, estimated variationally by one
+    fully reorthogonalized Lanczos run; the name is kept for the API,
+    nothing is truncated.
 
-    The start vector is the extreme-filling determinant in the one-body
-    eigenbasis plus, unless that determinant is already an eigenvector, a
-    fixed generic vector of norm 0.1, sin(k * golden angle) for k = 1..d,
-    built without ``numpy.random``: the determinant alone has one total
-    spin, and so would its whole Krylov space.  The run stops when the Ritz
-    residual |beta_k s_k| of the extreme pair (Parlett, The Symmetric
-    Eigenvalue Problem) falls below ``residual_tol``, or when the basis
-    spans the block.  It runs in the block with ceil(n/2) spin-0 electrons,
-    which holds every level of the sector and the start determinant.
+    The start vector is fixed and generic, sin(k * golden angle) for
+    k = 1..d, normalized, built without ``numpy.random``.  The run stops
+    when the Ritz residuals |beta_k s_k| of both extreme pairs (Parlett, The
+    Symmetric Eigenvalue Problem) fall below ``residual_tol``, or when the
+    basis spans the block.  It runs in the block with ceil(n/2) spin-0
+    electrons, which holds every level of the sector.
     """
     opts = options or LanczosOptions()
     n_alpha = (n_elec + 1) // 2
     _check_memory(hamiltonian.n_orb, n_elec, n_alpha, opts.max_iters)
-    rotated = one_body_eigenbasis(hamiltonian)
-    dets, matvec = _sector_operator(rotated, n_elec, n_alpha)
-    ref = reference_determinant(rotated, n_elec, extreme)
+    dets, matvec = _sector_operator(hamiltonian, n_elec, n_alpha)
     size = min(opts.max_iters, len(dets))
     basis, projected = np.zeros((size, len(dets))), np.zeros((size, size))
-    start = basis[0]
-    start[np.searchsorted(dets, ref)] = 1.0
-    h_start = matvec(start)
-    if np.linalg.norm(h_start - (start @ h_start) * start) >= opts.residual_tol:
-        # Generic and fixed, from numpy core: sines of multiples of the
-        # golden angle, so Lanczos imports no numpy.random of its own.
-        mix = np.sin(np.arange(1, len(dets) + 1) * GOLDEN_ANGLE)
-        start += 0.1 / np.linalg.norm(mix) * mix
-        start /= np.linalg.norm(start)
-    pick = 0 if extreme == "lowest" else -1
+    # Generic and fixed, from numpy core: sines of multiples of the golden
+    # angle, so Lanczos imports no numpy.random of its own.
+    start = np.sin(np.arange(1, len(dets) + 1) * GOLDEN_ANGLE)
+    basis[0] = start / np.linalg.norm(start)
     for k in range(1, size + 1):
         w = matvec(basis[k - 1])
         projected[k - 1, :k] = projected[:k, k - 1] = basis[:k] @ w
@@ -635,13 +587,13 @@ def truncated_lanczos(hamiltonian: MolecularHamiltonian, n_elec: int,
         for _ in range(2):
             w -= (basis[:k] @ w) @ basis[:k]
         beta = math.sqrt(w @ w)
-        converged = bool(beta * abs(vectors[-1, pick]) < opts.residual_tol
-                         or k == len(dets))
+        residual = beta * max(abs(vectors[-1, 0]), abs(vectors[-1, -1]))
+        converged = bool(residual < opts.residual_tol or k == len(dets))
         if converged or k == size:
             break
         basis[k] = w / beta
-    return LanczosResult(energy=float(values[pick]), iterations=k,
-                         converged=converged, subspace_dim=k)
+    return LanczosResult(e_min=float(values[0]), e_max=float(values[-1]),
+                         iterations=k, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -691,9 +643,8 @@ def _sector_rows(hamiltonians: Sequence[MolecularHamiltonian], n_elec: int,
         return rows
     rows = []
     for hamiltonian in hamiltonians:
-        low = truncated_lanczos(hamiltonian, n_elec, "lowest", options)
-        high = truncated_lanczos(hamiltonian, n_elec, "highest", options)
-        rows.append((low.energy, high.energy, low.converged and high.converged))
+        result = truncated_lanczos(hamiltonian, n_elec, options)
+        rows.append((result.e_min, result.e_max, result.converged))
     return rows
 
 

@@ -266,12 +266,11 @@ def test_criterion_09_truncated_lanczos():
         n_elec = 2 + case % 3
         hamiltonian = oracles.random_hamiltonian(rng, 3, n_elec)
         exact = np.linalg.eigvalsh(sector_matrix(hamiltonian, n_elec)[0])
-        low = truncated_lanczos(hamiltonian, n_elec, "lowest")
-        high = truncated_lanczos(hamiltonian, n_elec, "highest")
-        variational &= bool(low.energy >= exact[0] - 1e-10)
-        variational &= bool(high.energy <= exact[-1] + 1e-10)
+        result = truncated_lanczos(hamiltonian, n_elec)
+        variational &= bool(result.e_min >= exact[0] - 1e-10)
+        variational &= bool(result.e_max <= exact[-1] + 1e-10)
         delta_exact = float(exact[-1] - exact[0])
-        delta_lanczos = high.energy - low.energy
+        delta_lanczos = result.e_max - result.e_min
         worst_rel = max(worst_rel,
                         abs(delta_lanczos - delta_exact) / delta_exact)
     verdict(9, "Lanczos variational and within 5%", 120.0, started,

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -449,6 +452,30 @@ def test_bench_trace_wraps_resolve(monkeypatch):
     for module_name, attr, _, _ in spans.WRAPS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_bench_lanczos_job_traces_one_run(tmp_path):
+    """The benchmark's library Lanczos job, traced, on an N=7 sector whose
+    1225-dim block runs Lanczos: it exits 0, and its one Lanczos span
+    counts the iterations.  Bytecode is not written, so nothing lands in
+    ``bench/``."""
+    dump, spans, out = (tmp_path / name for name in
+                        ("n7.fcidump", "spans.json", "out.json"))
+    dump.write_text(write_fcidump(
+        oracles.random_hamiltonian(np.random.default_rng(7), 7, 7)))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "job.py"), "--spans",
+         str(spans), "--job-id", "t", "lanczos", str(dump), "5", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
+    assert done.returncode == 0, done.stderr
+    lanczos = [span for span in json.loads(spans.read_text())
+               if span["name"] == "spectral.lanczos"]
+    assert [span["counts"]["iters"] for span in lanczos] == [5]
+    result = json.loads(out.read_text())
+    assert result["e_min"] < result["e_max"]
 
 
 def test_run_config_validation():

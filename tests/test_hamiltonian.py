@@ -39,6 +39,24 @@ def test_with_n_elec_copies():
     np.testing.assert_array_equal(H.h, H2.h)
 
 
+def test_with_n_elec_shares_the_tensors():
+    """A new sector re-checks only n_elec: no N^4 copy or transpose."""
+    n = 20
+    H = oracles.random_hamiltonian(np.random.default_rng(15), n, n)
+    tracemalloc.start()
+    try:
+        H2 = H.with_n_elec(n + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * n ** 4
+    assert (H2.n_elec, H.n_elec) == (n + 1, n)
+    assert H2.h is H.h and H2.g is H.g and H2.e_const == H.e_const
+    for bad in (-1, 2 * n + 1):
+        with pytest.raises(ValueError, match=r"n_elec must lie in \[0, 40\]"):
+            H.with_n_elec(bad)
+
+
 @pytest.mark.parametrize("field, value", [
     ("n_orb", 0),
     ("n_elec", -1),

@@ -33,12 +33,11 @@ PUBLIC_API = """
     double_factorize dump_problem evaluate_objective factorize_two_body_tensor
     fragment_hamiltonian l1_minimize lambda_csa lambda_df lp_bliss
     lrbs_shift lrps_one_body_correction lrps_shift main merge_duplicate_rows
-    one_body_eigenbasis one_electron_shift params_from_solution parse_fcidump
-    pauli_one_norm reconstruct_two_body reference_determinant run
-    run_pipeline sector_determinants sector_matrix solve_lp spectral_range
-    spectral_ranges strip_volatile symmetrize_two_body to_csa_fragment
-    to_json truncated_lanczos two_body_symmetry_deviation weighted_median
-    write_fcidump
+    one_electron_shift params_from_solution parse_fcidump pauli_one_norm
+    reconstruct_two_body run run_pipeline sector_determinants sector_matrix
+    solve_lp spectral_range spectral_ranges strip_volatile symmetrize_two_body
+    to_csa_fragment to_json truncated_lanczos two_body_symmetry_deviation
+    weighted_median write_fcidump
 """.split()
 
 # Prints the package's loaded submodules and whether numpy is loaded.

@@ -25,8 +25,7 @@ from blisslp import (
     apply_hamiltonian,
     build_spectral_report,
     deviation_metric,
-    one_body_eigenbasis,
-    reference_determinant,
+    lp_bliss,
     sector_determinants,
     sector_matrix,
     spectral_range,
@@ -594,44 +593,32 @@ def test_dense_fallback_compares_the_block_dimension(monkeypatch):
     H = oracles.random_hamiltonian(np.random.default_rng(2300), 7, 7)
     calls = []
 
-    def recording(hamiltonian, n_elec, extreme="lowest", options=None):
+    def recording(hamiltonian, n_elec, options=None):
         calls.append(n_elec)
-        return LanczosResult(energy=0.0, iterations=1, converged=True,
-                             subspace_dim=1)
+        return LanczosResult(e_min=0.0, e_max=0.0, iterations=1,
+                             converged=True)
 
     monkeypatch.setattr("blisslp.spectral.truncated_lanczos", recording)
     spectral_range(H, sector=7, method="lanczos")
-    assert calls == [7, 7]
+    assert calls == [7]
     spectral_range(H, sector=5, method="lanczos")
-    assert calls == [7, 7]
+    assert calls == [7]
 
 
-def test_one_body_eigenbasis_preserves_spectrum():
-    rng = np.random.default_rng(65)
-    H = oracles.random_hamiltonian(rng, 2, 2)
-    rotated = one_body_eigenbasis(H)
-    np.testing.assert_allclose(rotated.h, np.diag(np.diag(rotated.h)),
-                               atol=1e-10)
-    assert np.all(np.diff(np.diag(rotated.h)) >= -1e-12)
-    ev_a = np.linalg.eigvalsh(oracles.fock_matrix(H))
-    ev_b = np.linalg.eigvalsh(oracles.fock_matrix(rotated))
-    np.testing.assert_allclose(ev_a, ev_b, atol=1e-10)
+def test_lanczos_builds_one_operator_per_sector_and_hamiltonian(monkeypatch):
+    """Both extremes come from one run on one operator: a two-Hamiltonian
+    sweep of the N=7, 7-electron sector (block 1225) builds two."""
+    rng = np.random.default_rng(2310)
+    hams = [oracles.random_hamiltonian(rng, 7, 7) for _ in range(2)]
+    built = []
 
+    def counting(hamiltonian, n_elec, n_alpha):
+        built.append((id(hamiltonian), n_elec, n_alpha))
+        return _sector_operator(hamiltonian, n_elec, n_alpha)
 
-def test_reference_determinant_examples():
-    H = MolecularHamiltonian(n_orb=2, e_const=0.0, h=np.diag([-1.0, 5.0]),
-                             g=np.zeros((2,) * 4), n_elec=2)
-    assert reference_determinant(H, 2, "lowest") == 0b0011
-    assert reference_determinant(H, 2, "highest") == 0b1100
-    flat = MolecularHamiltonian(n_orb=2, e_const=0.0, h=0.7 * np.eye(2),
-                                g=np.zeros((2,) * 4), n_elec=2)
-    assert reference_determinant(flat, 2, "lowest") == 0b0011
-    assert reference_determinant(H, 3, "lowest") == 0b0111
-    with pytest.raises(ValueError, match="extreme"):
-        reference_determinant(H, 2, "middle")
-    for n_elec in (5, -1):
-        with pytest.raises(ValueError, match=rf"n_elec={n_elec} outside \[0, 4\]"):
-            reference_determinant(H, n_elec)
+    monkeypatch.setattr("blisslp.spectral._sector_operator", counting)
+    spectral.spectral_ranges(hams, 7, "lanczos", LanczosOptions(max_iters=5))
+    assert built == [(id(H), 7, 4) for H in hams]
 
 
 def test_lanczos_options_validation():
@@ -648,26 +635,22 @@ def test_lanczos_exact_on_two_dim_sector():
     rng = np.random.default_rng(66)
     H = oracles.random_hamiltonian(rng, 1, 1)
     values = np.linalg.eigvalsh(sector_matrix(H, 1)[0])
-    low = truncated_lanczos(H, 1, "lowest")
-    high = truncated_lanczos(H, 1, "highest")
-    assert low.converged and high.converged
-    assert low.energy == pytest.approx(values[0], abs=1e-9)
-    assert high.energy == pytest.approx(values[-1], abs=1e-9)
+    result = truncated_lanczos(H, 1)
+    assert result.converged
+    assert result.e_min == pytest.approx(values[0], abs=1e-9)
+    assert result.e_max == pytest.approx(values[-1], abs=1e-9)
 
 
-def test_lanczos_converges_immediately_on_eigenvector():
-    """Number-diagonal H makes the start determinant an eigenvector."""
-    d = np.array([[0.4, 0.1], [0.1, -0.3]])
-    g = np.zeros((2,) * 4)
-    for i in range(2):
-        for k in range(2):
-            g[i, i, k, k] = d[i, k]
-    H = MolecularHamiltonian(n_orb=2, e_const=0.0, h=np.diag([1.0, 2.0]),
-                             g=g, n_elec=2)
-    result = truncated_lanczos(H, 2, "lowest")
+def test_lanczos_converges_at_once_on_identity_block():
+    """h = 0.7 I and g = 0 make every 4-electron block of N=4 (dimension
+    36) 2.8 I: the start vector is an eigenvector."""
+    H = MolecularHamiltonian(n_orb=4, e_const=0.0, h=0.7 * np.eye(4),
+                             g=np.zeros((4,) * 4), n_elec=4)
+    result = truncated_lanczos(H, 4)
     assert result.converged
     assert result.iterations == 1
-    assert result.subspace_dim == 1
+    assert result.e_min == pytest.approx(2.8, abs=1e-12)
+    assert result.e_max == pytest.approx(2.8, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -676,12 +659,11 @@ def test_lanczos_variational_and_accurate(seed):
     H = oracles.random_hamiltonian(rng, 3, 3)
     values = np.linalg.eigvalsh(sector_matrix(H, 3)[0])
     spread = values[-1] - values[0]
-    low = truncated_lanczos(H, 3, "lowest")
-    high = truncated_lanczos(H, 3, "highest")
-    assert low.energy >= values[0] - 1e-12
-    assert high.energy <= values[-1] + 1e-12
-    assert abs(low.energy - values[0]) < 1e-8 * spread
-    assert abs(high.energy - values[-1]) < 1e-8 * spread
+    result = truncated_lanczos(H, 3)
+    assert result.e_min >= values[0] - 1e-12
+    assert result.e_max <= values[-1] + 1e-12
+    assert abs(result.e_min - values[0]) < 1e-8 * spread
+    assert abs(result.e_max - values[-1]) < 1e-8 * spread
 
 
 @pytest.mark.parametrize("seed, extreme", [
@@ -692,11 +674,12 @@ def test_truncated_lanczos_pinned(seed, extreme):
     which holds every level of the sector."""
     H = oracles.random_hamiltonian(np.random.default_rng(seed), 4, 4)
     values = np.linalg.eigvalsh(sector_matrix(H, 4)[0])
-    result = truncated_lanczos(H, 4, extreme)
+    result = truncated_lanczos(H, 4)
     assert result.converged
     assert result.iterations < 36
-    want = values[0] if extreme == "lowest" else values[-1]
-    assert result.energy == pytest.approx(want, abs=1e-9)
+    got, want = ((result.e_min, values[0]) if extreme == "lowest"
+                 else (result.e_max, values[-1]))
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
@@ -704,15 +687,16 @@ def test_truncated_lanczos_pinned(seed, extreme):
 @example(n_orb=2, seed=32)  # the highest 2-electron level is a triplet
 def test_lanczos_converges_to_exact_extremes(n_orb, seed):
     """Every sector of dimension >= 2 gives converged extremes equal to the
-    exact ones, whatever the total spin of the extreme level."""
+    exact ones, whatever the total spin of the extreme level, before and
+    after the LP-BLISS shift."""
     H = oracles.random_hamiltonian(np.random.default_rng(seed), n_orb, n_orb)
-    for n_elec in range(1, 2 * n_orb):
-        values = np.linalg.eigvalsh(sector_matrix(H, n_elec)[0])
-        low = truncated_lanczos(H, n_elec, "lowest")
-        high = truncated_lanczos(H, n_elec, "highest")
-        assert low.converged and high.converged
-        assert low.energy == pytest.approx(values[0], abs=1e-8)
-        assert high.energy == pytest.approx(values[-1], abs=1e-8)
+    for ham in (H, apply_bliss(H, lp_bliss(H)[0])):
+        for n_elec in range(1, 2 * n_orb):
+            values = np.linalg.eigvalsh(sector_matrix(ham, n_elec)[0])
+            result = truncated_lanczos(ham, n_elec)
+            assert result.converged
+            assert result.e_min == pytest.approx(values[0], abs=1e-8)
+            assert result.e_max == pytest.approx(values[-1], abs=1e-8)
 
 
 def test_block_lanczos_matches_block_eigvalsh():
@@ -722,11 +706,11 @@ def test_block_lanczos_matches_block_eigvalsh():
     for n_elec in range(9):
         mat, dets = sector_matrix(H, n_elec, (n_elec + 1) // 2)
         values = np.linalg.eigvalsh(mat)
-        for extreme, want in (("lowest", values[0]), ("highest", values[-1])):
-            result = truncated_lanczos(H, n_elec, extreme)
-            assert result.converged
-            assert result.subspace_dim <= len(dets)
-            assert result.energy == pytest.approx(want, abs=1e-9)
+        result = truncated_lanczos(H, n_elec)
+        assert result.converged
+        assert result.iterations <= len(dets)
+        assert result.e_min == pytest.approx(values[0], abs=1e-9)
+        assert result.e_max == pytest.approx(values[-1], abs=1e-9)
 
 
 def test_lanczos_range_imports_no_numpy_random():
@@ -759,12 +743,12 @@ def test_lanczos_range_imports_no_numpy_random():
 def test_lanczos_iteration_cap_flags_unconverged():
     rng = np.random.default_rng(67)
     H = oracles.random_hamiltonian(rng, 3, 3)
-    result = truncated_lanczos(H, 3, "lowest",
-                               LanczosOptions(max_iters=2, residual_tol=1e-12))
+    result = truncated_lanczos(H, 3, LanczosOptions(max_iters=2,
+                                                    residual_tol=1e-12))
     assert not result.converged
     assert result.iterations == 2
     exact_min = np.linalg.eigvalsh(sector_matrix(H, 3)[0])[0]
-    assert result.energy >= exact_min - 1e-12
+    assert result.e_min >= exact_min - 1e-12
 
 
 def test_spectral_range_constant_hamiltonian():
@@ -829,9 +813,8 @@ def test_lanczos_range_never_exceeds_exact():
     rng = np.random.default_rng(70)
     H = oracles.random_hamiltonian(rng, 3, 3)
     values = np.linalg.eigvalsh(sector_matrix(H, 3)[0])
-    low = truncated_lanczos(H, 3, "lowest")
-    high = truncated_lanczos(H, 3, "highest")
-    assert high.energy - low.energy <= values[-1] - values[0] + 1e-12
+    result = truncated_lanczos(H, 3)
+    assert result.e_max - result.e_min <= values[-1] - values[0] + 1e-12
 
 
 @pytest.mark.parametrize("de, de_shifted, de_ens, want", [
