@@ -85,9 +85,12 @@ class RunConfig:
                 and 0.0 <= self.df_tol < math.inf):
             raise ValueError("lanczos_tol must be positive and df_tol "
                              "non-negative, both finite")
-        if self.lp_max_iters is not None and self.lp_max_iters < 1:
-            raise ValueError(f"lp_max_iters must be >= 1, got "
-                             f"{self.lp_max_iters}")
+        if self.lp_max_iters is not None and (
+                isinstance(self.lp_max_iters, bool)
+                or not isinstance(self.lp_max_iters, int)
+                or self.lp_max_iters < 1):
+            raise ValueError(f"lp_max_iters must be a positive int, got "
+                             f"{self.lp_max_iters!r}")
 
 
 # The RunConfig fields a Baseline is built from; compared runs must agree.
@@ -352,7 +355,8 @@ def _add_shared_options(parser: argparse.ArgumentParser) -> None:
                         help="double-factorization eigenvalue cutoff "
                              "(default: 1e-8)")
     parser.add_argument("--lp-max-iters", type=int, default=None,
-                        help="LP pivot budget override")
+                        help="pivot budget of each L1 solve "
+                             "(default: 50 (variables + rows))")
     parser.add_argument("--out-report", default=None,
                         help="write the JSON report here instead of stdout")
 

@@ -6,19 +6,15 @@ Problems are stated as
 
 with a dense float matrix A.  A row of A with no nonzero entry adds the
 constant w_i |b_i| whatever x is, so the solver folds such rows into the
-objective and keeps only the rows that carry a variable.  It rewrites
-those with one auxiliary bound variable per row,
-
-    minimize  sum_i w_i y_i   subject to   A x - y <= b,  -A x - y <= -b,
-
-and hands the resulting standard-form LP to a pluggable backend.  The
-default backend is the dense reference simplex from :mod:`blisslp.simplex`;
-any callable with the same contract (``solve(c, G, h, max_iters)`` returning
-an :class:`blisslp.simplex.LpResult`) can be substituted, e.g. the optional
+objective and hands only the rows that carry a variable to a pluggable
+backend.  The default backend is the one-phase L1 simplex from
+:mod:`blisslp.simplex`; any object with the same contract
+(``solve(weights, a, b, max_iters)`` returning an
+:class:`blisslp.simplex.LpResult`) can be substituted, e.g. the optional
 :class:`ScipyLinprogSolver`.
 
-The point x = 0, y = |b| is always feasible, so a valid solve never reports
-worse than ``sum_i w_i |b_i|``.
+The point x = 0 is always feasible, so a valid solve never reports worse
+than ``sum_i w_i |b_i|``.
 """
 
 from __future__ import annotations
@@ -47,17 +43,17 @@ __all__ = [
 ]
 
 class LpSolver(Protocol):
-    """Backend contract: solve min c.z s.t. G z <= h over free z."""
+    """Backend contract: minimize sum_i weights[i] |(a x - b)_i| over x."""
 
-    def solve(self, c: np.ndarray, G: np.ndarray, h: np.ndarray,
+    def solve(self, weights: np.ndarray, a: np.ndarray, b: np.ndarray,
               max_iters: int) -> LpResult: ...
 
 
 class ReferenceSimplexSolver:
-    """Dense two-phase Bland-rule simplex shipped with the package."""
+    """One-phase Bland-rule L1 simplex shipped with the package."""
 
-    def solve(self, c, G, h, max_iters):
-        return solve_lp(c, G, h, max_iters)
+    def solve(self, weights, a, b, max_iters):
+        return solve_lp(weights, a, b, max_iters)
 
 
 class ScipyLinprogSolver:
@@ -66,9 +62,15 @@ class ScipyLinprogSolver:
     def __init__(self, method: str = "highs"):
         self.method = method
 
-    def solve(self, c, G, h, max_iters):
+    def solve(self, weights, a, b, max_iters):
         from scipy.optimize import linprog
 
+        # min w.y over (x, y) s.t. a x - y <= b and -a x - y <= -b.
+        m, n = a.shape
+        eye = np.eye(m)
+        G = np.block([[a, -eye], [-a, -eye]])
+        h = np.concatenate([b, -b])
+        c = np.concatenate([np.zeros(n), weights])
         res = linprog(c, A_ub=G, b_ub=h, bounds=(None, None),
                       method=self.method, options={"maxiter": max_iters})
         status = {0: LpStatus.OPTIMAL, 1: LpStatus.ITERATION_LIMIT,
@@ -76,14 +78,13 @@ class ScipyLinprogSolver:
         if status is None:  # 4: numerical difficulties
             raise RuntimeError(f"linprog method={self.method!r} stopped with "
                                f"status {res.status}: {res.message}")
-        z = np.asarray(res.x, dtype=float) if res.x is not None else np.zeros(G.shape[1])
-        return LpResult(z, float(res.fun) if res.fun is not None else float("nan"),
+        x = np.asarray(res.x[:n], dtype=float) if res.x is not None else np.zeros(n)
+        return LpResult(x, float(res.fun) if res.fun is not None else float("nan"),
                         status, int(getattr(res, "nit", 0)))
 
 
 class L1Status(enum.Enum):
     OPTIMAL = "Optimal"
-    INFEASIBLE = "Infeasible"
     ITERATION_LIMIT = "IterationLimit"
 
 
@@ -149,8 +150,11 @@ class SolverOptions:
     solver: LpSolver | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if self.max_iters is not None and (
+                isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, int) or self.max_iters < 1):
+            raise ValueError(f"max_iters must be a positive int, got "
+                             f"{self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -241,18 +245,13 @@ def l1_minimize(problem: L1Problem,
         x = np.zeros(n)
         x.setflags(write=False)
         return L1Solution(x, evaluate_objective(problem, x), 0, L1Status.OPTIMAL)
-    a, b = problem.a[active], problem.b[active]
-    eye = np.eye(active.size)
-    G = np.block([[a, -eye], [-a, -eye]])
-    h = np.concatenate([b, -b])
-    c = np.concatenate([np.zeros(n), problem.weights[active]])
-
-    result = solver.solve(c, G, h, max_iters)
+    result = solver.solve(problem.weights[active], problem.a[active],
+                          problem.b[active], max_iters)
     if result.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
         raise RuntimeError(
             f"LP backend reported {result.status.value} on an always-feasible "
             "bounded problem; the backend or problem data is broken")
-    x = np.asarray(result.z[:n], dtype=float)
+    x = np.array(result.x, dtype=float)
     if result.status is LpStatus.ITERATION_LIMIT and not np.all(np.isfinite(x)):
         x = np.zeros(n)
     status = (L1Status.OPTIMAL if result.status is LpStatus.OPTIMAL

@@ -1,14 +1,15 @@
-"""Self-contained dense simplex solver for small linear programs.
+"""Self-contained dense simplex solver for weighted L1 problems.
 
-Solves the standard form
+Minimizes ``sum_i w_i |(a x - b)_i|`` in the standard form
 
-    minimize    c . z
-    subject to  G z <= h,    z free,
+    a x+ - a x- + u - v = b,    x+, x-, u, v >= 0,    cost [0, 0, w, w].
 
-by splitting z into nonnegative parts, appending slacks, and running a
-two-phase tableau simplex.  Pivots follow Bland's rule (lowest eligible
-index entering, lowest basis index leaving on ratio ties), which guarantees
-termination and makes the returned vertex deterministic.
+At x = 0 every residual is basic: u_i = b_i, or v_i = -b_i on a row negated
+because b_i < 0.  That basis is feasible (Barrodale and Roberts, SIAM J.
+Numer. Anal. 10, 839 (1973)), so one phase of a tableau simplex on m rows
+and 2n + 2m columns solves the problem.  Pivots follow Bland's rule (lowest
+eligible index entering, lowest basis index leaving on ratio ties), which
+guarantees termination and makes the returned vertex deterministic.
 
 Only dense problems of modest size are targeted; the solver exists as a
 dependency-free reference against which external LP backends can be checked.
@@ -37,9 +38,9 @@ class LpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of an LP solve: primal point, objective, status, pivot count."""
+    """Outcome of an L1 solve: the point x, its objective, status, pivots."""
 
-    z: np.ndarray
+    x: np.ndarray
     objective: float
     status: LpStatus
     iterations: int
@@ -53,9 +54,9 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
-                 max_iters: int, start_iter: int) -> tuple[LpStatus, int]:
+                 max_iters: int) -> tuple[LpStatus, int]:
     """Iterate Bland-rule pivots until optimality or a resource limit."""
-    iters = start_iter
+    iters = 0
     while True:
         reduced = cost - tableau[:, :-1].T @ cost[basis]
         entering_candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
@@ -77,79 +78,29 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
         iters += 1
 
 
-def solve_lp(c: np.ndarray, G: np.ndarray, h: np.ndarray,
+def solve_lp(weights: np.ndarray, a: np.ndarray, b: np.ndarray,
              max_iters: int) -> LpResult:
-    """Minimize ``c . z`` subject to ``G z <= h`` with ``z`` unrestricted.
+    """Minimize ``sum_i weights[i] |(a @ x - b)_i|`` over x with at most
+    ``max_iters`` pivots.
 
-    Args:
-        c: objective coefficients, shape (p,).
-        G: constraint matrix, shape (q, p).
-        h: constraint right-hand sides, shape (q,).
-        max_iters: total pivot budget across both phases.
-
-    Returns:
-        An :class:`LpResult`; on ITERATION_LIMIT the point is the best basic
-        solution reached (feasible only if phase 1 completed).
+    On ITERATION_LIMIT the point is the last basic solution reached, which
+    is no worse than x = 0.
     """
-    c = np.asarray(c, dtype=float)
-    G = np.asarray(G, dtype=float)
-    h = np.asarray(h, dtype=float)
-    q, p = G.shape
+    weights, a, b = (np.asarray(v, dtype=float) for v in (weights, a, b))
+    m, n = a.shape
+    # The minimizer scales with b, so solving for b / max|b| makes the
+    # ratio-test tolerance relative to the data (fragments reach 1e-8).
+    scale = float(np.abs(b).max(initial=0.0)) or 1.0
+    # Columns x+, x-, u, v and the right-hand side; rows with b_i < 0 are
+    # negated, so that v_i is their unit column.
+    eye = np.eye(m)
+    tableau = np.where(b < 0, -1.0, 1.0)[:, None] * np.hstack(
+        [a, -a, eye, -eye, b[:, None] / scale])
+    basis = [2 * n + r + (m if b[r] < 0 else 0) for r in range(m)]
+    status, iters = _run_simplex(tableau, basis, np.concatenate(
+        [np.zeros(2 * n), weights, weights]), max_iters)
 
-    # Columns: z+ (p), z- (p), slacks (q), then artificials for flipped rows.
-    body = np.hstack([G, -G, np.eye(q)])
-    rhs = h.copy()
-    flipped = rhs < 0
-    body[flipped] *= -1.0
-    rhs[flipped] *= -1.0
-    n_struct = 2 * p + q
-
-    art_rows = np.nonzero(flipped)[0]
-    n_art = art_rows.size
-    if n_art:
-        art_cols = np.zeros((q, n_art))
-        art_cols[art_rows, np.arange(n_art)] = 1.0
-        body = np.hstack([body, art_cols])
-    tableau = np.hstack([body, rhs[:, None]])
-
-    basis = [2 * p + r for r in range(q)]
-    for pos, r in enumerate(art_rows):
-        basis[r] = n_struct + pos
-
-    iters = 0
-    if n_art:
-        phase1_cost = np.zeros(n_struct + n_art)
-        phase1_cost[n_struct:] = 1.0
-        status, iters = _run_simplex(tableau, basis, phase1_cost, max_iters, 0)
-        if status is LpStatus.ITERATION_LIMIT:
-            return LpResult(np.zeros(p), float("nan"), status, iters)
-        infeasibility = float(phase1_cost[basis] @ tableau[:, -1])
-        if infeasibility > 1e-8 * max(1.0, float(np.abs(h).max(initial=0.0))):
-            return LpResult(np.zeros(p), float("nan"), LpStatus.INFEASIBLE, iters)
-        # Pivot lingering artificials out of the basis, dropping redundant rows.
-        drop_rows = []
-        for row in range(q):
-            if basis[row] >= n_struct:
-                pivots = np.nonzero(np.abs(tableau[row, :n_struct]) > PIVOT_TOL)[0]
-                if pivots.size:
-                    _pivot(tableau, row, int(pivots[0]))
-                    basis[row] = int(pivots[0])
-                else:
-                    drop_rows.append(row)
-        if drop_rows:
-            keep = [r for r in range(q) if r not in drop_rows]
-            tableau = tableau[keep]
-            basis = [basis[r] for r in keep]
-        tableau = np.hstack([tableau[:, :n_struct], tableau[:, -1:]])
-
-    phase2_cost = np.concatenate([c, -c, np.zeros(q)])
-    status, iters = _run_simplex(tableau, basis, phase2_cost, max_iters, iters)
-
-    z_full = np.zeros(n_struct)
-    for row, var in enumerate(basis):
-        if var < n_struct:
-            z_full[var] = tableau[row, -1]
-    z = z_full[:p] - z_full[p:2 * p]
-    if status is LpStatus.UNBOUNDED:
-        return LpResult(z, float("-inf"), status, iters)
-    return LpResult(z, float(c @ z), status, iters)
+    point = np.zeros(2 * n + 2 * m)
+    point[basis] = tableau[:, -1]
+    x = scale * (point[:n] - point[n:2 * n])
+    return LpResult(x, float(weights @ np.abs(a @ x - b)), status, iters)

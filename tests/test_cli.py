@@ -196,7 +196,7 @@ def test_invalid_option_value_exits_invalid(tmp_path, capsys):
     for budget in ("0", "-3"):
         assert main(["run", "--input", path, "--method", "lp-bliss",
                      "--lp-max-iters", budget]) == EXIT_INVALID
-        assert "lp_max_iters must be >= 1" in capsys.readouterr().err
+        assert "lp_max_iters must be a positive int" in capsys.readouterr().err
 
 
 def test_exact_spectral_size_cap_exits_invalid(tmp_path, capsys):
@@ -478,6 +478,29 @@ def test_bench_lanczos_job_traces_one_run(tmp_path):
     assert result["e_min"] < result["e_max"]
 
 
+def test_bench_lp_job_traces_one_solve(tmp_path):
+    """The benchmark's traced lp-bliss run on decay N=4: it exits 0, and its
+    one simplex span reads the solver's arguments and counts its pivots.
+    Bytecode is not written, so nothing lands in ``bench/``."""
+    dump, spans, report = (tmp_path / name for name in
+                           ("n4.fcidump", "spans.json", "report.json"))
+    dump.write_text(write_fcidump(
+        oracles.decay_hamiltonian(np.random.default_rng(0), 4)))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "job.py"), "--spans",
+         str(spans), "--job-id", "t", "cli", "run", "--method", "lp-bliss",
+         "--input", str(dump), "--out-report", str(report)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
+    assert done.returncode == 0, done.stderr
+    [solve] = [span for span in json.loads(spans.read_text())
+               if span["name"] == "simplex.solve"]
+    assert solve["counts"]["pivots"] > 0
+    assert solve["counts"]["nonoptimal"] == 0
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError, match="unknown method"):
         RunConfig(input="x", method="mystery")
@@ -491,10 +514,13 @@ def test_run_config_validation():
                                              "and df_tol non-negative"):
             RunConfig(input="x", **fields)
     assert RunConfig(input="x", lp_max_iters=1).lp_max_iters == 1
-    for budget in (0, -3):
-        with pytest.raises(ValueError, match="lp_max_iters must be >= 1"):
+    assert SolverOptions(max_iters=1).max_iters == 1
+    for budget in (0, -3, 1.5, 2.0, True, "5"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"lp_max_iters must be a positive int, got {budget!r}")):
             RunConfig(input="x", lp_max_iters=budget)
-        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_iters must be a positive int, got {budget!r}")):
             SolverOptions(max_iters=budget)
 
 

@@ -616,10 +616,50 @@ PINNED_LRBS_DECAY8 = (
     1.3656665202812068e-05, 2.880322257829046e-06, 2.9282363173863598e-06)
 
 
-def test_lrbs_fragment_norms_are_pinned():
-    H = oracles.decay_hamiltonian(np.random.default_rng(0), 8)
+# The same for decay_hamiltonian(default_rng(0), 12), recorded with the
+# earlier two-phase simplex, except the last two (norms near 7e-8): there it
+# stopped 2.6e-12 and 1.9e-12 above the minimum, so those pins are the
+# minima that HiGHS reaches on the problem scaled to max |b| = 1.
+PINNED_LRBS_DECAY12 = (
+    0.7682462580696114, 7.078476764591375, 5.178186152017758,
+    2.993831115748969, 3.1199467608482583, 3.349762994754581,
+    1.1861563624767093, 1.299600627478963, 1.1508771928851649,
+    0.7924767761615155, 0.7470198182585226, 0.6070275176201556,
+    0.5813595592237748, 0.46282867756662427, 0.3777747193096217,
+    0.40779966926402805, 0.2700980480648402, 0.32931333183828226,
+    0.22190486546884758, 0.1358715579211548, 0.11605906353067161,
+    0.09359509376326224, 0.12246882311589194, 0.10626356463746155,
+    0.08392945212703495, 0.07246872619462637, 0.04296651660857787,
+    0.037080085394320866, 0.03469842942467601, 0.03091561346171607,
+    0.028577389632233937, 0.01946488335985242, 0.019886554912337935,
+    0.01644221310263243, 0.012535643472334414, 0.006802531849916331,
+    0.0076298485725248355, 0.005428425965018687, 0.005196624444149478,
+    0.0041187761947657515, 0.003376194411560459, 0.0033042837775479395,
+    0.003219023915693845, 0.002127375317342233, 0.001529466845545271,
+    0.0014862312877854489, 0.0011500146426112765, 0.0008983302179119182,
+    0.0005910115282494031, 0.0003945265863798638, 0.0004244416078074642,
+    0.0003152624858377452, 0.00018460352622857174, 0.00019598781360865945,
+    0.00010199885962469968, 8.104274445740443e-05, 7.722383157886622e-05,
+    5.509338881623844e-05, 4.951850406541413e-05, 3.6906911620972316e-05,
+    2.397663140216785e-05, 2.9560126594813413e-05, 1.5315011607264003e-05,
+    1.6009623744135937e-05, 8.102894276523999e-06, 3.25386566235314e-06,
+    1.2147862644737482e-06, 1.1372692523105468e-06, 1.0614489025241546e-06,
+    4.0458017461362347e-07, 2.32144181625085e-07, 1.9080653747973062e-07,
+    7.480773702078816e-08, 6.434405774450538e-08)
+
+
+def assert_lrbs_norms_pinned(n_orb, pins):
+    H = oracles.decay_hamiltonian(np.random.default_rng(0), n_orb)
     rows = build_fermionic_report(H, "df-lrbs").fragments
-    assert len(rows) == len(PINNED_LRBS_DECAY8)
-    for row, pinned in zip(rows, PINNED_LRBS_DECAY8):
+    assert len(rows) == len(pins)
+    for row, pinned in zip(rows, pins):
         assert row.one_norm == pytest.approx(
             pinned, rel=1e-9, abs=1e-12 if pinned < 1e-3 else 0.0)
+
+
+def test_lrbs_fragment_norms_are_pinned():
+    assert_lrbs_norms_pinned(8, PINNED_LRBS_DECAY8)
+
+
+def test_lrbs_fragment_norms_are_pinned_decay12():
+    assert_lrbs_norms_pinned(12, PINNED_LRBS_DECAY12)

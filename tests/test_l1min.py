@@ -38,14 +38,15 @@ def random_problem(rng, n_vars, n_rows, density=0.7) -> L1Problem:
 
 
 class RecordingSolver:
-    """Reference simplex that records the shape of every G it is handed."""
+    """Reference simplex that records the shape of every matrix a it is
+    handed."""
 
     def __init__(self):
         self.shapes = []
 
-    def solve(self, c, G, h, max_iters):
-        self.shapes.append(G.shape)
-        return ReferenceSimplexSolver().solve(c, G, h, max_iters)
+    def solve(self, weights, a, b, max_iters):
+        self.shapes.append(a.shape)
+        return ReferenceSimplexSolver().solve(weights, a, b, max_iters)
 
 
 def test_problem_validation():
@@ -170,7 +171,7 @@ def test_variable_free_rows_fold_into_a_constant():
                         np.array([1.0, 0.5, 1.0, 2.0]))
     solver = RecordingSolver()
     sol = l1_minimize(problem, SolverOptions(solver=solver))
-    assert solver.shapes == [(4, 3)]
+    assert solver.shapes == [(2, 1)]
     assert sol.status is L1Status.OPTIMAL
     assert sol.objective == pytest.approx(2.0 + 0.5 * 2.0 + 2.0 * 4.0, abs=1e-12)
 

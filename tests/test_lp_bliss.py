@@ -210,6 +210,9 @@ PINNED_LP_BLISS = {
     ("random", 6): 350.7501137264009,
     ("random", 7): 685.6936947429145,
     ("random", 8): 1141.209959383721,
+    ("random", 10): 2533.930131634144,
+    ("random", 12): 5365.7520189393,
+    ("random", 16): 16460.92033685936,
     ("decay", 6): 10.512217685209677,
     ("decay", 8): 18.80714560845214,
 }
@@ -297,14 +300,13 @@ def test_solver_options_apply_to_diagonal_block():
     seen = []
 
     class Recording:
-        def solve(self, c, G, h, max_iters):
-            seen.append((G.shape, max_iters))
-            return ReferenceSimplexSolver().solve(c, G, h, max_iters)
+        def solve(self, weights, a, b, max_iters):
+            seen.append((a.shape, max_iters))
+            return ReferenceSimplexSolver().solve(weights, a, b, max_iters)
 
     lp_bliss(H, SolverOptions(solver=Recording()))
-    [((two_m, columns), budget)] = seen
-    m = two_m // 2
-    assert columns == 4 + m
+    [((m, columns), budget)] = seen
+    assert columns == 4
     assert budget == 50 * (4 + m)
     with pytest.raises(LpBlissIterationLimit) as err:
         lp_bliss(H, SolverOptions(max_iters=2))

@@ -1,87 +1,138 @@
-"""Tests for the dense reference simplex backend."""
+"""Tests for the one-phase L1 simplex backend."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blisslp import LpStatus, solve_lp
+from blisslp import (L1Problem, LpStatus, ScipyLinprogSolver,
+                     evaluate_objective, solve_lp)
 
-
-def test_simple_bounded_minimum():
-    """min -x - y over the unit box corner (1, 1)."""
-    c = np.array([-1.0, -1.0])
-    G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    h = np.array([1.0, 1.0, 0.0, 0.0])
-    res = solve_lp(c, G, h, 100)
-    assert res.status is LpStatus.OPTIMAL
-    np.testing.assert_allclose(res.z[:2], [1.0, 1.0], atol=1e-9)
-    assert res.objective == pytest.approx(-2.0, abs=1e-9)
+# Coefficients and offsets with exact zeros among them, so drawn problems
+# have zero entries and rows that the point x0 fits exactly.
+VALUES = st.sampled_from([0.0, 0.0, 0.5, -1.0, 1.5, -2.0, 0.1, -0.7, 3.0])
 
 
-def test_free_variables_negative_optimum():
-    """min x s.t. x >= -3 has optimum at a negative coordinate."""
-    res = solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([3.0]), 100)
-    assert res.status is LpStatus.OPTIMAL
-    assert res.z[0] == pytest.approx(-3.0, abs=1e-9)
+@st.composite
+def l1_problems(draw, max_vars=6, max_rows=30):
+    """Weighted L1 problems b = a x0 + sparse noise with up to ``max_vars``
+    variables and ``max_rows`` rows: an optional all-zero column, and up to
+    six rows repeated with their right-hand side."""
+    n = draw(st.integers(1, max_vars))
+    m = draw(st.integers(1, max_rows - 6))
+    a = np.array(draw(st.lists(st.lists(VALUES, min_size=n, max_size=n),
+                               min_size=m, max_size=m)))
+    zero_column = draw(st.integers(-1, n - 1))
+    if zero_column >= 0:
+        a[:, zero_column] = 0.0
+    x0 = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+    noise = np.array(draw(st.lists(VALUES, min_size=m, max_size=m)))
+    b = a @ x0 + noise
+    repeat = draw(st.lists(st.integers(0, m - 1), max_size=6))
+    a, b = np.vstack([a, a[repeat]]), np.concatenate([b, b[repeat]])
+    weights = draw(st.lists(st.sampled_from([0.3, 0.5, 1.0, 2.0]),
+                            min_size=b.size, max_size=b.size))
+    return L1Problem(a, b, weights)
 
 
-def test_infeasible_detected():
-    G = np.array([[1.0], [-1.0]])
-    h = np.array([-1.0, -1.0])
-    res = solve_lp(np.array([0.0]), G, h, 100)
-    assert res.status is LpStatus.INFEASIBLE
+def solve(problem, max_iters=10_000):
+    return solve_lp(problem.weights, problem.a, problem.b, max_iters)
 
 
-def test_unbounded_detected():
-    res = solve_lp(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0]), 100)
-    assert res.status is LpStatus.UNBOUNDED
-
-
-def test_iteration_limit_reported():
-    rng = np.random.default_rng(20)
-    G = np.vstack([rng.normal(size=(12, 6)), -np.eye(6)])
-    h = np.concatenate([rng.uniform(1.0, 2.0, size=12), np.zeros(6)])
-    res = solve_lp(-np.ones(6), G, h, 1)
-    assert res.status is LpStatus.ITERATION_LIMIT
-    assert res.iterations == 1
-
-
-def test_degenerate_problem_terminates():
-    """Redundant constraints through the origin must not cycle."""
-    G = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0], [-1.0, 0.0],
-                  [0.0, -1.0]])
-    h = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    res = solve_lp(np.array([-1.0, -1.0]), G, h, 1000)
-    assert res.status is LpStatus.OPTIMAL
-    assert res.objective == pytest.approx(0.0, abs=1e-9)
+@settings(max_examples=60, deadline=None)
+@given(problem=l1_problems())
+def test_objective_matches_highs(problem):
+    """The minimum agrees with HiGHS, and the objective is the one of the
+    returned point."""
+    ours = solve(problem)
+    theirs = ScipyLinprogSolver().solve(problem.weights, problem.a,
+                                        problem.b, 10_000)
+    assert ours.status is LpStatus.OPTIMAL
+    assert theirs.status is LpStatus.OPTIMAL
+    assert abs(ours.objective - theirs.objective) <= 1e-9 * max(
+        1.0, abs(theirs.objective))
+    assert evaluate_objective(problem, ours.x) == ours.objective
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_matches_scipy_on_random_feasible_problems(seed):
-    from scipy.optimize import linprog
-
+    """Dense Gaussian problems, larger than the drawn ones: 8 variables and
+    60 rows.  Every L1 problem is feasible."""
     rng = np.random.default_rng(500 + seed)
-    p, q = 4, 10
-    G = rng.normal(size=(q, p))
-    z0 = rng.normal(size=p)
-    h = G @ z0 + rng.uniform(0.1, 1.0, size=q)
-    c = rng.normal(size=p)
-    # Box constraints keep the problem bounded.
-    G = np.vstack([G, np.eye(p), -np.eye(p)])
-    h = np.concatenate([h, 10.0 * np.ones(2 * p)])
-    res = solve_lp(c, G, h, 10_000)
-    ref = linprog(c, A_ub=G, b_ub=h, bounds=(None, None), method="highs")
+    problem = L1Problem(rng.normal(size=(60, 8)), rng.normal(size=60),
+                        rng.uniform(0.2, 2.0, size=60))
+    ours = solve(problem)
+    theirs = ScipyLinprogSolver().solve(problem.weights, problem.a,
+                                        problem.b, 10_000)
+    assert ours.status is LpStatus.OPTIMAL
+    assert ours.objective == pytest.approx(theirs.objective, rel=1e-9)
+
+
+def test_simple_bounded_minimum():
+    """|x - 1| + |y - 1| + |x + y - 2| vanishes only at (1, 1)."""
+    problem = L1Problem(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                        np.array([1.0, 1.0, 2.0]), np.ones(3))
+    res = solve(problem)
     assert res.status is LpStatus.OPTIMAL
-    assert ref.status == 0
-    assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-12)
+    assert res.objective == pytest.approx(0.0, abs=1e-12)
+
+
+def test_free_variables_negative_optimum():
+    """Weights (1, 3) on b = (0, -3) pull x to the negative value -3."""
+    res = solve(L1Problem(np.ones((2, 1)), np.array([0.0, -3.0]),
+                          np.array([1.0, 3.0])))
+    assert res.status is LpStatus.OPTIMAL
+    assert res.x[0] == pytest.approx(-3.0, abs=1e-12)
+    assert res.objective == pytest.approx(3.0, abs=1e-12)
+
+
+def test_degenerate_problem_terminates():
+    """Every row fits x = 0 exactly, some twice and some scaled, so every
+    pivot from the start basis is degenerate; Bland's rule must not cycle."""
+    a = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [1.0, 0.0],
+                  [-1.0, 0.0], [0.0, -1.0], [1.0, -1.0]])
+    res = solve(L1Problem(a, np.zeros(7), np.array(
+        [1.0, 0.5, 1.0, 2.0, 2.0, 1.0, 0.3])), max_iters=1000)
+    assert res.status is LpStatus.OPTIMAL
+    assert res.objective == 0.0
+    assert res.iterations < 1000
+
+
+def test_iteration_limit_reported():
+    """A spent budget stops at a basic point: finite, and never worse than
+    the start x = 0."""
+    rng = np.random.default_rng(20)
+    problem = L1Problem(rng.normal(size=(12, 6)), rng.normal(size=12),
+                        rng.uniform(0.5, 2.0, size=12))
+    for budget in (1, 2, 3):
+        res = solve(problem, max_iters=budget)
+        assert res.status is LpStatus.ITERATION_LIMIT
+        assert res.iterations == budget
+        assert np.all(np.isfinite(res.x))
+        assert res.objective == evaluate_objective(problem, res.x)
+        assert res.objective <= float(problem.weights @ np.abs(problem.b))
+    assert solve(problem).iterations > 3
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+def test_minimizer_scales_with_the_data(scale):
+    """min w|a x - s b| is s times min w|a x - b|, at s times the point."""
+    rng = np.random.default_rng(21)
+    problem = L1Problem(rng.normal(size=(15, 3)), rng.normal(size=15),
+                        rng.uniform(0.5, 2.0, size=15))
+    base = solve(problem)
+    scaled = solve(L1Problem(problem.a, scale * problem.b, problem.weights))
+    assert scaled.objective == pytest.approx(scale * base.objective,
+                                             rel=1e-12)
+    np.testing.assert_allclose(scaled.x, scale * base.x, rtol=1e-12)
 
 
 def test_bitwise_determinism():
-    rng = np.random.default_rng(21)
-    G = np.vstack([rng.normal(size=(8, 3)), -np.eye(3), np.eye(3)])
-    h = np.concatenate([rng.uniform(0.5, 2.0, size=8), 5 * np.ones(6)])
-    c = rng.normal(size=3)
-    first = solve_lp(c, G, h, 1000)
-    second = solve_lp(c, G, h, 1000)
-    np.testing.assert_array_equal(first.z, second.z)
+    rng = np.random.default_rng(22)
+    problem = L1Problem(rng.normal(size=(20, 4)), rng.normal(size=20),
+                        rng.uniform(0.5, 2.0, size=20))
+    first, second = solve(problem), solve(problem)
+    np.testing.assert_array_equal(first.x, second.x)
     assert first.objective == second.objective
     assert first.iterations == second.iterations
