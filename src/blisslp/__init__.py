@@ -26,7 +26,7 @@ _EXPORTS = {
     "fcidump": "FcidumpError parse_fcidump write_fcidump",
     "pauli": "PauliNormBreakdown pauli_one_norm",
     "simplex": "LpResult LpStatus solve_lp",
-    "l1min": "L1Problem L1Solution L1Status SolverOptions "
+    "l1min": "L1Problem L1Solution SolverOptions "
              "ReferenceSimplexSolver ScipyLinprogSolver l1_minimize "
              "evaluate_objective merge_duplicate_rows weighted_median "
              "dump_problem",

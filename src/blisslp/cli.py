@@ -4,8 +4,8 @@ The spectral engine (``blisslp.spectral``) is imported only by a run that
 asks for spectra, as its baseline starts to load.
 
 Exit codes: 0 success, 1 file I/O failure, 2 parse or validation failure
-(including the exact-diagonalization size cap), 3 solver stopped without an
-optimum (iteration limit, infeasible, unbounded).
+(including the exact-diagonalization size cap), 3 solver stopped at its
+iteration limit without an optimum.
 """
 
 from __future__ import annotations
@@ -355,8 +355,9 @@ def _add_shared_options(parser: argparse.ArgumentParser) -> None:
                         help="double-factorization eigenvalue cutoff "
                              "(default: 1e-8)")
     parser.add_argument("--lp-max-iters", type=int, default=None,
-                        help="pivot budget of each L1 solve "
-                             "(default: 50 (variables + rows))")
+                        help="pivot budget of each L1 solve, one pivot per "
+                             "line-search step (default: 50 (variables + "
+                             "rows))")
     parser.add_argument("--out-report", default=None,
                         help="write the JSON report here instead of stdout")
 

@@ -30,9 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
-from .l1min import (L1Problem, L1Status, SolverOptions, l1_minimize,
+from .l1min import (L1Problem, SolverOptions, l1_minimize,
                     merge_duplicate_rows, weighted_median)
 from .pauli import pauli_terms
+from .simplex import LpStatus
 
 __all__ = [
     "DFFragment",
@@ -350,7 +351,7 @@ def lrbs_shift(fragment: CsaFragment,
     problem = merge_duplicate_rows(
         L1Problem(a, fragment.lam.ravel(), weights, names))
     solution = l1_minimize(problem, options)
-    if solution.status is L1Status.ITERATION_LIMIT:
+    if solution.status is LpStatus.ITERATION_LIMIT:
         raise IterationLimitError(
             f"fragment shift LP stopped after {solution.iterations} pivots")
     return replace(fragment, theta=solution.x_opt.copy())

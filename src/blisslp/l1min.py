@@ -7,19 +7,19 @@ Problems are stated as
 with a dense float matrix A.  A row of A with no nonzero entry adds the
 constant w_i |b_i| whatever x is, so the solver folds such rows into the
 objective and hands only the rows that carry a variable to a pluggable
-backend.  The default backend is the one-phase L1 simplex from
-:mod:`blisslp.simplex`; any object with the same contract
-(``solve(weights, a, b, max_iters)`` returning an
-:class:`blisslp.simplex.LpResult`) can be substituted, e.g. the optional
+backend.  The default backend is the condensed L1 simplex from
+:mod:`blisslp.simplex`, which pivots on the m x n matrix A itself; any
+object with the same contract (``solve(weights, a, b, max_iters)`` returning
+an :class:`blisslp.simplex.LpResult`) can be substituted, e.g. the optional
 :class:`ScipyLinprogSolver`.
 
-The point x = 0 is always feasible, so a valid solve never reports worse
-than ``sum_i w_i |b_i|``.
+The point x = 0 is always feasible and the objective is bounded below by 0,
+so a solve ends optimal or at its pivot budget, and never reports worse than
+``sum_i w_i |b_i|``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -30,7 +30,6 @@ from .simplex import LpResult, LpStatus, solve_lp
 __all__ = [
     "L1Problem",
     "L1Solution",
-    "L1Status",
     "SolverOptions",
     "LpSolver",
     "ReferenceSimplexSolver",
@@ -50,14 +49,18 @@ class LpSolver(Protocol):
 
 
 class ReferenceSimplexSolver:
-    """One-phase Bland-rule L1 simplex shipped with the package."""
+    """The condensed L1 simplex shipped with the package."""
 
     def solve(self, weights, a, b, max_iters):
         return solve_lp(weights, a, b, max_iters)
 
 
 class ScipyLinprogSolver:
-    """Adapter around ``scipy.optimize.linprog`` (requires scipy)."""
+    """Adapter around ``scipy.optimize.linprog`` (requires scipy).
+
+    It solves for b / max|b| and scales x back, since linprog's default
+    tolerances are absolute and fragments reach 1e-8.
+    """
 
     def __init__(self, method: str = "highs"):
         self.method = method
@@ -67,25 +70,24 @@ class ScipyLinprogSolver:
 
         # min w.y over (x, y) s.t. a x - y <= b and -a x - y <= -b.
         m, n = a.shape
+        scale = float(np.abs(b).max(initial=0.0)) or 1.0
         eye = np.eye(m)
         G = np.block([[a, -eye], [-a, -eye]])
-        h = np.concatenate([b, -b])
+        h = np.concatenate([b, -b]) / scale
         c = np.concatenate([np.zeros(n), weights])
         res = linprog(c, A_ub=G, b_ub=h, bounds=(None, None),
                       method=self.method, options={"maxiter": max_iters})
-        status = {0: LpStatus.OPTIMAL, 1: LpStatus.ITERATION_LIMIT,
-                  2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}.get(res.status)
-        if status is None:  # 4: numerical difficulties
+        # 2 (infeasible) and 3 (unbounded) cannot hold for an L1 problem;
+        # 4 is numerical difficulties.
+        status = {0: LpStatus.OPTIMAL,
+                  1: LpStatus.ITERATION_LIMIT}.get(res.status)
+        if status is None:
             raise RuntimeError(f"linprog method={self.method!r} stopped with "
                                f"status {res.status}: {res.message}")
-        x = np.asarray(res.x[:n], dtype=float) if res.x is not None else np.zeros(n)
-        return LpResult(x, float(res.fun) if res.fun is not None else float("nan"),
-                        status, int(getattr(res, "nit", 0)))
-
-
-class L1Status(enum.Enum):
-    OPTIMAL = "Optimal"
-    ITERATION_LIMIT = "IterationLimit"
+        x = (scale * np.asarray(res.x[:n], dtype=float) if res.x is not None
+             else np.zeros(n))
+        return LpResult(x, scale * float(res.fun) if res.fun is not None
+                        else float("nan"), status, int(getattr(res, "nit", 0)))
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ class L1Solution:
     x_opt: np.ndarray
     objective: float
     iterations: int
-    status: L1Status
+    status: LpStatus
 
 
 def evaluate_objective(problem: L1Problem, x: np.ndarray) -> float:
@@ -229,10 +231,6 @@ def l1_minimize(problem: L1Problem,
     objective is evaluated on the whole problem.  Returns an
     :class:`L1Solution`; a reported ITERATION_LIMIT carries the best point
     reached rather than raising.
-
-    Raises:
-        RuntimeError: if the backend reports infeasible or unbounded, which
-            cannot happen for a well-formed L1 problem.
     """
     options = options or SolverOptions()
     n = problem.n_vars
@@ -244,20 +242,15 @@ def l1_minimize(problem: L1Problem,
     if active.size == 0:
         x = np.zeros(n)
         x.setflags(write=False)
-        return L1Solution(x, evaluate_objective(problem, x), 0, L1Status.OPTIMAL)
+        return L1Solution(x, evaluate_objective(problem, x), 0, LpStatus.OPTIMAL)
     result = solver.solve(problem.weights[active], problem.a[active],
                           problem.b[active], max_iters)
-    if result.status in (LpStatus.INFEASIBLE, LpStatus.UNBOUNDED):
-        raise RuntimeError(
-            f"LP backend reported {result.status.value} on an always-feasible "
-            "bounded problem; the backend or problem data is broken")
     x = np.array(result.x, dtype=float)
     if result.status is LpStatus.ITERATION_LIMIT and not np.all(np.isfinite(x)):
         x = np.zeros(n)
-    status = (L1Status.OPTIMAL if result.status is LpStatus.OPTIMAL
-              else L1Status.ITERATION_LIMIT)
     x.setflags(write=False)
-    return L1Solution(x, evaluate_objective(problem, x), result.iterations, status)
+    return L1Solution(x, evaluate_objective(problem, x), result.iterations,
+                      result.status)
 
 
 def dump_problem(problem: L1Problem) -> str:

@@ -40,10 +40,11 @@ import numpy as np
 
 from .hamiltonian import (BlissParams, MolecularHamiltonian, _derive,
                           apply_bliss)
-from .l1min import (L1Problem, L1Solution, L1Status, SolverOptions,
-                    l1_minimize, merge_duplicate_rows, weighted_median)
+from .l1min import (L1Problem, L1Solution, SolverOptions, l1_minimize,
+                    merge_duplicate_rows, weighted_median)
 from .pauli import (PAULI_TERM_WEIGHTS, PauliNormBreakdown, pauli_one_norm,
                     pauli_terms)
+from .simplex import LpStatus
 
 __all__ = [
     "LpBlissVarMap",
@@ -216,6 +217,6 @@ def lp_bliss_shifted(hamiltonian: MolecularHamiltonian,
     params = params_from_solution(vmap, x)
     shifted = apply_bliss(hamiltonian, params)
     norm = pauli_one_norm(shifted)
-    if solution.status is L1Status.ITERATION_LIMIT:
+    if solution.status is LpStatus.ITERATION_LIMIT:
         raise LpBlissIterationLimit(params, norm, solution)
     return params, shifted, norm

@@ -1,18 +1,20 @@
-"""Self-contained dense simplex solver for weighted L1 problems.
+"""Self-contained L1 simplex on the condensed tableau.
 
-Minimizes ``sum_i w_i |(a x - b)_i|`` in the standard form
+Minimizes ``sum_i w_i |(a x - b)_i|`` by the method of Barrodale and Roberts
+(SIAM J. Numer. Anal. 10, 839 (1973); Comm. ACM 17, 319 (1974)) on an m x n
+array T, starting as a copy of ``a``.  Each row holds a basic variable: a
+residual (b - a x)_i with a stored sign, or an x_j.  Each column holds a
+nonbasic variable at 0: a free x_j, or a residual.  At x = 0 every row holds
+its residual.  A step enters the column and direction of steepest descent
+and line-searches along it.  It ends at the breakpoint where the slope
+reaches 0, a weighted median that may pass several vertices; the rows passed
+over flip sign.  Each step is one O(mn) pivot.
 
-    a x+ - a x- + u - v = b,    x+, x-, u, v >= 0,    cost [0, 0, w, w].
-
-At x = 0 every residual is basic: u_i = b_i, or v_i = -b_i on a row negated
-because b_i < 0.  That basis is feasible (Barrodale and Roberts, SIAM J.
-Numer. Anal. 10, 839 (1973)), so one phase of a tableau simplex on m rows
-and 2n + 2m columns solves the problem.  Pivots follow Bland's rule (lowest
-eligible index entering, lowest basis index leaving on ratio ties), which
-guarantees termination and makes the returned vertex deterministic.
-
-Only dense problems of modest size are targeted; the solver exists as a
-dependency-free reference against which external LP backends can be checked.
+An L1 problem is feasible at x = 0 and bounded below by 0, so a descent
+direction always meets a breakpoint, and a solve ends optimal or at its
+pivot budget.  The stored signs make zero-length steps legal.  No
+anti-cycling rule is used: the pivot budget is the backstop against a stall.
+Ties go to the lowest index, so the returned vertex is deterministic.
 """
 
 from __future__ import annotations
@@ -24,15 +26,12 @@ import numpy as np
 
 __all__ = ["LpStatus", "LpResult", "solve_lp", "PIVOT_TOL"]
 
-# Reduced costs above -PIVOT_TOL are treated as optimal; pivot elements
-# below PIVOT_TOL are treated as zero in the ratio test.
+# Slopes above -PIVOT_TOL are treated as optimal.
 PIVOT_TOL = 1e-9
 
 
 class LpStatus(enum.Enum):
     OPTIMAL = "Optimal"
-    INFEASIBLE = "Infeasible"
-    UNBOUNDED = "Unbounded"
     ITERATION_LIMIT = "IterationLimit"
 
 
@@ -46,61 +45,56 @@ class LpResult:
     iterations: int
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    column = tableau[:, col].copy()
-    column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
-
-
-def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
-                 max_iters: int) -> tuple[LpStatus, int]:
-    """Iterate Bland-rule pivots until optimality or a resource limit."""
-    iters = 0
-    while True:
-        reduced = cost - tableau[:, :-1].T @ cost[basis]
-        entering_candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
-        if entering_candidates.size == 0:
-            return LpStatus.OPTIMAL, iters
-        if iters >= max_iters:
-            return LpStatus.ITERATION_LIMIT, iters
-        enter = int(entering_candidates[0])
-        column = tableau[:, enter]
-        rows = np.nonzero(column > PIVOT_TOL)[0]
-        if rows.size == 0:
-            return LpStatus.UNBOUNDED, iters
-        ratios = tableau[rows, -1] / column[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12 * max(1.0, abs(best))]
-        leave = int(min(ties, key=lambda r: basis[r]))
-        _pivot(tableau, leave, enter)
-        basis[leave] = enter
-        iters += 1
-
-
 def solve_lp(weights: np.ndarray, a: np.ndarray, b: np.ndarray,
              max_iters: int) -> LpResult:
     """Minimize ``sum_i weights[i] |(a @ x - b)_i|`` over x with at most
-    ``max_iters`` pivots.
+    ``max_iters`` pivots, one per line-search step.
 
     On ITERATION_LIMIT the point is the last basic solution reached, which
     is no worse than x = 0.
     """
     weights, a, b = (np.asarray(v, dtype=float) for v in (weights, a, b))
     m, n = a.shape
-    # The minimizer scales with b, so solving for b / max|b| makes the
-    # ratio-test tolerance relative to the data (fragments reach 1e-8).
+    # The minimizer scales with b, so beta = b / max|b| stays O(1) whatever
+    # the scale of the data (fragments reach 1e-8), and x scales back.
     scale = float(np.abs(b).max(initial=0.0)) or 1.0
-    # Columns x+, x-, u, v and the right-hand side; rows with b_i < 0 are
-    # negated, so that v_i is their unit column.
-    eye = np.eye(m)
-    tableau = np.where(b < 0, -1.0, 1.0)[:, None] * np.hstack(
-        [a, -a, eye, -eye, b[:, None] / scale])
-    basis = [2 * n + r + (m if b[r] < 0 else 0) for r in range(m)]
-    status, iters = _run_simplex(tableau, basis, np.concatenate(
-        [np.zeros(2 * n), weights, weights]), max_iters)
+    table, beta = a.copy(), b / scale
+    sign = np.where(b < 0, -1.0, 1.0)
+    # Labels: x_j is j, residual i is n + i; only a residual has a weight.
+    rows, cols = n + np.arange(m), np.arange(n)
+    row_w, col_w = weights.copy(), np.zeros(n)
+    status, iters = LpStatus.OPTIMAL, 0
+    while True:
+        g = -(row_w * sign) @ table
+        slopes = np.concatenate([col_w + g, col_w - g])
+        k = int(np.argmin(slopes))
+        if slopes[k] >= -PIVOT_TOL:
+            break
+        if iters >= max_iters:
+            status = LpStatus.ITERATION_LIMIT
+            break
+        j, s = k % n, (1.0 if k < n else -1.0)
+        step = s * table[:, j]
+        hits = np.flatnonzero((rows >= n) & (sign * step > 0))
+        hits = hits[np.argsort(beta[hits] / step[hits], kind="stable")]
+        climb = np.cumsum(2.0 * row_w[hits] * np.abs(step[hits]))
+        # Past the last hit the slope is col_w[j] + sum w|T| over residual
+        # rows, >= -slopes[k] > 0; min() only guards against rounding.
+        stop = min(int(np.searchsorted(climb, -slopes[k])), hits.size - 1)
+        sign[hits[:stop]] *= -1.0
+        r = hits[stop]
+        column, pivot = table[:, j].copy(), table[r, j]
+        column[r] = 0.0
+        table[r], beta[r] = table[r] / pivot, beta[r] / pivot
+        table -= np.outer(column, table[r])
+        beta -= column * beta[r]
+        table[:, j] = -column / pivot
+        table[r, j] = 1.0 / pivot
+        rows[r], cols[j] = cols[j], rows[r]
+        row_w[r], col_w[j] = col_w[j], row_w[r]
+        sign[r] = s
+        iters += 1
 
-    point = np.zeros(2 * n + 2 * m)
-    point[basis] = tableau[:, -1]
-    x = scale * (point[:n] - point[n:2 * n])
+    x = np.zeros(n)
+    x[rows[rows < n]] = scale * beta[rows < n]
     return LpResult(x, float(weights @ np.abs(a @ x - b)), status, iters)

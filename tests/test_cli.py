@@ -480,7 +480,8 @@ def test_bench_lanczos_job_traces_one_run(tmp_path):
 
 def test_bench_lp_job_traces_one_solve(tmp_path):
     """The benchmark's traced lp-bliss run on decay N=4: it exits 0, and its
-    one simplex span reads the solver's arguments and counts its pivots.
+    one simplex span reads the solver's arguments and result: pivots, an
+    optimal status and a size computed from the argument shapes.
     Bytecode is not written, so nothing lands in ``bench/``."""
     dump, spans, report = (tmp_path / name for name in
                            ("n4.fcidump", "spans.json", "report.json"))
@@ -499,6 +500,7 @@ def test_bench_lp_job_traces_one_solve(tmp_path):
                if span["name"] == "simplex.solve"]
     assert solve["counts"]["pivots"] > 0
     assert solve["counts"]["nonoptimal"] == 0
+    assert solve["counts"]["tableau_bytes"] > 0
 
 
 def test_run_config_validation():

@@ -11,6 +11,7 @@ from blisslp import (
     FERMIONIC_METHODS,
     IterationLimitError,
     MolecularHamiltonian,
+    ScipyLinprogSolver,
     SolverOptions,
     apply_bliss,
     assemble_global_bliss,
@@ -663,3 +664,14 @@ def test_lrbs_fragment_norms_are_pinned():
 
 def test_lrbs_fragment_norms_are_pinned_decay12():
     assert_lrbs_norms_pinned(12, PINNED_LRBS_DECAY12)
+
+
+@pytest.mark.parametrize("index", [71, 73])
+def test_scipy_backend_reaches_pinned_small_fragment_minima(index):
+    """HiGHS solves for b scaled to max |b| = 1, so its default tolerances
+    hold on fragments whose norms are near 1e-7."""
+    H = oracles.decay_hamiltonian(np.random.default_rng(0), 12)
+    fragment = to_csa_fragment(double_factorize(H)[index])
+    shifted = lrbs_shift(fragment, SolverOptions(solver=ScipyLinprogSolver()))
+    assert lambda_csa(shifted) == pytest.approx(
+        PINNED_LRBS_DECAY12[index], rel=1e-9, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from blisslp import (
     L1Problem,
-    L1Status,
+    LpStatus,
     ReferenceSimplexSolver,
     ScipyLinprogSolver,
     SolverOptions,
@@ -76,7 +76,7 @@ def test_problem_rejects_non_finite(a, b, weights):
 def test_identity_system_zero_residual():
     problem = L1Problem(np.eye(3), np.array([1.0, -2.0, 0.0]), np.ones(3))
     sol = l1_minimize(problem)
-    assert sol.status is L1Status.OPTIMAL
+    assert sol.status is LpStatus.OPTIMAL
     np.testing.assert_allclose(sol.x_opt, [1.0, -2.0, 0.0], atol=1e-9)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
@@ -84,7 +84,7 @@ def test_identity_system_zero_residual():
 def test_median_example():
     """Unweighted column of ones picks the median, objective 9."""
     sol = l1_minimize(column_of_ones([1.0, 2.0, 10.0]))
-    assert sol.status is L1Status.OPTIMAL
+    assert sol.status is LpStatus.OPTIMAL
     assert sol.x_opt[0] == pytest.approx(2.0, abs=1e-9)
     assert sol.objective == pytest.approx(9.0, abs=1e-9)
 
@@ -160,7 +160,7 @@ def test_zero_point_upper_bound(seed):
 
 def test_empty_problem():
     sol = l1_minimize(L1Problem(np.zeros((0, 2)), np.zeros(0), np.zeros(0)))
-    assert sol.status is L1Status.OPTIMAL
+    assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == 0.0
 
 
@@ -172,7 +172,7 @@ def test_variable_free_rows_fold_into_a_constant():
     solver = RecordingSolver()
     sol = l1_minimize(problem, SolverOptions(solver=solver))
     assert solver.shapes == [(2, 1)]
-    assert sol.status is L1Status.OPTIMAL
+    assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(2.0 + 0.5 * 2.0 + 2.0 * 4.0, abs=1e-12)
 
     constant = L1Problem(np.zeros((2, 3)), np.array([1.5, -2.0]),
@@ -180,7 +180,7 @@ def test_variable_free_rows_fold_into_a_constant():
     solver = RecordingSolver()
     sol = l1_minimize(constant, SolverOptions(solver=solver))
     assert solver.shapes == []
-    assert sol.status is L1Status.OPTIMAL
+    assert sol.status is LpStatus.OPTIMAL
     np.testing.assert_array_equal(sol.x_opt, np.zeros(3))
     assert sol.objective == 3.5
 
@@ -192,7 +192,7 @@ def test_global_optimality_vs_sampling_and_polish(seed):
     n_vars = int(rng.integers(2, 7))
     problem = random_problem(rng, n_vars, int(rng.integers(6, 41)))
     sol = l1_minimize(problem)
-    assert sol.status is L1Status.OPTIMAL
+    assert sol.status is LpStatus.OPTIMAL
 
     samples = rng.normal(scale=2.0, size=(10_000, n_vars))
     sampled = min(evaluate_objective(problem, x) for x in samples)
@@ -234,7 +234,7 @@ def test_iteration_limit_status():
     rng = np.random.default_rng(25)
     problem = random_problem(rng, 6, 40)
     sol = l1_minimize(problem, SolverOptions(max_iters=1))
-    assert sol.status is L1Status.ITERATION_LIMIT
+    assert sol.status is LpStatus.ITERATION_LIMIT
     assert np.all(np.isfinite(sol.x_opt))
     assert sol.objective == pytest.approx(
         evaluate_objective(problem, sol.x_opt), rel=1e-8)
@@ -248,19 +248,23 @@ def test_scipy_backend_agrees():
     assert ours.objective == pytest.approx(theirs.objective, abs=1e-7)
 
 
-def test_scipy_backend_numerical_difficulties_raise(monkeypatch):
-    """HiGHS status 4 is not an iteration limit; it must not read as one."""
+@pytest.mark.parametrize("code", [2, 3, 4])
+def test_scipy_backend_numerical_difficulties_raise(monkeypatch, code):
+    """HiGHS statuses 2 (infeasible), 3 (unbounded) and 4 (numerical
+    difficulties) cannot be right answers to an L1 problem, and none may
+    read as optimal or as an iteration limit."""
     import types
 
     import scipy.optimize
 
     def linprog(*args, **kwargs):
-        return types.SimpleNamespace(status=4, message="numerical trouble",
+        return types.SimpleNamespace(status=code, message="linprog message",
                                      x=None, fun=None, nit=7)
 
     monkeypatch.setattr(scipy.optimize, "linprog", linprog)
     options = SolverOptions(solver=ScipyLinprogSolver())
-    with pytest.raises(RuntimeError, match="status 4: numerical trouble"):
+    with pytest.raises(RuntimeError,
+                       match=f"status {code}: linprog message"):
         l1_minimize(column_of_ones([1.0, 2.0, 4.0]), options)
 
 

@@ -213,8 +213,10 @@ PINNED_LP_BLISS = {
     ("random", 10): 2533.930131634144,
     ("random", 12): 5365.7520189393,
     ("random", 16): 16460.92033685936,
+    ("random", 20): 40374.454654668065,
     ("decay", 6): 10.512217685209677,
     ("decay", 8): 18.80714560845214,
+    ("decay", 20): 61.04524971577604,
 }
 
 

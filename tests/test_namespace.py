@@ -22,7 +22,7 @@ PUBLIC_API = """
     BLISS_METHODS BlissParams BlissSummary CIVector CompareReport CsaFragment
     DFFragment EXIT_INVALID EXIT_IO EXIT_OK EXIT_SOLVER
     FERMIONIC_METHODS FcidumpError FermionicNormReport FragmentNorm
-    IterationLimitError L1Problem L1Solution L1Status LanczosOptions
+    IterationLimitError L1Problem L1Solution LanczosOptions
     LanczosResult LpBlissIterationLimit LpBlissVarMap LpResult LpStatus
     LrpsCorrection METHODS MolecularHamiltonian NormPair OneBodySpectrum
     PauliNormBreakdown RangeResult ReferenceSimplexSolver RunConfig RunReport
