@@ -26,20 +26,18 @@ _EXPORTS = {
     "fcidump": "FcidumpError parse_fcidump write_fcidump",
     "pauli": "PauliNormBreakdown pauli_one_norm",
     "simplex": "LpResult LpStatus solve_lp",
-    "l1min": "L1Problem L1Solution SolverOptions "
-             "ReferenceSimplexSolver ScipyLinprogSolver l1_minimize "
+    "l1min": "L1Problem SolverOptions ScipyLinprogSolver l1_minimize "
              "evaluate_objective merge_duplicate_rows weighted_median "
              "dump_problem",
     "lp_bliss": "LpBlissVarMap LpBlissIterationLimit build_lp_bliss_problem "
                 "params_from_solution lp_bliss",
-    "fermionic": "FERMIONIC_METHODS DFFragment CsaFragment OneBodySpectrum "
+    "fermionic": "FERMIONIC_METHODS DFFragment OneBodySpectrum "
                  "LrpsCorrection FragmentNorm FermionicNormReport "
                  "IterationLimitError double_factorize "
                  "factorize_two_body_tensor reconstruct_two_body "
                  "fragment_hamiltonian lambda_df lambda_csa canonical_median "
                  "one_electron_shift lrps_shift lrps_one_body_correction "
-                 "lrbs_shift to_csa_fragment build_fermionic_report "
-                 "assemble_global_bliss",
+                 "lrbs_shift build_fermionic_report assemble_global_bliss",
     "spectral": "CIVector LanczosOptions LanczosResult "
                 "RangeResult SpectralReport sector_determinants sector_matrix "
                 "apply_hamiltonian truncated_lanczos spectral_range "

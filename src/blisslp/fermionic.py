@@ -16,7 +16,9 @@ Full-rank fragments carry a symmetric coefficient matrix lambda and cost
 Two fragment-shift strategies are provided: the analytic median shift that
 preserves the perfect-square structure (:func:`lrps_shift`) and a small LP
 over theta (a uniform shift of every l_ij is one of every th_i) that trades
-the structure for a lower bound-free optimum (:func:`lrbs_shift`).
+the structure for a lower bound-free optimum (:func:`lrbs_shift`).  The LP
+and :func:`lambda_csa` take the matrix lambda itself; a DF fragment enters
+them as lambda = sign eps eps^T, in the frame of its rotation u.
 :func:`build_fermionic_report` runs one family of shifts over given DF
 fragments, so one factorization serves every family, and sums the
 per-fragment symmetry shifts, from which :func:`global_bliss` assembles one
@@ -37,7 +39,6 @@ from .simplex import LpStatus
 
 __all__ = [
     "DFFragment",
-    "CsaFragment",
     "OneBodySpectrum",
     "LrpsCorrection",
     "FragmentNorm",
@@ -54,7 +55,6 @@ __all__ = [
     "lrps_shift",
     "lrps_one_body_correction",
     "lrbs_shift",
-    "to_csa_fragment",
     "build_fermionic_report",
     "global_bliss",
     "assemble_global_bliss",
@@ -68,10 +68,6 @@ PAIR_SYMMETRY_RTOL = 1e-8
 
 class IterationLimitError(RuntimeError):
     """An inner LP stopped on its pivot budget instead of at optimality."""
-
-
-def _orthogonality_defect(u: np.ndarray) -> float:
-    return float(np.abs(u @ u.T - np.eye(u.shape[0])).max())
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class DFFragment:
             raise ValueError(f"u must be square, got shape {u.shape}")
         if eps.shape != (u.shape[0],):
             raise ValueError("eps length must match the rotation dimension")
-        if _orthogonality_defect(u) > 1e-10:
+        if np.abs(u @ u.T - np.eye(u.shape[0])).max() > 1e-10:
             raise ValueError("u must be orthogonal")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
@@ -120,45 +116,6 @@ class DFFragment:
         """U^T diag(eps) U, optionally with the phi shift applied."""
         eps = self.shifted_eps() if shifted else self.eps
         return self.u.T @ np.diag(eps) @ self.u
-
-
-@dataclass(frozen=True)
-class CsaFragment:
-    """Full-rank fragment sum_ij,st lam_ij n_is n_jt in the frame ``u``,
-    with an optional shift theta recorded alongside."""
-
-    u: np.ndarray
-    lam: np.ndarray
-    theta: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        u = np.array(self.u, dtype=float)
-        lam = np.array(self.lam, dtype=float)
-        n = u.shape[0]
-        if u.ndim != 2 or u.shape != (n, n) or lam.shape != (n, n):
-            raise ValueError("u and lam must be square matrices of equal size")
-        if _orthogonality_defect(u) > 1e-10:
-            raise ValueError("u must be orthogonal")
-        if float(np.abs(lam - lam.T).max()) > 1e-12 * max(1.0, float(np.abs(lam).max(initial=0.0))):
-            raise ValueError("lam must be symmetric")
-        lam = np.triu(lam) + np.triu(lam, 1).T
-        theta = (np.zeros(n) if self.theta is None
-                 else np.array(self.theta, dtype=float))
-        if theta.shape != (n,):
-            raise ValueError("theta length must match the fragment dimension")
-        for arr in (u, lam, theta):
-            arr.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def n_orb(self) -> int:
-        return self.u.shape[0]
-
-    def shifted_lam(self) -> np.ndarray:
-        th = self.theta
-        return self.lam - 0.5 * (th[:, None] + th[None, :])
 
 
 @dataclass(frozen=True)
@@ -272,9 +229,12 @@ def lambda_df(fragment: DFFragment) -> float:
     return 0.5 * float(np.abs(fragment.shifted_eps()).sum()) ** 2
 
 
-def lambda_csa(fragment: CsaFragment) -> float:
-    """Reflection-LCU 1-norm of a full-rank fragment at its stored shift."""
-    lam = fragment.shifted_lam()
+def lambda_csa(lam: np.ndarray, theta: np.ndarray | None = None) -> float:
+    """Reflection-LCU 1-norm of the full-rank fragment with coefficient
+    matrix ``lam``, shifted by ``theta`` if one is given."""
+    if theta is not None:
+        theta = np.asarray(theta, dtype=float)
+        lam = lam - 0.5 * (theta[:, None] + theta[None, :])
     off = float(np.abs(lam).sum()) - float(np.abs(np.diag(lam)).sum())
     return off + 0.5 * float(np.abs(np.diag(lam)).sum())
 
@@ -332,42 +292,36 @@ def lrps_one_body_correction(fragment: DFFragment,
         xi=sign * phi * (phi * np.eye(mat.shape[0]) - 2.0 * mat))
 
 
-def lrbs_shift(fragment: CsaFragment,
-               options: SolverOptions | None = None) -> CsaFragment:
-    """Minimize lambda_csa over theta by linear programming.
+def lrbs_shift(lam: np.ndarray,
+               options: SolverOptions | None = None) -> np.ndarray:
+    """The theta minimizing ``lambda_csa(lam, theta)``, by linear
+    programming.  ``lam`` is mirrored from its upper triangle.
 
     Raises:
-        ValueError: if the fragment already carries a nonzero shift.
-        IterationLimitError: if the LP backend exhausts its pivot budget.
+        ValueError: if ``lam`` is not square, or not symmetric to 1e-12
+            relative to max(1, max |lam_ij|).
+        IterationLimitError: if the LP exhausts its pivot budget.
     """
-    if float(np.abs(fragment.theta).max(initial=0.0)) != 0.0:
-        raise ValueError("fragment already carries a shift")
-    n = fragment.n_orb
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
+        raise ValueError(f"lam must be a square matrix, got shape {lam.shape}")
+    if float(np.abs(lam - lam.T).max(initial=0.0)) > 1e-12 * max(
+            1.0, float(np.abs(lam).max(initial=0.0))):
+        raise ValueError("lam must be symmetric")
+    lam = np.triu(lam) + np.triu(lam, 1).T
+    n = lam.shape[0]
     eye = np.eye(n)
     # Row (i, j) is the residual lam_ij - (theta_i + theta_j) / 2.
     a = 0.5 * (eye[:, None, :] + eye[None, :, :]).reshape(n * n, n)
     weights = np.where(eye, 0.5, 1.0).ravel()
     names = tuple(f"theta_{i}" for i in range(n))
     problem = merge_duplicate_rows(
-        L1Problem(a, fragment.lam.ravel(), weights, names))
+        L1Problem(a, lam.ravel(), weights, names))
     solution = l1_minimize(problem, options)
     if solution.status is LpStatus.ITERATION_LIMIT:
         raise IterationLimitError(
             f"fragment shift LP stopped after {solution.iterations} pivots")
-    return replace(fragment, theta=solution.x_opt.copy())
-
-
-def to_csa_fragment(fragment: DFFragment) -> CsaFragment:
-    """View a perfect-square fragment as a full-rank one, lam = sign*eps eps^T.
-
-    Raises:
-        ValueError: if the fragment carries a phi shift, which has no
-            counterpart in the full-rank form.
-    """
-    if fragment.phi is not None:
-        raise ValueError("cannot convert a phi-shifted fragment")
-    return CsaFragment(u=fragment.u,
-                       lam=fragment.sign * np.outer(fragment.eps, fragment.eps))
+    return solution.x
 
 
 @dataclass(frozen=True)
@@ -430,14 +384,18 @@ def _lrps_step(index, fragment, n_elec, lp_options):
 
 
 def _lrbs_step(index, fragment, n_elec, lp_options):
-    # The LP shift subtracts K_frag directly.
-    shifted = lrbs_shift(to_csa_fragment(fragment), lp_options)
-    u, lam = shifted.u, shifted.shifted_lam()
-    theta = u.T @ np.diag(shifted.theta) @ u
-    reflection = u.T @ np.diag(2.0 * lam.sum(axis=1)) @ u
-    row = FragmentNorm(index, lambda_csa(shifted), "csa",
-                       theta_max_abs=float(np.abs(shifted.theta).max(initial=0.0)))
-    return row, n_elec * theta + reflection, (0.0, theta)
+    # The LP shift subtracts K_frag directly.  A phi shift has no
+    # counterpart in the full-rank form lam = sign eps eps^T.
+    if fragment.phi is not None:
+        raise ValueError("fragment already carries a shift")
+    u, lam = fragment.u, fragment.sign * np.outer(fragment.eps, fragment.eps)
+    theta = lrbs_shift(lam, lp_options)
+    shifted = lam - 0.5 * (theta[:, None] + theta[None, :])
+    reflection = u.T @ np.diag(2.0 * shifted.sum(axis=1)) @ u
+    row = FragmentNorm(index, lambda_csa(lam, theta), "csa",
+                       theta_max_abs=float(np.abs(theta).max(initial=0.0)))
+    xi = u.T @ np.diag(theta) @ u
+    return row, n_elec * xi + reflection, (0.0, xi)
 
 
 # method -> (step, median mu1, perfect squares).  A shifted family centres

@@ -5,13 +5,14 @@ Problems are stated as
     minimize_x  sum_i w_i | (A x - b)_i |
 
 with a dense float matrix A.  A row of A with no nonzero entry adds the
-constant w_i |b_i| whatever x is, so the solver folds such rows into the
-objective and hands only the rows that carry a variable to a pluggable
-backend.  The default backend is the condensed L1 simplex from
-:mod:`blisslp.simplex`, which pivots on the m x n matrix A itself; any
-object with the same contract (``solve(weights, a, b, max_iters)`` returning
-an :class:`blisslp.simplex.LpResult`) can be substituted, e.g. the optional
-:class:`ScipyLinprogSolver`.
+constant w_i |b_i| whatever x is, so :func:`l1_minimize` folds such rows
+into the objective and hands only the rows that carry a variable to the
+condensed L1 simplex of :mod:`blisslp.simplex`, which pivots on the m x n
+matrix A itself.  It returns that simplex's
+:class:`blisslp.simplex.LpResult`, with the objective taken over the whole
+problem.  :class:`ScipyLinprogSolver` solves the same problems with HiGHS
+(scipy required); :class:`SolverOptions` can name it in the simplex's place
+to cross-check a solve.
 
 The point x = 0 is always feasible and the objective is bounded below by 0,
 so a solve ends optimal or at its pivot budget, and never reports worse than
@@ -21,7 +22,6 @@ so a solve ends optimal or at its pivot budget, and never reports worse than
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -29,10 +29,7 @@ from .simplex import LpResult, LpStatus, solve_lp
 
 __all__ = [
     "L1Problem",
-    "L1Solution",
     "SolverOptions",
-    "LpSolver",
-    "ReferenceSimplexSolver",
     "ScipyLinprogSolver",
     "l1_minimize",
     "merge_duplicate_rows",
@@ -41,22 +38,9 @@ __all__ = [
     "dump_problem",
 ]
 
-class LpSolver(Protocol):
-    """Backend contract: minimize sum_i weights[i] |(a x - b)_i| over x."""
-
-    def solve(self, weights: np.ndarray, a: np.ndarray, b: np.ndarray,
-              max_iters: int) -> LpResult: ...
-
-
-class ReferenceSimplexSolver:
-    """The condensed L1 simplex shipped with the package."""
-
-    def solve(self, weights, a, b, max_iters):
-        return solve_lp(weights, a, b, max_iters)
-
-
 class ScipyLinprogSolver:
-    """Adapter around ``scipy.optimize.linprog`` (requires scipy).
+    """``scipy.optimize.linprog`` behind the signature of
+    :func:`blisslp.simplex.solve_lp`, as a ``solve`` method (requires scipy).
 
     It solves for b / max|b| and scales x back, since linprog's default
     tolerances are absolute and fragments reach 1e-8.
@@ -146,10 +130,13 @@ class SolverOptions:
     """Knobs for :func:`l1_minimize`.
 
     ``max_iters=None`` means the default pivot budget 50 * (n_vars + n_rows).
+    ``solver``, when set, solves in place of the package's simplex: any
+    object whose ``solve(weights, a, b, max_iters)`` returns an
+    :class:`LpResult`, such as :class:`ScipyLinprogSolver`.
     """
 
     max_iters: int | None = None
-    solver: LpSolver | None = None
+    solver: object | None = None
 
     def __post_init__(self) -> None:
         if self.max_iters is not None and (
@@ -157,14 +144,6 @@ class SolverOptions:
                 or not isinstance(self.max_iters, int) or self.max_iters < 1):
             raise ValueError(f"max_iters must be a positive int, got "
                              f"{self.max_iters!r}")
-
-
-@dataclass(frozen=True)
-class L1Solution:
-    x_opt: np.ndarray
-    objective: float
-    iterations: int
-    status: LpStatus
 
 
 def evaluate_objective(problem: L1Problem, x: np.ndarray) -> float:
@@ -224,33 +203,35 @@ def merge_duplicate_rows(problem: L1Problem) -> L1Problem:
 
 
 def l1_minimize(problem: L1Problem,
-                options: SolverOptions | None = None) -> L1Solution:
+                options: SolverOptions | None = None) -> LpResult:
     """Globally minimize a weighted L1 objective.
 
-    Only the rows of ``a`` with a nonzero entry reach the backend; the
-    objective is evaluated on the whole problem.  Returns an
-    :class:`L1Solution`; a reported ITERATION_LIMIT carries the best point
-    reached rather than raising.
+    Only the rows of ``a`` with a nonzero entry reach the solver.  The
+    result's x is read-only and its objective is evaluated on the whole
+    problem, folded rows included.  A reported ITERATION_LIMIT carries the
+    best point reached rather than raising.
     """
     options = options or SolverOptions()
     n = problem.n_vars
     max_iters = (options.max_iters if options.max_iters is not None
                  else 50 * (n + problem.n_rows))
-    solver = options.solver if options.solver is not None else ReferenceSimplexSolver()
+    # solve_lp is looked up at call time, so a wrapper installed on this
+    # module sees every default solve.
+    solve = options.solver.solve if options.solver is not None else solve_lp
 
     active = np.flatnonzero(problem.a.any(axis=1))
-    if active.size == 0:
-        x = np.zeros(n)
-        x.setflags(write=False)
-        return L1Solution(x, evaluate_objective(problem, x), 0, LpStatus.OPTIMAL)
-    result = solver.solve(problem.weights[active], problem.a[active],
-                          problem.b[active], max_iters)
-    x = np.array(result.x, dtype=float)
-    if result.status is LpStatus.ITERATION_LIMIT and not np.all(np.isfinite(x)):
-        x = np.zeros(n)
+    x, status, iterations = np.zeros(n), LpStatus.OPTIMAL, 0
+    if active.size:
+        result = solve(problem.weights[active], problem.a[active],
+                       problem.b[active], max_iters)
+        x = np.array(result.x, dtype=float)
+        status, iterations = result.status, result.iterations
+        # A solver stopped on its budget may hold no finite point; x = 0 is
+        # always feasible.
+        if status is LpStatus.ITERATION_LIMIT and not np.all(np.isfinite(x)):
+            x = np.zeros(n)
     x.setflags(write=False)
-    return L1Solution(x, evaluate_objective(problem, x), result.iterations,
-                      result.status)
+    return LpResult(x, evaluate_objective(problem, x), status, iterations)
 
 
 def dump_problem(problem: L1Problem) -> str:

@@ -40,11 +40,11 @@ import numpy as np
 
 from .hamiltonian import (BlissParams, MolecularHamiltonian, _derive,
                           apply_bliss)
-from .l1min import (L1Problem, L1Solution, SolverOptions, l1_minimize,
+from .l1min import (L1Problem, SolverOptions, l1_minimize,
                     merge_duplicate_rows, weighted_median)
 from .pauli import (PAULI_TERM_WEIGHTS, PauliNormBreakdown, pauli_one_norm,
                     pauli_terms)
-from .simplex import LpStatus
+from .simplex import LpResult, LpStatus
 
 __all__ = [
     "LpBlissVarMap",
@@ -96,7 +96,7 @@ class LpBlissIterationLimit(RuntimeError):
     """
 
     def __init__(self, params: BlissParams, norm: PauliNormBreakdown,
-                 solution: L1Solution):
+                 solution: LpResult):
         super().__init__(
             f"LP solver stopped at iteration limit after {solution.iterations} "
             f"pivots; best shifted Pauli norm {norm.lambda_total:.12g}")
@@ -212,7 +212,7 @@ def lp_bliss_shifted(hamiltonian: MolecularHamiltonian,
     block = L1Problem(a, b[block_rows], weights[block_rows],
                       tuple(names[v] for v in diagonal))
     solution = l1_minimize(merge_duplicate_rows(block), options)
-    x[diagonal] = solution.x_opt
+    x[diagonal] = solution.x
 
     params = params_from_solution(vmap, x)
     shifted = apply_bliss(hamiltonian, params)

@@ -55,14 +55,15 @@ def solve_lp(weights: np.ndarray, a: np.ndarray, b: np.ndarray,
     """
     weights, a, b = (np.asarray(v, dtype=float) for v in (weights, a, b))
     m, n = a.shape
-    # The minimizer scales with b, so beta = b / max|b| stays O(1) whatever
-    # the scale of the data (fragments reach 1e-8), and x scales back.
+    # The minimizer scales with b and not with the weights, so beta = b /
+    # max|b| and w / max w stay O(1) whatever the scale of the data (fragments
+    # reach 1e-8): the stop test on the slopes is scale-free, x scales back.
     scale = float(np.abs(b).max(initial=0.0)) or 1.0
     table, beta = a.copy(), b / scale
     sign = np.where(b < 0, -1.0, 1.0)
     # Labels: x_j is j, residual i is n + i; only a residual has a weight.
     rows, cols = n + np.arange(m), np.arange(n)
-    row_w, col_w = weights.copy(), np.zeros(n)
+    row_w, col_w = weights / (weights.max(initial=0.0) or 1.0), np.zeros(n)
     status, iters = LpStatus.OPTIMAL, 0
     while True:
         g = -(row_w * sign) @ table

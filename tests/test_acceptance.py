@@ -108,12 +108,12 @@ def test_criterion_03_lp_bliss_optimality():
         problem, vmap = build_lp_bliss_problem(hamiltonian)
         merged = merge_duplicate_rows(problem)
         solution = l1_minimize(merged)
-        params = params_from_solution(vmap, solution.x_opt)
+        params = params_from_solution(vmap, solution.x)
 
         a = merged.a
         b = np.asarray(merged.b)
         weights = np.asarray(merged.weights)
-        x_opt = solution.x_opt
+        x_opt = solution.x
         blocks = [rng.normal(scale=0.1, size=(25_000, merged.n_vars)),
                   rng.normal(scale=1.0, size=(25_000, merged.n_vars)),
                   x_opt + rng.normal(scale=0.1,

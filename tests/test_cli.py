@@ -442,18 +442,6 @@ def test_compare_factorizes_once_and_shifts_each_fragment_once(
                                        lp_max_iters=10)])
 
 
-def test_bench_trace_wraps_resolve(monkeypatch):
-    """Every function the benchmark tracer wraps must exist where it looks."""
-    import importlib
-
-    monkeypatch.syspath_prepend(
-        str(Path(__file__).resolve().parents[1] / "bench"))
-    spans = importlib.import_module("spans")
-    for module_name, attr, _, _ in spans.WRAPS:
-        module = importlib.import_module(module_name)
-        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
-
-
 def test_bench_lanczos_job_traces_one_run(tmp_path):
     """The benchmark's library Lanczos job, traced, on an N=7 sector whose
     1225-dim block runs Lanczos: it exits 0, and its one Lanczos span

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from blisslp import (
     BlissParams,
-    CsaFragment,
     DFFragment,
     FERMIONIC_METHODS,
     IterationLimitError,
@@ -21,6 +22,7 @@ from blisslp import (
     double_factorize,
     factorize_two_body_tensor,
     fragment_hamiltonian,
+    l1_minimize,
     lambda_csa,
     lambda_df,
     lrbs_shift,
@@ -29,7 +31,6 @@ from blisslp import (
     merge_duplicate_rows,
     one_electron_shift,
     reconstruct_two_body,
-    to_csa_fragment,
 )
 
 
@@ -40,6 +41,11 @@ def random_orthogonal(rng, n):
 def random_fragment(rng, n, sign=1, phi=None) -> DFFragment:
     return DFFragment(u=random_orthogonal(rng, n), eps=rng.normal(size=n),
                       sign=sign, phi=phi)
+
+
+def full_rank_form(fragment: DFFragment) -> np.ndarray:
+    """The matrix lam = sign eps eps^T that df-lrbs shifts."""
+    return fragment.sign * np.outer(fragment.eps, fragment.eps)
 
 
 def test_fragment_validation():
@@ -57,9 +63,10 @@ def test_fragment_validation():
 
 def test_csa_fragment_validation():
     with pytest.raises(ValueError, match="symmetric"):
-        CsaFragment(u=np.eye(2), lam=np.array([[0.0, 1.0], [0.0, 0.0]]))
-    frag = CsaFragment(u=np.eye(2), lam=np.eye(2))
-    np.testing.assert_array_equal(frag.theta, np.zeros(2))
+        lrbs_shift(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        lrbs_shift(np.ones((2, 3)))
+    assert lambda_csa(np.eye(2)) == lambda_csa(np.eye(2), np.zeros(2))
 
 
 def test_factorize_rank_one_tensor():
@@ -186,10 +193,9 @@ def test_lambda_df_grid_scan_minimum():
 
 
 def test_lambda_csa_values():
-    assert lambda_csa(CsaFragment(u=np.eye(2), lam=np.eye(2))) == pytest.approx(1.0)
+    assert lambda_csa(np.eye(2)) == pytest.approx(1.0)
     lam = 0.7 * np.ones((3, 3))
-    frag = CsaFragment(u=np.eye(3), lam=lam, theta=np.full(3, 0.7))
-    assert lambda_csa(frag) == pytest.approx(0.0, abs=1e-15)
+    assert lambda_csa(lam, np.full(3, 0.7)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_canonical_median():
@@ -312,29 +318,26 @@ def test_lrps_degenerate_fragment_vanishes():
 
 def test_lrbs_shift_constant_matrix_is_exact():
     lam = 0.8 * np.ones((3, 3))
-    out = lrbs_shift(CsaFragment(u=np.eye(3), lam=lam))
-    assert lambda_csa(out) == pytest.approx(0.0, abs=1e-9)
+    assert lambda_csa(lam, lrbs_shift(lam)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_lrbs_shift_diagonal_bound():
     d = np.array([1.0, -2.0, 3.0])
-    out = lrbs_shift(CsaFragment(u=np.eye(3), lam=np.diag(d)))
-    assert lambda_csa(out) <= 0.5 * np.abs(d).sum() + 1e-9
-    assert lambda_csa(out) <= lambda_csa(CsaFragment(u=np.eye(3), lam=np.diag(d)))
+    best = lambda_csa(np.diag(d), lrbs_shift(np.diag(d)))
+    assert best <= 0.5 * np.abs(d).sum() + 1e-9
+    assert best <= lambda_csa(np.diag(d))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_lrbs_shift_beats_sampling(seed):
     rng = np.random.default_rng(1500 + seed)
     lam = rng.normal(size=(3, 3))
-    frag = CsaFragment(u=np.eye(3), lam=0.5 * (lam + lam.T))
-    out = lrbs_shift(frag)
-    best = lambda_csa(out)
-    assert best <= lambda_csa(frag) + 1e-9
+    lam = 0.5 * (lam + lam.T)
+    best = lambda_csa(lam, lrbs_shift(lam))
+    assert best <= lambda_csa(lam) + 1e-9
     for _ in range(10_000):
-        trial = CsaFragment(u=frag.u, lam=frag.lam,
-                            theta=float(rng.normal()) + rng.normal(size=3))
-        assert best <= lambda_csa(trial) + 1e-8
+        trial = float(rng.normal()) + rng.normal(size=3)
+        assert best <= lambda_csa(lam, trial) + 1e-8
 
 
 def test_lrbs_problem_matches_row_by_row_definition(monkeypatch):
@@ -353,15 +356,15 @@ def test_lrbs_problem_matches_row_by_row_definition(monkeypatch):
     monkeypatch.setattr(fermionic, "merge_duplicate_rows", merge)
     for n in range(2, 7):
         lam = rng.normal(size=(n, n))
-        frag = CsaFragment(u=np.eye(n), lam=0.5 * (lam + lam.T))
-        lrbs_shift(frag)
+        lam = 0.5 * (lam + lam.T)
+        lrbs_shift(lam)
         a = np.zeros((n * n, n))
         b, weights = [], []
         for i in range(n):
             for j in range(n):
                 a[i * n + j, i] += 0.5
                 a[i * n + j, j] += 0.5
-                b.append(frag.lam[i, j])
+                b.append(lam[i, j])
                 weights.append(0.5 if i == j else 1.0)
         problem = seen.pop()
         np.testing.assert_array_equal(problem.a, a)
@@ -371,25 +374,61 @@ def test_lrbs_problem_matches_row_by_row_definition(monkeypatch):
 
 
 def test_lrbs_shift_rejects_shifted_and_limits():
-    frag = CsaFragment(u=np.eye(2), lam=np.eye(2), theta=np.full(2, 0.3))
+    """df-lrbs refuses a phi-shifted DF fragment, which has no full-rank
+    form; a spent pivot budget raises."""
+    H = oracles.decay_hamiltonian(np.random.default_rng(50), 3)
+    shifted = [lrps_shift(f) for f in double_factorize(H)]
     with pytest.raises(ValueError, match="shift"):
-        lrbs_shift(frag)
+        build_fermionic_report(H, "df-lrbs", shifted)
     rng = np.random.default_rng(49)
     lam = rng.normal(size=(4, 4))
-    fresh = CsaFragment(u=np.eye(4), lam=0.5 * (lam + lam.T))
     with pytest.raises(IterationLimitError):
-        lrbs_shift(fresh, SolverOptions(max_iters=1))
+        lrbs_shift(0.5 * (lam + lam.T), SolverOptions(max_iters=1))
 
 
-def test_to_csa_fragment():
-    rng = np.random.default_rng(50)
-    frag = random_fragment(rng, 3, sign=-1)
-    csa = to_csa_fragment(frag)
-    np.testing.assert_allclose(csa.lam, -np.outer(frag.eps, frag.eps),
-                               atol=1e-14)
-    np.testing.assert_array_equal(csa.u, frag.u)
-    with pytest.raises(ValueError, match="shifted"):
-        to_csa_fragment(lrps_shift(frag))
+# A few values, so drawn matrices repeat entries and merge rows.
+CSA_VALUES = st.sampled_from([0.0, 0.5, -1.0, 1.5, -2.0, 0.1, -0.7, 3.0])
+
+
+@st.composite
+def csa_matrices(draw, max_n=5):
+    """Symmetric matrices up to ``max_n`` x ``max_n`` at a scale 10^k, k in
+    [-8, 2]; half of them rank one, sign eps eps^T, as df-lrbs shifts."""
+    n = draw(st.integers(1, max_n))
+    values = st.lists(CSA_VALUES, min_size=n, max_size=n)
+    if draw(st.booleans()):
+        eps = np.array(draw(values))
+        lam = draw(st.sampled_from([-1.0, 1.0])) * np.outer(eps, eps)
+    else:
+        upper = np.triu(np.array(draw(st.lists(values, min_size=n,
+                                               max_size=n))))
+        lam = upper + np.triu(upper, 1).T
+    return lam * 10.0 ** draw(st.integers(-8, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=csa_matrices())
+def test_lrbs_shift_reaches_the_lp_minimum(lam):
+    """lambda_csa at the returned theta is the objective l1_minimize reports
+    on the merged problem it solved, and HiGHS finds no lower point."""
+    from blisslp import fermionic
+
+    solves = []
+
+    def minimize(problem, options=None):
+        solves.append((problem, l1_minimize(problem, options)))
+        return solves[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fermionic, "l1_minimize", minimize)
+        theta = lrbs_shift(lam)
+    [(problem, solution)] = solves
+    np.testing.assert_array_equal(theta, solution.x)
+    top = float(np.abs(lam).max(initial=0.0))
+    norm = lambda_csa(lam, theta)
+    assert norm == pytest.approx(solution.objective, rel=1e-12, abs=1e-14 * top)
+    highs = l1_minimize(problem, SolverOptions(solver=ScipyLinprogSolver()))
+    assert abs(norm - highs.objective) <= 1e-9 * max(top, highs.objective)
 
 
 @pytest.mark.parametrize("seed, n, sign", [(0, 2, 1), (1, 2, -1), (2, 3, 1)])
@@ -580,9 +619,8 @@ def test_ffr_matches_per_fragment_shifts():
     rng = np.random.default_rng(60)
     H = oracles.random_hamiltonian(rng, 2, 2)
     params = assemble_global_bliss(H, "ffr", double_factorize(H, 0.0))
-    fragments = [lrbs_shift(to_csa_fragment(f))
-                 for f in double_factorize(H, tol=0.0)]
-    xi = sum(f.u.T @ np.diag(f.theta) @ f.u for f in fragments)
+    xi = sum(f.u.T @ np.diag(lrbs_shift(full_rank_form(f))) @ f.u
+             for f in double_factorize(H, tol=0.0))
     np.testing.assert_allclose(params.xi, 0.5 * (xi + xi.T), atol=1e-12)
 
 
@@ -671,7 +709,7 @@ def test_scipy_backend_reaches_pinned_small_fragment_minima(index):
     """HiGHS solves for b scaled to max |b| = 1, so its default tolerances
     hold on fragments whose norms are near 1e-7."""
     H = oracles.decay_hamiltonian(np.random.default_rng(0), 12)
-    fragment = to_csa_fragment(double_factorize(H)[index])
-    shifted = lrbs_shift(fragment, SolverOptions(solver=ScipyLinprogSolver()))
-    assert lambda_csa(shifted) == pytest.approx(
+    lam = full_rank_form(double_factorize(H)[index])
+    theta = lrbs_shift(lam, SolverOptions(solver=ScipyLinprogSolver()))
+    assert lambda_csa(lam, theta) == pytest.approx(
         PINNED_LRBS_DECAY12[index], rel=1e-9, abs=1e-12)

@@ -12,7 +12,7 @@ import oracles
 from blisslp import (
     LpBlissIterationLimit,
     LpBlissVarMap,
-    ReferenceSimplexSolver,
+    LpResult,
     ScipyLinprogSolver,
     SolverOptions,
     apply_bliss,
@@ -24,6 +24,7 @@ from blisslp import (
     merge_duplicate_rows,
     params_from_solution,
     pauli_one_norm,
+    solve_lp,
 )
 
 
@@ -177,6 +178,7 @@ def test_iteration_limit_carries_best_incumbent():
     assert err.value.norm.lambda_total == pytest.approx(
         pauli_one_norm(apply_bliss(H, err.value.params)).lambda_total,
         abs=1e-12)
+    assert isinstance(err.value.solution, LpResult)
     assert err.value.solution.iterations == 2
 
 
@@ -255,7 +257,7 @@ def test_optimum_bounded_by_zero_shift_and_equals_shifted_norm(H):
     problem, vmap = build_lp_bliss_problem(H)
     solution = l1_minimize(merge_duplicate_rows(problem))
     shifted = pauli_one_norm(
-        apply_bliss(H, params_from_solution(vmap, solution.x_opt)))
+        apply_bliss(H, params_from_solution(vmap, solution.x)))
     assert solution.objective <= evaluate_objective(
         problem, np.zeros(vmap.n_vars)) + 1e-9
     assert solution.objective == pytest.approx(
@@ -304,7 +306,7 @@ def test_solver_options_apply_to_diagonal_block():
     class Recording:
         def solve(self, weights, a, b, max_iters):
             seen.append((a.shape, max_iters))
-            return ReferenceSimplexSolver().solve(weights, a, b, max_iters)
+            return solve_lp(weights, a, b, max_iters)
 
     lp_bliss(H, SolverOptions(solver=Recording()))
     [((m, columns), budget)] = seen

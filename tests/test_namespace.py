@@ -19,13 +19,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The names ``from blisslp import *`` binds.
 PUBLIC_API = """
-    BLISS_METHODS BlissParams BlissSummary CIVector CompareReport CsaFragment
+    BLISS_METHODS BlissParams BlissSummary CIVector CompareReport
     DFFragment EXIT_INVALID EXIT_IO EXIT_OK EXIT_SOLVER
     FERMIONIC_METHODS FcidumpError FermionicNormReport FragmentNorm
-    IterationLimitError L1Problem L1Solution LanczosOptions
+    IterationLimitError L1Problem LanczosOptions
     LanczosResult LpBlissIterationLimit LpBlissVarMap LpResult LpStatus
     LrpsCorrection METHODS MolecularHamiltonian NormPair OneBodySpectrum
-    PauliNormBreakdown RangeResult ReferenceSimplexSolver RunConfig RunReport
+    PauliNormBreakdown RangeResult RunConfig RunReport
     SPECTRAL_CHOICES ScipyLinprogSolver SolverOptions SpectralReport
     __version__ apply_bliss apply_hamiltonian assemble_global_bliss
     build_fermionic_report build_lp_bliss_problem build_spectral_report
@@ -36,7 +36,7 @@ PUBLIC_API = """
     one_electron_shift params_from_solution parse_fcidump pauli_one_norm
     reconstruct_two_body run run_pipeline sector_determinants sector_matrix
     solve_lp spectral_range spectral_ranges strip_volatile symmetrize_two_body
-    to_csa_fragment to_json truncated_lanczos two_body_symmetry_deviation
+    to_json truncated_lanczos two_body_symmetry_deviation
     weighted_median write_fcidump
 """.split()
 

@@ -45,8 +45,9 @@ def solve(problem, max_iters=10_000):
 @settings(max_examples=60, deadline=None)
 @given(problem=l1_problems())
 def test_objective_matches_highs(problem):
-    """The minimum agrees with HiGHS, and the objective is the one of the
-    returned point.  Where x0 fits every row, the minimum is 0 and both
+    """The minimum agrees with HiGHS to 1e-9 relative to max(max|b|, the
+    minimum), as the minimum scales with b, and the objective is the one of
+    the returned point.  Where x0 fits every row, the minimum is 0 and both
     solvers stop at rounding level, relative to sum w|b|."""
     ours = solve(problem)
     theirs = ScipyLinprogSolver().solve(problem.weights, problem.a,
@@ -55,7 +56,8 @@ def test_objective_matches_highs(problem):
     assert theirs.status is LpStatus.OPTIMAL
     total = float(problem.weights @ np.abs(problem.b))
     exact_fit = theirs.objective <= 1e-12 * total
-    tol = 1e-12 * total if exact_fit else 1e-9 * max(1.0, theirs.objective)
+    top = float(np.abs(problem.b).max())
+    tol = 1e-12 * total if exact_fit else 1e-9 * max(top, theirs.objective)
     assert abs(ours.objective - theirs.objective) <= tol
     assert evaluate_objective(problem, ours.x) == ours.objective
 
@@ -133,6 +135,22 @@ def test_minimizer_scales_with_the_data(scale):
     assert scaled.objective == pytest.approx(scale * base.objective,
                                              rel=1e-12)
     np.testing.assert_allclose(scaled.x, scale * base.x, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e6])
+def test_stop_test_is_free_of_the_weights_scale(scale):
+    """min sum s w_i |(a x - b)_i| is s times min sum w_i |(a x - b)_i|, at
+    the same point: tiny weights must not end the solve early."""
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(40, 4)), rng.normal(size=40)
+    weights = rng.uniform(0.5, 2.0, size=40)
+    base = solve_lp(weights, a, b, 10_000)
+    scaled = solve_lp(scale * weights, a, b, 10_000)
+    assert scaled.status is LpStatus.OPTIMAL
+    assert scaled.iterations == base.iterations
+    assert scaled.objective / scale == pytest.approx(base.objective,
+                                                     rel=1e-12)
+    np.testing.assert_allclose(scaled.x, base.x, rtol=1e-12, atol=1e-15)
 
 
 def test_bitwise_determinism():
