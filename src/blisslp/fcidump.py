@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 
 import numpy as np
 
@@ -38,12 +39,15 @@ __all__ = ["FcidumpError", "parse_fcidump", "write_fcidump",
 
 # Entries listed more than once must agree to this absolute tolerance.
 DUPLICATE_ATOL = 1e-10
-# Predicted peak memory of a parse's dense arrays above which NORB is refused
-# before any array is allocated.  A parse holds four dense float N^4 arrays
-# at once, the expanded (ij|kl) scaled in place to g = (ij|kl)/2, the
-# Hamiltonian's copy of g and two temporaries of its symmetry check: 32 N^4 B
-# (tracemalloc at N=20 and 40), so NORB <= 90 is admitted (N=76 needs
-# 0.99 GiB).  The listed records' Python table comes on top of that.
+# Predicted peak memory of a parse above which NORB is refused before any
+# array is allocated.  A parse peaks at its end, with four dense float N^4
+# arrays alive: the expanded (ij|kl) scaled in place to g = (ij|kl)/2, the
+# Hamiltonian's copy of g and two temporaries of its symmetry check: 32 N^4 B.
+# The record text and the int32 table of setting lines are dropped before
+# then, so for a file that lists each orbit once this bounds the whole parse
+# (tracemalloc at N=12, 20 and 30); input bytes belong to the caller.  A file
+# that lists all N^4 members is not covered: its split lines take the peak to
+# about 145 N^4 B (N=12 and 16).  NORB <= 90 is admitted (N=76 needs 0.99 GiB).
 PARSE_MEMORY_LIMIT_BYTES = 2 * 1024 ** 3
 
 _HEADER_FIELD = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([^=]*?)(?=[,\s][A-Za-z][A-Za-z0-9]*\s*=|$)")
@@ -57,18 +61,6 @@ class FcidumpError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-def _canonical_pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i >= j else (j, i)
-
-
-def _canonical_quad(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
-    a = _canonical_pair(i, j)
-    b = _canonical_pair(k, l)
-    if a < b:
-        a, b = b, a
-    return a + b
 
 
 def _parse_header(lines: list[str]) -> tuple[dict, int]:
@@ -126,14 +118,17 @@ def _parse_orbsym(text: str, n_orb: int, line: int) -> tuple[int, ...]:
 def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
     """Parse FCIDUMP text into a :class:`MolecularHamiltonian`.
 
-    Bytes are decoded as UTF-8.  Duplicate entries for the same symmetry
-    orbit are tolerated when their values agree to 1e-10 (the last value
-    wins); bytes that are not UTF-8, a NORB whose dense N^4 arrays would
-    outgrow ``PARSE_MEMORY_LIMIT_BYTES``, an NELEC outside [0, 2 NORB],
-    conflicting duplicates, non-finite values (``nan``, ``inf``, an
-    exponent that overflows, or records whose sum in h overflows) and
-    malformed records raise
-    :class:`FcidumpError` carrying the line number.
+    Bytes are decoded as UTF-8.  Each record is scattered into the dense
+    tensors as it is read.  Duplicate entries for the same symmetry orbit,
+    or core energy, are tolerated when their values agree to 1e-10 (the
+    last value wins).  For a file that lists each orbit once, the whole
+    parse peaks within the ``PARSE_MEMORY_LIMIT_BYTES`` model of 32 N^4 B;
+    the input itself belongs to the caller.  Bytes that are not UTF-8, a
+    NORB whose dense N^4 arrays would outgrow ``PARSE_MEMORY_LIMIT_BYTES``,
+    an NELEC outside [0, 2 NORB], conflicting duplicates, non-finite values
+    (``nan``, ``inf``, an exponent that overflows, or records whose sum in
+    h overflows) and malformed records raise :class:`FcidumpError`
+    carrying the line number.
     """
     if isinstance(text, bytes):
         try:
@@ -144,7 +139,8 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
             raise FcidumpError(f"byte {text[exc.start]:#04x} is not UTF-8",
                                line) from exc
     lines = text.splitlines()
-    if not [ln for ln in lines if ln.strip()]:
+    del text  # the decoded copy; input bytes belong to the caller
+    if not any(ln.strip() for ln in lines):
         raise FcidumpError("empty input", 1)
 
     fields, body_start = _parse_header(lines)
@@ -166,21 +162,14 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
         raise FcidumpError(
             f"NELEC must lie in [0, {2 * n_orb}], got {n_elec}", 1)
 
-    core = 0.0
-    one: dict[tuple[int, int], float] = {}
-    two: dict[tuple[int, int, int, int], float] = {}
-    record_line: dict[tuple[int, ...], int] = {}
-
-    def store(table: dict, key, value: float, lineno: int) -> None:
-        if key in table and abs(table[key] - value) > DUPLICATE_ATOL:
-            raise FcidumpError(
-                f"conflicting duplicate entry for indices {key}: "
-                f"{table[key]!r} vs {value!r}", lineno)
-        table[key] = value
-        record_line[key] = lineno
-
-    for offset, raw in enumerate(lines[body_start:]):
-        lineno = body_start + offset + 1
+    # Each record is scattered into all 8 images of its orbit at once, with
+    # the line that set them; line 0 marks an entry no record has set.
+    core = np.zeros(())
+    t = np.zeros((n_orb, n_orb))
+    eri = np.zeros((n_orb,) * 4)
+    core_line, t_line, eri_line = (np.zeros(x.shape, dtype=np.int32)
+                                   for x in (core, t, eri))
+    for lineno, raw in enumerate(lines[body_start:], body_start + 1):
         tokens = raw.split()
         if not tokens:
             continue
@@ -189,7 +178,7 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
                 f"expected 'value i j k l', got {len(tokens)} fields", lineno)
         try:
             value = float(tokens[0].replace("D", "E").replace("d", "e"))
-            i, j, k, l = (int(t) for t in tokens[1:])
+            i, j, k, l = (int(x) for x in tokens[1:])
         except ValueError as exc:
             raise FcidumpError(f"non-numeric field in {raw.strip()!r}", lineno) from exc
         if not math.isfinite(value):
@@ -198,44 +187,42 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
             if not 0 <= idx <= n_orb:
                 raise FcidumpError(
                     f"orbital index {idx} out of range [0, {n_orb}]", lineno)
+        a, b, c, d = i - 1, j - 1, k - 1, l - 1
         if i == j == k == l == 0:
-            core = value
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise FcidumpError(f"invalid index pattern ({i} {j} {k} {l})", lineno)
-            store(one, _canonical_pair(i, j), value, lineno)
+            table, set_by, images = core, core_line, [()]
+        elif k == l == 0 and i and j:
+            table, set_by, images = t, t_line, [(a, b), (b, a)]
         elif 0 in (i, j, k, l):
             raise FcidumpError(f"invalid index pattern ({i} {j} {k} {l})", lineno)
         else:
-            store(two, _canonical_quad(i, j, k, l), value, lineno)
-
-    t = np.zeros((n_orb, n_orb))
-    for (i, j), value in one.items():
-        t[i - 1, j - 1] = value
-        t[j - 1, i - 1] = value
-    eri = np.zeros((n_orb,) * 4)
-    for (i, j, k, l), value in two.items():
-        a, b, c, d = i - 1, j - 1, k - 1, l - 1
-        for p, q, r, s in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
-                           (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
-            eri[p, q, r, s] = value
+            table, set_by, images = eri, eri_line, [
+                (a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
+                (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)]
+        listed = images[0]
+        if set_by[listed] and abs(table[listed] - value) > DUPLICATE_ATOL:
+            raise FcidumpError(
+                f"conflicting duplicate entry ({i} {j} {k} {l}): "
+                f"{float(table[listed])!r} vs {value!r}", lineno)
+        for image in images:
+            table[image] = value
+            set_by[image] = lineno
+    del lines
 
     h = t - 0.5 * np.einsum("ikkj->ij", eri)
     overflow = np.argwhere(~np.isfinite(h))
     if len(overflow):
         # Finite records can still overflow h = t - (1/2) sum_k (ik|kj):
         # name the largest record feeding its first non-finite entry.
-        i, j = overflow[0] + 1
-        values = {**one, **two}
-        feeding = [key for key in [_canonical_pair(i, j)] + [
-            _canonical_quad(i, k, k, j) for k in range(1, n_orb + 1)]
-            if key in values]
-        worst = max(feeding, key=lambda key: abs(values[key]))
-        raise FcidumpError(f"h[{i - 1}, {j - 1}] overflows to {h[i - 1, j - 1]}",
-                           record_line[worst])
+        i, j = overflow[0]
+        k = np.arange(n_orb)
+        feeding = np.abs(np.append(t[i, j], eri[i, k, k, j]))
+        set_by = np.append(t_line[i, j], eri_line[i, k, k, j])
+        raise FcidumpError(f"h[{i}, {j}] overflows to {h[i, j]}",
+                           int(set_by[feeding.argmax()]))
+    del t_line, eri_line
     eri *= 0.5  # g = (ij|kl)/2, in place: bit for bit eri / 2.0
     return MolecularHamiltonian(
-        n_orb=n_orb, e_const=core, h=h, g=eri,
+        n_orb=n_orb, e_const=float(core), h=h, g=eri,
         n_elec=n_elec, ms2=ms2, orbsym=orbsym, isym=isym)
 
 
@@ -255,17 +242,13 @@ def write_fcidump(hamiltonian: MolecularHamiltonian) -> str:
     def record(value: float, i: int, j: int, k: int, l: int) -> str:
         return f" {value:.16E} {i:4d} {j:4d} {k:4d} {l:4d}"
 
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(i + 1):
-                lmax = j if k == i else k
-                for l in range(lmax + 1):
-                    value = eri[i, j, k, l]
-                    if value != 0.0:
-                        lines.append(record(value, i + 1, j + 1, k + 1, l + 1))
-    for i in range(n):
-        for j in range(i + 1):
-            if t[i, j] != 0.0:
-                lines.append(record(t[i, j], i + 1, j + 1, 0, 0))
+    # One canonical member per 8-fold orbit: (i, j) >= (k, l) as pairs, with
+    # i >= j and k >= l.  nonzero lists them in row-major order.
+    i, j, k, l = np.ix_(*[np.arange(n)] * 4)
+    listed = (j <= i) & (l <= k) & (i * n + j >= k * n + l) & (eri != 0.0)
+    lines += map(record, eri[listed].tolist(), *np.add(np.nonzero(listed), 1).tolist())
+    listed = np.tril(t != 0.0)
+    lines += map(record, t[listed].tolist(), *np.add(np.nonzero(listed), 1).tolist(),
+                 repeat(0), repeat(0))
     lines.append(record(hamiltonian.e_const, 0, 0, 0, 0))
     return "\n".join(lines) + "\n"

@@ -229,11 +229,27 @@ def lambda_df(fragment: DFFragment) -> float:
     return 0.5 * float(np.abs(fragment.shifted_eps()).sum()) ** 2
 
 
+def _square_matrix(lam: np.ndarray) -> np.ndarray:
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
+        raise ValueError(f"lam must be a square matrix, got shape {lam.shape}")
+    return lam
+
+
 def lambda_csa(lam: np.ndarray, theta: np.ndarray | None = None) -> float:
     """Reflection-LCU 1-norm of the full-rank fragment with coefficient
-    matrix ``lam``, shifted by ``theta`` if one is given."""
+    matrix ``lam``, shifted by ``theta`` if one is given.
+
+    Raises:
+        ValueError: if ``lam`` is not square, or ``theta`` is not of shape
+            (n,) for an n x n ``lam``.
+    """
+    lam = _square_matrix(lam)
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
+        if theta.shape != lam.shape[:1]:
+            raise ValueError(f"theta must have shape {lam.shape[:1]}, "
+                             f"got {theta.shape}")
         lam = lam - 0.5 * (theta[:, None] + theta[None, :])
     off = float(np.abs(lam).sum()) - float(np.abs(np.diag(lam)).sum())
     return off + 0.5 * float(np.abs(np.diag(lam)).sum())
@@ -302,9 +318,7 @@ def lrbs_shift(lam: np.ndarray,
             relative to max(1, max |lam_ij|).
         IterationLimitError: if the LP exhausts its pivot budget.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-        raise ValueError(f"lam must be a square matrix, got shape {lam.shape}")
+    lam = _square_matrix(lam)
     if float(np.abs(lam - lam.T).max(initial=0.0)) > 1e-12 * max(
             1.0, float(np.abs(lam).max(initial=0.0))):
         raise ValueError("lam must be symmetric")

@@ -93,6 +93,14 @@ def test_parse_duplicate_conflicting_reports_both_values():
     assert "0.7" in str(err.value)
 
 
+def test_parse_duplicate_core_energy_must_agree():
+    """The core record follows the duplicate rule of every other entry."""
+    with pytest.raises(FcidumpError, match=r"0\.1 vs 0\.7") as err:
+        parse_fcidump(HEADER_N1 + " 0.1 0 0 0 0\n 0.7 0 0 0 0\n")
+    assert err.value.line == 4
+    assert parse_fcidump(HEADER_N1 + " 0.1 0 0 0 0\n 0.1 0 0 0 0\n").e_const == 0.1
+
+
 @pytest.mark.parametrize("body, lineno", [
     ("0.5 1 1 1 1\nnope 1 1 1 1\n", 4),
     ("0.5 1 1 2 1\n", 3),
@@ -206,6 +214,21 @@ def test_parse_refuses_oversize_norb_before_allocating(n_orb):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("n_orb", [12, 20])
+def test_whole_parse_peaks_within_its_memory_model(n_orb):
+    """For a file listing each orbit once, the traced peak of the whole
+    parse, bytes in, stays within the 32 N^4 B that the limit predicts."""
+    data = write_fcidump(
+        oracles.decay_hamiltonian(np.random.default_rng(0), n_orb)).encode()
+    tracemalloc.start()
+    try:
+        parse_fcidump(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n_orb ** 4 + 64 * 1024
+
+
 @pytest.mark.parametrize("n_orb", [76, 85, 90])
 def test_parse_admits_paper_scale_norb(n_orb):
     """NORB up to 90 passes the size check: the header's bad NELEC, checked
@@ -236,6 +259,90 @@ def test_parsed_tensors_are_pinned(kind, n_orb):
     parsed = parse_fcidump(write_fcidump(H))
     assert tuple(hashlib.sha256(t.tobytes()).hexdigest()
                  for t in (parsed.h, parsed.g)) == PARSED_DIGESTS[kind, n_orb]
+
+
+def _orbit_members(i, j, k, l):
+    """Every listing of the record (i j k l): the core record alone, a
+    one-body record as (i j) or (j i), a two-body record as its 8 images."""
+    if k == 0:
+        return sorted({(i, j, 0, 0), (j, i, 0, 0)})
+    return sorted({(i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+                   (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)})
+
+
+@st.composite
+def relisted_fcidumps(draw):
+    """A written FCIDUMP with NORB <= 3, its canonical parse, and the same
+    records each listed under a drawn member of its orbit, some repeated
+    with the same value, in a drawn order: (canonical, header, records)."""
+    n_orb = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    text = write_fcidump(oracles.random_hamiltonian(rng, n_orb, n_orb))
+    header, body = text.split("&END\n")
+    records = [(line.split()[0], _orbit_members(*map(int, line.split()[1:])))
+               for line in body.splitlines()]
+    records += draw(st.lists(st.sampled_from(records), max_size=5))
+    listed = [(value, draw(st.sampled_from(members)), members)
+              for value, members in records]
+    return text, header + "&END\n", draw(st.permutations(listed))
+
+
+def _render(header, listed):
+    return header + "".join(f" {value} {i} {j} {k} {l}\n"
+                            for value, (i, j, k, l), _ in listed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=relisted_fcidumps(), data=st.data())
+def test_parse_is_blind_to_record_order_and_orbit_member(case, data):
+    """Any member of an orbit stands for the whole orbit: the relisted file
+    parses bit for bit as the canonical one, and a repeat under another
+    member with a different value raises at the later of the two lines."""
+    text, header, listed = case
+    want, got = parse_fcidump(text), parse_fcidump(_render(header, listed))
+    assert got.h.tobytes() == want.h.tobytes()
+    assert got.g.tobytes() == want.g.tobytes()
+    assert got.e_const == want.e_const
+
+    value, member, members = data.draw(st.sampled_from(listed))
+    others = [m for m in members if m != member] or members
+    clash = (f"{float(value) + 1.0:.16E}", data.draw(st.sampled_from(others)),
+             members)
+    at = data.draw(st.integers(0, len(listed)))
+    relisted = listed[:at] + [clash] + listed[at:]
+    same_orbit = [pos for pos, (_, _, ms) in enumerate(relisted)
+                  if ms == members and pos != at]
+    first = header.count("\n") + 1
+    with pytest.raises(FcidumpError, match="conflicting duplicate") as err:
+        parse_fcidump(_render(header, relisted))
+    assert err.value.line == first + (at if same_orbit[0] < at else same_orbit[0])
+
+
+# sha256 of write_fcidump's text, recorded from the writer that walked the
+# canonical orbits in four nested loops.
+WRITTEN_DIGESTS = {
+    "random-4-symmetry": "c8337b97b971676f53f6e7c8b0ce0e8f047ea5b8617ff23bc6c99bc8fae54a42",
+    "decay-6": "3f58323f2d0330b6fe7fc351bc2cafc5d47ad17e26864236aa230859893d69af",
+    "random-4-zeros": "fc854564117dbd1d336766e91b702d474e8c694489e5311d7b299d574675bf63",
+}
+
+
+@pytest.mark.parametrize("kind", list(WRITTEN_DIGESTS))
+def test_written_text_is_pinned(kind):
+    """The records, their order and their formatting are pinned, for a
+    Hamiltonian with ORBSYM and ISYM and for one whose h and g hold exact
+    zeros, which the writer leaves out."""
+    if kind == "decay-6":
+        H = oracles.decay_hamiltonian(np.random.default_rng(0), 6)
+    elif kind == "random-4-symmetry":
+        H = replace(oracles.random_hamiltonian(np.random.default_rng(0), 4, 4),
+                    orbsym=(1, 2, 1, 3), isym=2)
+    else:
+        H = oracles.random_hamiltonian(np.random.default_rng(0), 4, 2)
+        H = replace(H, h=np.where(np.abs(H.h) < 0.5, 0.0, H.h),
+                    g=np.where(np.abs(H.g) < 0.5, 0.0, H.g))
+    text = write_fcidump(H)
+    assert hashlib.sha256(text.encode()).hexdigest() == WRITTEN_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("orbsym", ["a,b", "2*"])

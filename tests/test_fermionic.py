@@ -69,6 +69,20 @@ def test_csa_fragment_validation():
     assert lambda_csa(np.eye(2)) == lambda_csa(np.eye(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("lam, theta", [
+    (np.ones((2, 3)), None),
+    (np.ones(3), None),
+    (np.eye(3), [1.0]),
+    (np.eye(3), np.ones((3, 1))),
+    (np.eye(3), np.ones(4)),
+])
+def test_lambda_csa_rejects_malformed_input(lam, theta):
+    """A lam that is not square, or a theta that is not one shift per
+    orbital, raises instead of broadcasting to a norm."""
+    with pytest.raises(ValueError, match="square|theta must have shape"):
+        lambda_csa(lam, theta)
+
+
 def test_factorize_rank_one_tensor():
     rng = np.random.default_rng(41)
     w = rng.normal(size=(3, 3))
