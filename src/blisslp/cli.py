@@ -107,7 +107,7 @@ class Baseline:
     """The unshifted input every method is measured against.  ``family``
     maps a fermionic method to its report on the baseline's DF fragments,
     computed on first use.  Its spectral ranges come from the sweep that
-    also covers every shifted Hamiltonian (``_spectra``)."""
+    also covers every run's shift (``_spectra``)."""
 
     hamiltonian: MolecularHamiltonian
     pauli: PauliNormBreakdown
@@ -223,16 +223,16 @@ def _apply_method(config: RunConfig, base: Baseline) -> _Shift:
 
 def _spectra(base: Baseline, mode: str,
              shifts: Sequence[_Shift]) -> list[SpectralReport | None]:
-    """Each run's spectral report, from one sweep over H and every shifted
-    H: the unshifted report for a run without a shifted Hamiltonian."""
+    """Each run's spectral report, from one sweep over H and every run's
+    shift: the unshifted report for a run without a shift."""
     if mode == "off":
         return [None] * len(shifts)
     from . import spectral
     reports = iter(spectral.build_spectral_reports(
-        base.hamiltonian, [s.shifted for s in shifts if s.shifted is not None],
+        base.hamiltonian, [s.params for s in shifts if s.params is not None],
         mode, options=spectral.LanczosOptions(residual_tol=base.lanczos_tol)))
     unshifted = next(reports)
-    return [unshifted if s.shifted is None else next(reports) for s in shifts]
+    return [unshifted if s.params is None else next(reports) for s in shifts]
 
 
 def _run_methods(configs: Sequence[RunConfig], base: Baseline

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -40,16 +42,21 @@ __all__ = ["FcidumpError", "parse_fcidump", "write_fcidump",
 # Entries listed more than once must agree to this absolute tolerance.
 DUPLICATE_ATOL = 1e-10
 # Predicted peak memory of a parse above which NORB is refused before any
-# array is allocated.  A parse peaks at its end, with four dense float N^4
-# arrays alive: the expanded (ij|kl) scaled in place to g = (ij|kl)/2, the
-# Hamiltonian's copy of g and two temporaries of its symmetry check: 32 N^4 B.
-# The record text and the int32 table of setting lines are dropped before
-# then, so for a file that lists each orbit once this bounds the whole parse
-# (tracemalloc at N=12, 20 and 30); input bytes belong to the caller.  A file
-# that lists all N^4 members is not covered: its split lines take the peak to
-# about 145 N^4 B (N=12 and 16).  NORB <= 90 is admitted (N=76 needs 0.99 GiB).
+# array is allocated: 32 N^4 B, plus the text decoded from bytes input.  A
+# parse peaks at its end, with four dense float N^4 arrays alive: the
+# expanded (ij|kl) scaled in place to g = (ij|kl)/2, the Hamiltonian's copy
+# of g and two temporaries of its symmetry check.  Records are read a chunk
+# of lines at a time, next to the text, eri and its int32 table of setting
+# lines (12 N^4 B), and the text and the tables are dropped before the end,
+# so this bounds the whole parse however many members of each orbit a file
+# lists (tracemalloc at N=12, 16, 20 and 30); input bytes or text belong to
+# the caller.  NORB <= 90 is admitted (N=76 needs 0.99 GiB).
 PARSE_MEMORY_LIMIT_BYTES = 2 * 1024 ** 3
 
+# A line boundary of str.splitlines, "\r\n" taken whole.
+_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# Characters of text split into lines at once: at most about 50 KB of lines.
+LINE_CHUNK = 1 << 14
 _HEADER_FIELD = re.compile(r"([A-Za-z][A-Za-z0-9]*)\s*=\s*([^=]*?)(?=[,\s][A-Za-z][A-Za-z0-9]*\s*=|$)")
 
 
@@ -63,31 +70,41 @@ class FcidumpError(ValueError):
         super().__init__(message)
 
 
-def _parse_header(lines: list[str]) -> tuple[dict, int]:
-    """Collect namelist text up to the terminator; returns fields and the
-    index of the first body line."""
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split a chunk of about ``LINE_CHUNK``
+    characters at a time, each cut after a line boundary."""
+    start = 0
+    while start < len(text):
+        cut = _BREAK.search(text, start + LINE_CHUNK)
+        stop = cut.end() if cut else len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
+def _parse_header(lines: Iterator[tuple[int, str]]) -> dict:
+    """Collect namelist text from (line number, line) pairs up to the
+    terminator, which is the last pair taken."""
     header_parts: list[str] = []
-    body_start = None
-    for idx, raw in enumerate(lines):
+    lineno = 0
+    for lineno, raw in lines:
         text = raw.strip()
-        if idx == 0:
+        if lineno == 1:
             if not text.startswith("&"):
                 raise FcidumpError("expected namelist header starting with '&'", 1)
             text = re.sub(r"^&[A-Za-z0-9]*", "", text).strip()
         end = re.search(r"(&END|/)", text, flags=re.IGNORECASE)
         if end:
             header_parts.append(text[: end.start()])
-            body_start = idx + 1
             break
         header_parts.append(text)
-    if body_start is None:
-        raise FcidumpError("header terminator '&END' or '/' not found", len(lines))
+    else:
+        raise FcidumpError("header terminator '&END' or '/' not found", lineno)
 
     blob = " ".join(header_parts)
     fields: dict[str, str] = {}
     for match in _HEADER_FIELD.finditer(blob):
         fields[match.group(1).upper()] = match.group(2).strip().rstrip(",")
-    return fields, body_start
+    return fields
 
 
 def _header_int(fields: dict, key: str, line: int) -> int:
@@ -118,18 +135,20 @@ def _parse_orbsym(text: str, n_orb: int, line: int) -> tuple[int, ...]:
 def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
     """Parse FCIDUMP text into a :class:`MolecularHamiltonian`.
 
-    Bytes are decoded as UTF-8.  Each record is scattered into the dense
-    tensors as it is read.  Duplicate entries for the same symmetry orbit,
-    or core energy, are tolerated when their values agree to 1e-10 (the
-    last value wins).  For a file that lists each orbit once, the whole
-    parse peaks within the ``PARSE_MEMORY_LIMIT_BYTES`` model of 32 N^4 B;
-    the input itself belongs to the caller.  Bytes that are not UTF-8, a
-    NORB whose dense N^4 arrays would outgrow ``PARSE_MEMORY_LIMIT_BYTES``,
-    an NELEC outside [0, 2 NORB], conflicting duplicates, non-finite values
-    (``nan``, ``inf``, an exponent that overflows, or records whose sum in
-    h overflows) and malformed records raise :class:`FcidumpError`
-    carrying the line number.
+    Bytes are decoded as UTF-8.  Lines are read a chunk at a time, and each
+    record is scattered into the dense tensors as it is read.  Duplicate
+    entries for the same symmetry orbit, or core energy, are tolerated
+    when their values agree to 1e-10 (the last value wins).  The whole
+    parse peaks within the ``PARSE_MEMORY_LIMIT_BYTES`` model of 32 N^4 B
+    plus the decoded text, however many members of each orbit the file
+    lists; the input itself belongs to the caller.  Bytes that are not
+    UTF-8, a NORB whose dense N^4 arrays and decoded text would outgrow
+    ``PARSE_MEMORY_LIMIT_BYTES``, an NELEC outside [0, 2 NORB], conflicting
+    duplicates, non-finite values (``nan``, ``inf``, an exponent that
+    overflows, or records whose sum in h overflows) and malformed records
+    raise :class:`FcidumpError` carrying the line number.
     """
+    decoded = 0  # bytes of the text decoded here
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -138,12 +157,12 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
             line = len((text[:exc.start].decode("utf-8") + "?").splitlines())
             raise FcidumpError(f"byte {text[exc.start]:#04x} is not UTF-8",
                                line) from exc
-    lines = text.splitlines()
-    del text  # the decoded copy; input bytes belong to the caller
-    if not any(ln.strip() for ln in lines):
+        decoded = sys.getsizeof(text)
+    if text.isspace() or not text:
         raise FcidumpError("empty input", 1)
 
-    fields, body_start = _parse_header(lines)
+    lines = enumerate(_lines(text), 1)
+    fields = _parse_header(lines)
     n_orb = _header_int(fields, "NORB", 1)
     n_elec = _header_int(fields, "NELEC", 1)
     ms2 = _header_int(fields, "MS2", 1) if "MS2" in fields else 0
@@ -152,11 +171,12 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
               if "ORBSYM" in fields else None)
     if n_orb < 1:
         raise FcidumpError(f"NORB must be positive, got {n_orb}", 1)
-    need = 32 * n_orb ** 4  # four float N^4 arrays
+    need = 32 * n_orb ** 4 + decoded  # four float N^4 arrays and the text
     if need > PARSE_MEMORY_LIMIT_BYTES:
+        text_too = " and decoded text" if decoded else ""
         raise FcidumpError(
             f"NORB={n_orb} needs about {need / 2**30:.1f} GiB of dense N^4 "
-            f"arrays, above PARSE_MEMORY_LIMIT_BYTES "
+            f"arrays{text_too}, above PARSE_MEMORY_LIMIT_BYTES "
             f"({PARSE_MEMORY_LIMIT_BYTES} B)", 1)
     if not 0 <= n_elec <= 2 * n_orb:
         raise FcidumpError(
@@ -169,7 +189,7 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
     eri = np.zeros((n_orb,) * 4)
     core_line, t_line, eri_line = (np.zeros(x.shape, dtype=np.int32)
                                    for x in (core, t, eri))
-    for lineno, raw in enumerate(lines[body_start:], body_start + 1):
+    for lineno, raw in lines:
         tokens = raw.split()
         if not tokens:
             continue
@@ -206,7 +226,7 @@ def parse_fcidump(text: str | bytes) -> MolecularHamiltonian:
         for image in images:
             table[image] = value
             set_by[image] = lineno
-    del lines
+    del lines, text  # the decoded copy; input bytes belong to the caller
 
     h = t - 0.5 * np.einsum("ikkj->ij", eri)
     overflow = np.argwhere(~np.isfinite(h))

@@ -17,16 +17,23 @@ one plan groups the table by intermediate determinant c, O(dim deg) in all
 and one c per flip pair, and a build scatters straight into both halves, a
 chunk at a time: each c with itself (e_const and the one-body terms), then
 its (c, out, in) two-body triples.  A plan that does not flip takes every
-determinant as its own image, so its first half is the whole block.  A
-sweep over several Hamiltonians builds each sector's plan once and drops it
-before the next sector.  Lanczos runs once per sector and Hamiltonian,
-from a fixed sine vector, and both extremes come from that one Krylov
-space; its operator folds F^k_l and F^l_k into one row.  The projected
-matrix uses exact H applications, so the lowest Ritz value never
-undershoots the true minimum, the highest never overshoots the maximum,
-and the range is a lower bound on the exact one.  No table
-spans a sector: ``apply_hamiltonian`` applies H block by block.  Memory is
-predicted once on each path that allocates (``_check_memory``).
+determinant as its own image, so its first half is the whole block.
+
+A sweep takes H and BLISS shifts p = (mu1, xi) of it.  In sector n,
+apply_bliss(H, p) is H plus the one-body term -(n - eta)(mu1 + xi.E), for
+eta = H's n_elec and E the matrix of F^k_l (Loaiza and Izmaylov, J. Chem.
+Theory Comput. 19, 8201 (2023)), and at n = eta it is H.  So each sector
+builds its plan and H's block once, and a shift adds only its one-body
+pass to that block; every shift's row at eta is H's.  The plan is dropped
+before the next sector.  Lanczos runs once per sector and Hamiltonian (a
+shift's on H with the shifted e_const and h, sharing g), from a fixed sine
+vector, and both extremes come from that one Krylov space; its operator
+folds F^k_l and F^l_k into one row.  The projected matrix uses exact H
+applications, so the lowest Ritz value never undershoots the true minimum,
+the highest never overshoots the maximum, and the range is a lower bound
+on the exact one.  No table spans a sector: ``apply_hamiltonian`` applies
+H block by block.  Memory is predicted once on each path that allocates
+(``_check_memory``).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hamiltonian import MolecularHamiltonian
+from .hamiltonian import BlissParams, MolecularHamiltonian, _derive
 
 __all__ = [
     "CIVector",
@@ -147,7 +154,7 @@ def _spin_blocks(n_orb: int, n_elec: int) -> range:
 
 def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
                   max_iters: int = 0, exact: bool = False,
-                  halves: bool = False) -> None:
+                  halves: bool = False, shifted: bool = False) -> None:
     """Refuse a sector, or its block with ``n_alpha`` spin-0 electrons,
     predicted to outgrow the memory limit.  Called once per allocating
     path: by ``_plan``, ``truncated_lanczos``,
@@ -163,7 +170,10 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
     pass, 32 B per triple of one ``GATHER_TRIPLES`` chunk, and 8 B per
     element of both halves and of the larger one's ``eigvalsh`` copy: with
     ``halves`` the spin-flip halves of one block (``_plan``), otherwise the
-    dense matrix, a tau half of dimension dim.
+    dense matrix, a tau half of dimension dim.  With ``shifted``, for a
+    BLISS shift's one-body pass, also 8 B per element of the extra halves
+    that carry it, or for a dense matrix, which takes it in place, 16 B
+    per entry for the entries it touches and their indices.
     """
     if not 0 <= n_elec <= 2 * n_orb:
         return  # _block_table names the bad n_elec
@@ -183,6 +193,9 @@ def _check_memory(n_orb: int, n_elec: int, n_alpha: int | None = None,
         # With halves, of one block, so dim is its dimension.
         upper = (dim + math.comb(n_orb, n_elec // 2)) // 2 if halves else dim
         need += 8 * (2 * upper ** 2 + (dim - upper) ** 2)
+        if shifted:
+            need += (8 * (upper ** 2 + (dim - upper) ** 2) if halves
+                     else 16 * (entries + dim))
     if need > SPECTRAL_MEMORY_LIMIT_BYTES:
         block = "" if n_alpha is None else f" ({n_alpha} spin-0 electrons)"
         raise ValueError(
@@ -443,18 +456,15 @@ def _plan(n_orb: int, n_elec: int, n_alpha: int, flip: bool) -> _Plan:
                  (x, out_pair, out_sign), into)
 
 
-def _halves(hamiltonian: MolecularHamiltonian,
-            plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
-    """The tau half and the other half of H's block (``_plan``), summed in
-    two passes over the intermediates c: first each entry out of c, c
-    itself first, with c itself (e_const and the one-body terms), then the
-    deg x deg two-body triples, each pass in its plan's order."""
-    n, m = hamiltonian.n_orb, plan.n_pairs
+def _scatter(flat: np.ndarray, plan: _Plan, coupling: np.ndarray,
+             two_body: bool = True) -> None:
+    """Add to ``flat``, the plan's halves before ``_mix``, the triples of
+    G = ``coupling`` (``_Plan``) in two passes over the intermediates c:
+    first each entry out of c, c itself first, with c itself (e_const and
+    the one-body terms), then, with ``two_body``, the deg x deg two-body
+    triples, each pass in its plan's order."""
+    m, (kind, slot, base, factor) = plan.n_pairs, plan.maps
     upper = len(plan.basis) - m
-    coupling = np.block([[hamiltonian.g.reshape(n * n, n * n),
-                          hamiltonian.h.reshape(-1, 1)],
-                         [np.zeros((1, n * n)), hamiltonian.e_const]])
-    kind, slot, base, factor = plan.maps
 
     def place(weight, x, y):
         if not m:  # every determinant is its own image
@@ -466,11 +476,19 @@ def _halves(hamiltonian: MolecularHamiltonian,
         index += slot[y]
         return index
 
-    flat = np.zeros(upper ** 2 + m * m)
     _add_triples(flat, coupling, plan.out,
                  [column[:, :1] for column in plan.into], place)
-    _add_triples(flat, coupling, *([column[:, 1:] for column in table]
-                                   for table in (plan.out, plan.into)), place)
+    if two_body:
+        _add_triples(flat, coupling, *([column[:, 1:] for column in table]
+                                       for table in (plan.out, plan.into)),
+                     place)
+
+
+def _mix(flat: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """The tau half and the other half, views of ``flat`` as ``_scatter``
+    left it, formed in place; a no-op for a plan without pairs."""
+    m = plan.n_pairs
+    upper = len(plan.basis) - m
     tau_half = flat[:upper ** 2].reshape(upper, upper)
     other, pairs = flat[upper ** 2:].reshape(m, m), tau_half[:m, :m]
     # pairs holds E and other O: make them (E + tau O)/2, (E - tau O)/2.
@@ -486,6 +504,48 @@ def _halves(hamiltonian: MolecularHamiltonian,
     tau_half[:m, m:] *= math.sqrt(0.5)
     tau_half[m:, :m] *= math.sqrt(0.5)
     return tau_half, other
+
+
+def _halves(hamiltonian: MolecularHamiltonian,
+            plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """The tau half and the other half of H's block (``_plan``), from both
+    passes of ``_scatter``."""
+    n, m = hamiltonian.n_orb, plan.n_pairs
+    coupling = np.block([[hamiltonian.g.reshape(n * n, n * n),
+                          hamiltonian.h.reshape(-1, 1)],
+                         [np.zeros((1, n * n)), hamiltonian.e_const]])
+    flat = np.zeros((len(plan.basis) - m) ** 2 + m * m)
+    _scatter(flat, plan, coupling)
+    return _mix(flat, plan)
+
+
+def _shifted_extremes(halves: Sequence[np.ndarray], plan: _Plan,
+                      e_const: float, h: np.ndarray
+                      ) -> tuple[float, float, bool]:
+    """The extremes of ``halves``, the block or halves that ``plan`` built,
+    plus e_const + sum_kl h_kl F^k_l; ``halves`` end as they began.  A
+    block without pairs takes the one-body pass in place and gets back the
+    entries it touched; flip halves take it as extra mixed halves, which
+    then hold the sum."""
+    n = len(h)
+    coupling = np.zeros((n * n + 1, n * n + 1))
+    coupling[:-1, -1], coupling[-1, -1] = h.ravel(), e_const
+    if plan.n_pairs:
+        extra = np.zeros(sum(half.size for half in halves))
+        _scatter(extra, plan, coupling, two_body=False)
+        extra = _mix(extra, plan)
+        for half, more in zip(halves, extra):
+            more += half
+        return _extremes(extra)
+    flat = halves[0].ravel()
+    # The pass lands at (x, c) for every entry out of c, c itself included.
+    touched = plan.out[0] * len(plan.basis) + plan.into[0][:, :1]
+    kept = flat[touched]
+    _scatter(flat, plan, coupling, two_body=False)
+    try:
+        return _extremes(halves)
+    finally:
+        flat[touched] = kept
 
 
 def sector_matrix(hamiltonian: MolecularHamiltonian, n_elec: int,
@@ -615,50 +675,70 @@ class RangeResult:
         return self.e_max - self.e_min
 
 
-def _sector_rows(hamiltonians: Sequence[MolecularHamiltonian], n_elec: int,
-                 method: str, options: LanczosOptions | None
+def _extremes(halves: Sequence[np.ndarray]) -> tuple[float, float, bool]:
+    """The lowest and highest eigenvalue over the nonempty ``halves``."""
+    values = [np.linalg.eigvalsh(m) for m in halves if len(m)]
+    return (min(float(v[0]) for v in values),
+            max(float(v[-1]) for v in values), True)
+
+
+def _sector_rows(hamiltonian: MolecularHamiltonian,
+                 shifts: Sequence[BlissParams], n_elec: int, method: str,
+                 options: LanczosOptions | None
                  ) -> list[tuple[float, float, bool]]:
-    """(e_min, e_max, converged) of each Hamiltonian in one sector.  A dense
-    sector builds one plan, which serves every Hamiltonian and is dropped
-    before the last one is diagonalized; an even sector's plan splits its
-    block into the two spin-flip halves, and both are diagonalized."""
+    """(e_min, e_max, converged) of H in one sector, then of each
+    ``apply_bliss(H, p)``.
+
+    In sector n the shift is the one-body term -(n - eta)(mu1 + xi.E), for
+    eta = H's n_elec: its two-body part acts as n xi.E there.  So a
+    shift's row at n = eta is H's, and elsewhere the shifted operator is H
+    with e_const - (n - eta) mu1 and h - (n - eta) xi, and H's g.  A dense
+    sector builds one plan and H's block, an odd one through
+    ``sector_matrix`` (the exact build that bench/spans.py times), an even
+    one as its spin-flip halves; each shift then adds its term's one-body
+    pass (``_shifted_extremes``), so its row is what H's block plus that
+    pass gives alone, whatever other shifts the sweep holds.  Without a
+    shift to add, the plan is dropped before ``eigvalsh``.  A Lanczos
+    sector runs once per Hamiltonian, a shift on H with the shifted
+    e_const and h, sharing H's g."""
     # H is spin-free, so every level has a member with M_S = 0 or 1/2: the
     # block with ceil(n/2) spin-0 electrons holds the whole spectrum.
-    n_orb, n_alpha = hamiltonians[0].n_orb, (n_elec + 1) // 2
+    n_orb, n_alpha = hamiltonian.n_orb, (n_elec + 1) // 2
+    scale = hamiltonian.n_elec - n_elec  # -(n - eta)
+    moved = shifts if scale else ()
     if method == "exact" or (sector_dimension(2 * n_orb, n_elec, n_alpha)
                              <= EXACT_FALLBACK_DIMENSION):
         plan = _plan(n_orb, n_elec, n_alpha, n_elec % 2 == 0)
-        rows = []
-        for i, hamiltonian in enumerate(hamiltonians):
-            # A whole block is built through sector_matrix, the exact build
-            # that bench/spans.py times.
-            matrices = (sector_matrix(hamiltonian, n_elec, n_alpha, plan)[:1]
-                        if n_elec % 2 else _halves(hamiltonian, plan))
-            if i == len(hamiltonians) - 1:
-                del plan  # the last eigvalsh gets the plan's room
-            values = [np.linalg.eigvalsh(m) for m in matrices if len(m)]
-            del matrices  # before the next Hamiltonian's block is built
-            rows.append((min(float(v[0]) for v in values),
-                         max(float(v[-1]) for v in values), True))
-        return rows
-    rows = []
-    for hamiltonian in hamiltonians:
-        result = truncated_lanczos(hamiltonian, n_elec, options)
-        rows.append((result.e_min, result.e_max, result.converged))
-    return rows
+        halves = (sector_matrix(hamiltonian, n_elec, n_alpha, plan)[:1]
+                  if n_elec % 2 else _halves(hamiltonian, plan))
+        if not moved:
+            del plan  # eigvalsh gets the plan's room
+            return [_extremes(halves)] * (1 + len(shifts))
+        return [_extremes(halves), *(
+            _shifted_extremes(halves, plan, scale * params.mu1,
+                              scale * params.xi) for params in moved)]
+    results = [truncated_lanczos(hamiltonian, n_elec, options)]
+    results += [truncated_lanczos(_derive(
+        hamiltonian, e_const=hamiltonian.e_const + scale * params.mu1,
+        h=hamiltonian.h + scale * params.xi), n_elec, options)
+        for params in moved]
+    rows = [(r.e_min, r.e_max, r.converged) for r in results]
+    return rows if moved else rows * (1 + len(shifts))
 
 
-def spectral_ranges(hamiltonians: Sequence[MolecularHamiltonian],
+def spectral_ranges(hamiltonian: MolecularHamiltonian,
+                    shifts: Sequence[BlissParams] = (),
                     sector: int | None = None, method: str = "exact",
                     options: LanczosOptions | None = None
                     ) -> tuple[RangeResult, ...]:
-    """The ``spectral_range`` of each Hamiltonian, from one sweep over the
-    sectors: each sector is computed for every Hamiltonian before the next.
-    No Hamiltonians give no ranges, ``()``.
+    """The ``spectral_range`` of H, then of ``apply_bliss(H, p)`` for each
+    shift p, from one sweep over the sectors.  Each sector builds H's block
+    once; a shift adds its one-body term -(n - eta)(mu1 + xi.E) to it, and
+    its row at n = eta, H's n_elec, is H's (``_sector_rows``).
 
     Raises:
-        ValueError: for an unknown method, for Hamiltonians of different
-            sizes, when ``method="exact"`` is asked for more than
+        ValueError: for an unknown method, for a shift of another size
+            or with a non-finite value, when ``method="exact"`` is asked for more than
             ``EXACT_CAP_SPIN_ORBITALS`` spin-orbitals, or when a sector's
             block would need more than ``SPECTRAL_MEMORY_LIMIT_BYTES``; all
             before any sector is computed.
@@ -666,11 +746,14 @@ def spectral_ranges(hamiltonians: Sequence[MolecularHamiltonian],
     if method not in SPECTRAL_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of "
                          f"{SPECTRAL_METHODS}")
-    if not hamiltonians:
-        return ()
-    n_orb = hamiltonians[0].n_orb
-    if any(hamiltonian.n_orb != n_orb for hamiltonian in hamiltonians):
-        raise ValueError("the Hamiltonians of one sweep must share n_orb")
+    n_orb, eta = hamiltonian.n_orb, hamiltonian.n_elec
+    for params in shifts:
+        if params.n_orb != n_orb:
+            raise ValueError(
+                f"dimension mismatch: Hamiltonian has {n_orb} orbitals, "
+                f"shift has {params.n_orb}")
+        if not (math.isfinite(params.mu1) and np.isfinite(params.xi).all()):
+            raise ValueError("a shift has a non-finite value")
     if method == "exact" and 2 * n_orb > EXACT_CAP_SPIN_ORBITALS:
         raise ValueError(f"exact diagonalization capped at "
                          f"{EXACT_CAP_SPIN_ORBITALS} spin-orbitals; got "
@@ -681,8 +764,10 @@ def spectral_ranges(hamiltonians: Sequence[MolecularHamiltonian],
         # The half-filled sector, the largest, is checked first.
         _check_memory(n_orb, n, (n + 1) // 2,
                       max_iters if method == "lanczos" else 0,
-                      exact=method == "exact", halves=n % 2 == 0)
-    table = [_sector_rows(hamiltonians, n, method, options) for n in sectors]
+                      exact=method == "exact", halves=n % 2 == 0,
+                      shifted=bool(shifts) and n != eta)
+    table = [_sector_rows(hamiltonian, shifts, n, method, options)
+             for n in sectors]
     return tuple(RangeResult(
         e_min=min(row[0] for row in rows), e_max=max(row[1] for row in rows),
         method=method, converged=all(row[2] for row in rows),
@@ -703,7 +788,7 @@ def spectral_range(hamiltonian: MolecularHamiltonian,
             ``SPECTRAL_MEMORY_LIMIT_BYTES``; both before any sector is
             computed.
     """
-    return spectral_ranges((hamiltonian,), sector, method, options)[0]
+    return spectral_ranges(hamiltonian, (), sector, method, options)[0]
 
 
 def deviation_metric(de: float, de_shifted: float,
@@ -735,14 +820,15 @@ class SpectralReport:
 
 
 def build_spectral_reports(hamiltonian: MolecularHamiltonian,
-                           shifted: Sequence[MolecularHamiltonian] = (),
+                           shifts: Sequence[BlissParams] = (),
                            method: str = "exact",
                            options: LanczosOptions | None = None
                            ) -> tuple[SpectralReport, ...]:
     """The ranges of H (full Fock and its n_elec sector) and, after it, one
-    report per shifted Hamiltonian completed with its full range and
-    deviation; one sector sweep computes them all."""
-    full, *others = spectral_ranges((hamiltonian, *shifted), None, method,
+    report per shift completed with the full range of ``apply_bliss(H, p)``
+    and its deviation; one sector sweep (``spectral_ranges``) computes them
+    all, each shift from H's own sector blocks."""
+    full, *others = spectral_ranges(hamiltonian, shifts, None, method,
                                     options)
     # Sectors are swept in order 0..n_spin_orb, so row n_elec is the sector.
     _, lo, hi = full.sector_extremes[hamiltonian.n_elec]
@@ -759,11 +845,12 @@ def build_spectral_reports(hamiltonian: MolecularHamiltonian,
 
 
 def build_spectral_report(hamiltonian: MolecularHamiltonian,
-                          shifted: MolecularHamiltonian | None = None,
+                          shift: BlissParams | None = None,
                           method: str = "exact",
                           options: LanczosOptions | None = None) -> SpectralReport:
     """Assemble ranges of H (full Fock and its n_elec sector) and, when a
-    shifted Hamiltonian is given, the shifted full range and deviation."""
+    shift is given, the full range of ``apply_bliss(H, shift)`` and its
+    deviation."""
     return build_spectral_reports(
-        hamiltonian, () if shifted is None else (shifted,), method,
+        hamiltonian, () if shift is None else (shift,), method,
         options)[-1]

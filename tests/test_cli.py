@@ -218,11 +218,11 @@ def test_oversize_lanczos_exits_invalid_fast(tmp_path, capsys):
     assert "12-electron sector of 24 spin-orbitals" in err
 
 
-def unconverged_reports(hamiltonian, shifted=(), *args, **kwargs):
+def unconverged_reports(hamiltonian, shifts=(), *args, **kwargs):
     report = SpectralReport(delta_e=2.0, delta_e_ens=1.0, delta_e_shifted=None,
                             deviation=None, method="lanczos", converged=False,
                             sector_extremes=((2, -0.5, 0.5),))
-    return (report,) * (1 + len(shifted))
+    return (report,) * (1 + len(shifts))
 
 
 def test_unconverged_lanczos_warns_on_stderr(tmp_path, capsys, monkeypatch):
@@ -353,21 +353,29 @@ def test_compare_equals_separate_runs_and_builds_baseline_once(
     configs = [RunConfig(input=path, method=m, spectral="exact")
                for m in ("none", "lp-bliss", "ffr-bliss")]
     separate = [strip_volatile(run_pipeline(c)[0].to_dict()) for c in configs]
-    calls = []
-    halves = spectral._halves
+    builds, passes = [], []
+    halves, scatter = spectral._halves, spectral._scatter
 
     def counting(hamiltonian, plan):
-        calls.append(plan.block[1])
+        builds.append(plan.block[1])
         return halves(hamiltonian, plan)
 
+    def one_body(flat, plan, coupling, two_body=True):
+        if not two_body:
+            passes.append(plan.block[1])
+        return scatter(flat, plan, coupling, two_body)
+
     monkeypatch.setattr(spectral, "_halves", counting)
+    monkeypatch.setattr(spectral, "_scatter", one_body)
     comparison = compare(configs)
     assert [strip_volatile(r.to_dict()) for r in comparison.runs] == separate
     # One full-Fock sweep over sectors 0..4 of two orbitals, each sector
-    # computed for the unshifted H and both shifted ones before the next,
-    # each by one build: an odd sector's block, an even one's spin-flip
-    # halves.
-    assert calls == [n for n in range(5) for _ in range(3)]
+    # computed for the unshifted H and both shifts before the next: H's by
+    # one build (an odd sector's block, an even one's spin-flip halves),
+    # each shift by a one-body pass, except in the 2-electron sector, where
+    # both shifts take H's row.
+    assert builds == list(range(5))
+    assert passes == [n for n in range(5) if n != 2 for _ in range(2)]
     with pytest.raises(ValueError, match="share"):
         compare([configs[0], RunConfig(input=path, method="df",
                                        spectral="exact", df_tol=1e-6)])

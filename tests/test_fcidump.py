@@ -2,8 +2,10 @@
 
 import hashlib
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 import oracles
 from blisslp import FcidumpError, MolecularHamiltonian, parse_fcidump, write_fcidump
+from blisslp import fcidump
+from blisslp.fcidump import _lines
 
 HEADER_N1 = " &FCI NORB=1,NELEC=2,MS2=0,\n &END\n"
 
@@ -227,6 +231,44 @@ def test_whole_parse_peaks_within_its_memory_model(n_orb):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * n_orb ** 4 + 64 * 1024
+
+
+@pytest.mark.parametrize("n_orb", [12, 16])
+def test_relisted_parse_peaks_within_its_memory_model(n_orb):
+    """A file that lists every member of each orbit, N^4 two-body records,
+    parses, bytes in, to the canonical file's tensors within 32 N^4 B plus
+    the decoded text: its lines are read one at a time."""
+    text = write_fcidump(
+        oracles.decay_hamiltonian(np.random.default_rng(0), n_orb))
+    header, body = text.split("&END\n")
+    data = (header + "&END\n" + "".join(
+        f" {value} {i} {j} {k} {l}\n" for value, *listed in map(
+            str.split, body.splitlines())
+        for i, j, k, l in _orbit_members(*map(int, listed)))).encode()
+    assert data.count(b"\n") > n_orb ** 4
+    tracemalloc.start()
+    try:
+        parsed = parse_fcidump(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n_orb ** 4 + sys.getsizeof(data.decode()) + 64 * 1024
+    want = parse_fcidump(text)
+    assert parsed.h.tobytes() == want.h.tobytes()
+    assert parsed.g.tobytes() == want.g.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="a 1\t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"),
+       chunk=st.integers(1, 8))
+def test_body_lines_are_read_as_splitlines(text, chunk):
+    """The parser's chunked line reader gives ``str.splitlines`` wherever
+    its chunks end, so every error keeps its line number; and blank input
+    is what its test for it says."""
+    with mock.patch.object(fcidump, "LINE_CHUNK", chunk):
+        assert list(_lines(text)) == text.splitlines()
+    assert (text.isspace() or not text) == (
+        not any(line.strip() for line in text.splitlines()))
 
 
 @pytest.mark.parametrize("n_orb", [76, 85, 90])

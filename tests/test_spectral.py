@@ -9,6 +9,7 @@ import textwrap
 import tracemalloc
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from blisslp import (
+    BlissParams,
     CIVector,
     LanczosOptions,
     LanczosResult,
@@ -486,41 +488,50 @@ def test_memory_model_sizes_the_block():
 
 
 def test_memory_checked_once_per_allocating_path(monkeypatch):
-    """An exact sweep checks each sector up front and once more for its
-    plan, however many Hamiltonians it serves; a plan-fed block matrix is
-    not checked again, and apply_hamiltonian checks each block it touches."""
+    """An exact sweep checks each sector up front, counting what a shift
+    adds where it moves the sector, and once more for its plan, however
+    many shifts it serves; a plan-fed block matrix is not checked again,
+    and apply_hamiltonian checks each block it touches."""
     rng = np.random.default_rng(2500)
-    hams = [oracles.random_hamiltonian(rng, 2, 2) for _ in range(3)]
+    H = oracles.random_hamiltonian(rng, 2, 2)
+    shifts = [oracles.random_bliss(rng, 2) for _ in range(2)]
     checked = []
-    monkeypatch.setattr(spectral, "_check_memory",
-                        lambda *args, **kwargs: checked.append(args[1]))
-    spectral.spectral_ranges(hams)
-    assert sorted(checked) == sorted(2 * list(range(5)))
+    monkeypatch.setattr(spectral, "_check_memory", lambda *args, **kwargs:
+                        checked.append((args[1], kwargs.get("shifted", False))))
+    spectral.spectral_ranges(H, shifts)
+    assert sorted(checked) == sorted([(n, n != 2) for n in range(5)]
+                                     + [(n, False) for n in range(5)])
     checked.clear()
     plan = _plan(2, 2, 1, False)
-    sector_matrix(hams[0], 2, 1, plan)
-    assert checked == [2]
+    sector_matrix(H, 2, 1, plan)
+    assert checked == [(2, False)]
     checked.clear()
-    apply_hamiltonian(hams[0], sector_civector(rng, 4, 2))
-    assert checked == [2, 2, 2]
+    apply_hamiltonian(H, sector_civector(rng, 4, 2))
+    assert checked == [(2, False)] * 3
 
 
 def test_halves_memory_model_bounds_the_traced_build(monkeypatch):
-    """The prediction for the spin-flip halves of half-filled N=6 exceeds
-    the heap the plan, both halves and their eigvalsh allocate."""
-    H = oracles.random_hamiltonian(np.random.default_rng(2600), 6, 6)
-    tracemalloc.start()
-    try:
-        plan = _plan(6, 6, 3, True)
-        halves = _halves(H, plan)
-        del plan
-        [np.linalg.eigvalsh(half) for half in halves]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(spectral, "SPECTRAL_MEMORY_LIMIT_BYTES", peak)
-    with pytest.raises(ValueError, match="SPECTRAL_MEMORY_LIMIT_BYTES"):
-        _check_memory(6, 6, 3, exact=True, halves=True)
+    """The prediction for the sweep of one 6-electron sector exceeds the
+    heap that its rows allocate: the plan, H's spin-flip halves (or its
+    odd block, 5 electrons) and their eigvalsh, and with two shifts the
+    extra halves that carry each shift's one-body pass (or the entries an
+    odd block's pass touches), at N=6 and 7."""
+    rng = np.random.default_rng(2600)
+    for n_orb, n_elec, n_shifts in [(6, 6, 0), (6, 6, 2), (7, 6, 2),
+                                    (6, 5, 2), (7, 5, 2)]:
+        H = oracles.random_hamiltonian(rng, n_orb, 4)  # shifts move n_elec
+        shifts = [oracles.random_bliss(rng, n_orb) for _ in range(n_shifts)]
+        tracemalloc.start()
+        try:
+            spectral._sector_rows(H, shifts, n_elec, "exact", None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(spectral, "SPECTRAL_MEMORY_LIMIT_BYTES", peak)
+        with pytest.raises(ValueError, match="SPECTRAL_MEMORY_LIMIT_BYTES"):
+            _check_memory(n_orb, n_elec, (n_elec + 1) // 2, exact=True,
+                          halves=n_elec % 2 == 0, shifted=bool(shifts))
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n_orb, n_elec", [(6, 5), (8, 8)])
@@ -565,12 +576,14 @@ def test_plans_hold_no_triple_length_array(n_elec):
 
 
 def test_sweep_heap_holds_one_block_and_one_chunk():
-    """Over three Hamiltonians at N=6, n=5, the sweep's heap peaks below
-    two dense blocks, one chunk of triples at 17 B each and the plan, which
-    keeps at most 40 B per table entry (34 B: end, pair and sign, out of
-    and into each intermediate)."""
+    """Over H and two shifts at N=6, n=5, the sweep's heap peaks below two
+    dense blocks, one chunk of triples at 17 B each, the plan, which keeps
+    at most 40 B per table entry (34 B: end, pair and sign, out of and into
+    each intermediate), and 16 B per entry that a shift's one-body pass
+    touches and puts back: no second block is built for a shift."""
     rng = np.random.default_rng(2900)
-    hams = [oracles.random_hamiltonian(rng, 6, 6) for _ in range(3)]
+    H = oracles.random_hamiltonian(rng, 6, 6)
+    shifts = [oracles.random_bliss(rng, 6) for _ in range(2)]
     dim, deg = sector_dimension(12, 5, 3), 3 * 4 + 2 * 5
     plan = _plan(6, 5, 3, False)
     plan_bytes = sum(array.nbytes for array in plan_arrays(plan))
@@ -578,13 +591,55 @@ def test_sweep_heap_holds_one_block_and_one_chunk():
     assert plan_bytes <= 40 * dim * deg
     tracemalloc.start()
     try:
-        rows = spectral._sector_rows(hams, 5, "exact", None)
+        rows = spectral._sector_rows(H, shifts, 5, "exact", None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * dim ** 2 + 17 * spectral.GATHER_TRIPLES + plan_bytes
-    ranges = [spectral_range(H, 5) for H in hams]
-    assert rows == [(r.e_min, r.e_max, True) for r in ranges]
+    assert peak < (2 * 8 * dim ** 2 + 17 * spectral.GATHER_TRIPLES
+                   + plan_bytes + 16 * dim * (deg + 1))
+    want = spectral_range(H, 5)
+    assert rows[0] == (want.e_min, want.e_max, True)
+    for row, params in zip(rows[1:], shifts):
+        want = spectral_range(apply_bliss(H, params), 5)
+        np.testing.assert_allclose(row[:2], (want.e_min, want.e_max),
+                                   rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_of_shifts_equals_each_shifted_hamiltonian(data, seed):
+    """Each sector row of spectral_ranges(H, shifts) is the one of
+    spectral_range(apply_bliss(H, p)) to 1e-12 max(1, |E|): exactly, and
+    with Lanczos both in its dense fallback and as a Krylov run given
+    max_iters >= dim.  Each shift's row at H's n_elec is H's, bit for bit,
+    and H's range is spectral_range(H)."""
+    n_orb = data.draw(st.integers(1, 4), label="n_orb")
+    n_elec = data.draw(st.integers(0, 2 * n_orb), label="n_elec")
+    n_shifts = data.draw(st.integers(1, 3), label="n_shifts")
+    engine = data.draw(st.sampled_from(["exact", "fallback", "krylov"]),
+                       label="engine")
+    rng = np.random.default_rng(seed)
+    H = oracles.random_hamiltonian(rng, n_orb, n_elec)
+    shifts = [oracles.random_bliss(rng, n_orb) for _ in range(n_shifts)]
+    method = "exact" if engine == "exact" else "lanczos"
+    options = LanczosOptions(max_iters=comb(2 * n_orb, n_orb),
+                             residual_tol=1e-300)
+    fallback = 0 if engine == "krylov" else spectral.EXACT_FALLBACK_DIMENSION
+    with mock.patch.object(spectral, "EXACT_FALLBACK_DIMENSION", fallback):
+        own, *got = spectral.spectral_ranges(H, shifts, None, method,
+                                             options)
+        assert own == spectral_range(H, None, method, options)
+        wants = [spectral_range(apply_bliss(H, params), None, method, options)
+                 for params in shifts]
+    for result, want in zip(got, wants):
+        assert result.converged and want.converged
+        assert result.sector_extremes[n_elec] == own.sector_extremes[n_elec]
+        for row, want_row in zip(result.sector_extremes,
+                                 want.sector_extremes):
+            assert row[0] == want_row[0]
+            for value, want_value in zip(row[1:], want_row[1:]):
+                assert abs(value - want_value) <= 1e-12 * max(
+                    1.0, abs(want_value))
 
 
 def test_dense_fallback_compares_the_block_dimension(monkeypatch):
@@ -606,19 +661,32 @@ def test_dense_fallback_compares_the_block_dimension(monkeypatch):
 
 
 def test_lanczos_builds_one_operator_per_sector_and_hamiltonian(monkeypatch):
-    """Both extremes come from one run on one operator: a two-Hamiltonian
-    sweep of the N=7, 7-electron sector (block 1225) builds two."""
+    """Both extremes come from one run on one operator: a sweep of H and a
+    shift over the N=7, 7-electron sector (block 1225) builds two, the
+    shift's on H's own g, and none for the shift where H has 7 electrons,
+    the shift's row there being H's."""
     rng = np.random.default_rng(2310)
-    hams = [oracles.random_hamiltonian(rng, 7, 7) for _ in range(2)]
+    H = oracles.random_hamiltonian(rng, 7, 6)
+    params = oracles.random_bliss(rng, 7)
     built = []
 
     def counting(hamiltonian, n_elec, n_alpha):
-        built.append((id(hamiltonian), n_elec, n_alpha))
+        built.append((hamiltonian, n_elec, n_alpha))
         return _sector_operator(hamiltonian, n_elec, n_alpha)
 
     monkeypatch.setattr("blisslp.spectral._sector_operator", counting)
-    spectral.spectral_ranges(hams, 7, "lanczos", LanczosOptions(max_iters=5))
-    assert built == [(id(H), 7, 4) for H in hams]
+    options = LanczosOptions(max_iters=5)
+    spectral.spectral_ranges(H, (params,), 7, "lanczos", options)
+    assert [entry[1:] for entry in built] == [(7, 4), (7, 4)]
+    assert built[0][0] is H and built[1][0].g is H.g
+    assert built[1][0].e_const == H.e_const - params.mu1
+    np.testing.assert_array_equal(built[1][0].h, H.h - params.xi)
+    built.clear()
+    at_eta = H.with_n_elec(7)
+    own, shifted = spectral.spectral_ranges(at_eta, (params,), 7, "lanczos",
+                                            options)
+    assert [entry[0] for entry in built] == [at_eta]
+    assert shifted == own
 
 
 def test_lanczos_options_validation():
@@ -790,9 +858,14 @@ def test_spectral_range_method_validation():
     H = oracles.random_hamiltonian(rng, 2, 2)
     with pytest.raises(ValueError, match="method"):
         spectral_range(H, method="dense")
-    assert spectral.spectral_ranges(()) == ()
+    assert spectral.spectral_ranges(H) == (spectral_range(H),)
     with pytest.raises(ValueError, match="method"):
-        spectral.spectral_ranges((), method="dense")
+        spectral.spectral_ranges(H, method="dense")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        spectral.spectral_ranges(H, (oracles.random_bliss(rng, 3),))
+    for mu1, xi in ((math.inf, np.zeros((2, 2))), (0.0, np.full((2, 2), np.nan))):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral.spectral_ranges(H, (BlissParams(mu1, xi),))
     big = MolecularHamiltonian(n_orb=9, e_const=0.0, h=np.zeros((9, 9)),
                                g=np.zeros((9,) * 4), n_elec=9)
     with pytest.raises(ValueError, match="capped at 16 spin-orbitals"):
@@ -859,8 +932,9 @@ def test_spectral_report_without_shift():
 def test_spectral_report_with_shift_and_sector_invariance():
     rng = np.random.default_rng(72)
     H = oracles.random_hamiltonian(rng, 2, 2)
-    shifted = apply_bliss(H, oracles.random_bliss(rng, 2))
-    report = build_spectral_report(H, shifted)
+    params = oracles.random_bliss(rng, 2)
+    shifted = apply_bliss(H, params)
+    report = build_spectral_report(H, params)
     assert report.delta_e_shifted is not None
     want = deviation_metric(report.delta_e, report.delta_e_shifted,
                             report.delta_e_ens)
