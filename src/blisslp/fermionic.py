@@ -32,8 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import BlissParams, MolecularHamiltonian, apply_bliss
-from .l1min import (L1Problem, SolverOptions, l1_minimize,
-                    merge_duplicate_rows, weighted_median)
+from .l1min import L1Problem, SolverOptions, l1_minimize, weighted_median
 from .pauli import pauli_terms
 from .simplex import LpStatus
 
@@ -322,16 +321,12 @@ def lrbs_shift(lam: np.ndarray,
     if float(np.abs(lam - lam.T).max(initial=0.0)) > 1e-12 * max(
             1.0, float(np.abs(lam).max(initial=0.0))):
         raise ValueError("lam must be symmetric")
-    lam = np.triu(lam) + np.triu(lam, 1).T
-    n = lam.shape[0]
-    eye = np.eye(n)
-    # Row (i, j) is the residual lam_ij - (theta_i + theta_j) / 2.
-    a = 0.5 * (eye[:, None, :] + eye[None, :, :]).reshape(n * n, n)
-    weights = np.where(eye, 0.5, 1.0).ravel()
-    names = tuple(f"theta_{i}" for i in range(n))
-    problem = merge_duplicate_rows(
-        L1Problem(a, lam.ravel(), weights, names))
-    solution = l1_minimize(problem, options)
+    eye = np.eye(lam.shape[0])
+    i, j = np.triu_indices(lam.shape[0])
+    # Row (i, j), i <= j, is the residual lam_ij - (theta_i + theta_j) / 2;
+    # off the diagonal it stands for (i, j) and (j, i), so it weighs 2.
+    solution = l1_minimize(L1Problem(0.5 * (eye[i] + eye[j]), lam[i, j],
+                                     np.where(i == j, 0.5, 2.0)), options)
     if solution.status is LpStatus.ITERATION_LIMIT:
         raise IterationLimitError(
             f"fragment shift LP stopped after {solution.iterations} pivots")

@@ -1,35 +1,30 @@
 """Globally optimal symmetry shifts for the Pauli 1-norm.
 
-The Pauli 1-norm of a shifted Hamiltonian H - K(mu1, xi) is a sum of
-absolute values of terms that are affine in the shift parameters, so its
-exact minimum is a weighted L1 problem.  This module builds that problem,
-solves it, and returns the optimal parameters together with the recomputed
-norm of the shifted Hamiltonian.
+The Pauli 1-norm of H - K(mu1, xi) sums absolute values of terms affine in
+the shift, so its exact minimum is a weighted L1 problem, which this module
+builds and solves, returning the optimal shift and the shifted norm.
 
-The problem is derived by linearity from the code that defines the norm.
-The terms of :func:`blisslp.pauli.pauli_terms` are linear in (h, g), and
-:func:`blisslp.hamiltonian.apply_bliss` is linear in the shift, so
-terms(H - K(x)) = terms(H) + A x, where column v of A holds the terms of
--K(e_v), the zero Hamiltonian shifted by the unit vector e_v.  Rows that
-no shift reaches, such as the direct term g_ijkl with i != j and k != l,
-are zero in A.
-
-The problem splits into independent blocks.  The shift enters g_ijkl only
-through d_ij and d_kl, and the one-body term only through d_ij and xi_ij,
-so every row of A touches either no variable, exactly one off-diagonal
-xi_pq (p < q), or only the diagonal variables mu1, xi_00, ...,
-xi_(N-1)(N-1).  The objective is then a constant, plus one term per
-off-diagonal xi_pq, each a one-variable problem min sum_r w_r |a_r x - b_r|
-solved exactly by the weighted median of b_r / a_r with weights w_r |a_r|,
-plus one small L1 problem over the N + 1 diagonal variables, which
-:func:`blisslp.l1min.l1_minimize` solves.  The blocks share no variable, so
-minimizing each one minimizes the sum: the result is the global optimum of
-the whole problem.
-:func:`build_lp_bliss_problem` still states the whole problem, for dumps and
-as the reference the split is tested against.
+The problem is derived by linearity from the code that defines the norm:
+:func:`blisslp.pauli.pauli_terms` is linear in (h, g) and
+:func:`blisslp.hamiltonian.apply_bliss` in the shift, so terms(H - K(x)) =
+terms(H) + A x, where A x holds the terms of the zero Hamiltonian shifted
+by x.  The shift enters g_ijkl only through d_ij and d_kl, and the one-body
+term only through d_ij and xi_ij, so a row of A touches no variable, one
+off-diagonal xi_pq (p < q) alone, or only the diagonal variables mu1,
+xi_00, ..., xi_(N-1)(N-1).  A is read from that split with N + 3 shifts:
+every xi_pq = 1 gives their coefficients, as their rows are disjoint;
+xi_pq = v, the variable's index, labels each of those rows with its
+variable (a coefficient is a small dyadic number, so the label is exact,
+and one that is not an integer is a fault); each diagonal variable is
+probed alone.  The blocks share no variable, so minimizing each one gives
+the global optimum: each xi_pq is the weighted median of b_r / a_r over its
+rows, with weights w_r |a_r|, and the N + 1 diagonal variables form one
+small problem for :func:`blisslp.l1min.l1_minimize`.
+:func:`build_lp_bliss_problem` states the whole problem, for dumps.
 
 Variables are ordered [mu1, xi_00, xi_01, ..., xi_(N-1)(N-1)], one per
-upper-triangle entry of xi; the problem has full column rank.
+upper-triangle entry of xi in ``np.triu_indices`` order; the problem has
+full column rank.
 """
 
 from __future__ import annotations
@@ -81,11 +76,8 @@ class LpBlissVarMap:
         return 1 + i * n - i * (i - 1) // 2 + (j - i)
 
     def var_names(self) -> tuple[str, ...]:
-        names = ["mu1"]
-        for i in range(self.n_orb):
-            for j in range(i, self.n_orb):
-                names.append(f"xi_{i}_{j}")
-        return tuple(names)
+        return ("mu1",) + tuple(
+            f"xi_{i}_{j}" for i, j in zip(*np.triu_indices(self.n_orb)))
 
 
 class LpBlissIterationLimit(RuntimeError):
@@ -105,14 +97,35 @@ class LpBlissIterationLimit(RuntimeError):
         self.solution = solution
 
 
-def _shift_columns(hamiltonian: MolecularHamiltonian, vmap: LpBlissVarMap):
-    """Yield column v of A, the terms of the zero Hamiltonian shifted by e_v,
-    in variable order."""
+def _off_diagonal(vmap: LpBlissVarMap) -> np.ndarray:
+    i, j = np.triu_indices(vmap.n_orb)
+    return np.concatenate([[False], i != j])
+
+
+def _nonzeros(hamiltonian: MolecularHamiltonian, vmap: LpBlissVarMap
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's nonzero entries (rows, variables, values), from N + 3 probes."""
     zero = _derive(hamiltonian, h=np.zeros_like(hamiltonian.h),
                    g=np.zeros_like(hamiltonian.g))
-    for e_v in np.eye(vmap.n_vars):
-        shifted = apply_bliss(zero, params_from_solution(vmap, e_v))
-        yield np.concatenate([t.ravel() for t in pauli_terms(shifted)])
+
+    def probe(x, rows=None):
+        """Terms of the zero H shifted by x, on rows or their nonzeros only."""
+        shifted = apply_bliss(zero, params_from_solution(vmap, x))
+        column = np.concatenate([t.ravel() for t in pauli_terms(shifted)])
+        rows = np.flatnonzero(column) if rows is None else rows
+        return rows, column[rows]
+
+    off = _off_diagonal(vmap)
+    rows, unit = probe(off * 1.0)
+    labels = probe(off * np.arange(vmap.n_vars), rows)[1] / unit
+    variables = labels.astype(np.intp)
+    if not np.array_equal(variables, labels):
+        raise RuntimeError("an off-diagonal row carries more than one xi_pq")
+    parts = [(rows, variables, unit)]
+    for v in np.flatnonzero(~off):
+        rows, values = probe(np.eye(1, vmap.n_vars, v)[0])
+        parts.append((rows, np.full(rows.size, v), values))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _rhs_and_weights(
@@ -137,18 +150,18 @@ def build_lp_bliss_problem(
     building it.
     """
     vmap = LpBlissVarMap(hamiltonian.n_orb)
-    a = np.column_stack(list(_shift_columns(hamiltonian, vmap)))
-    problem = L1Problem(a, *_rhs_and_weights(hamiltonian), vmap.var_names())
-    return problem, vmap
+    rows, variables, values = _nonzeros(hamiltonian, vmap)
+    b, weights = _rhs_and_weights(hamiltonian)
+    a = np.zeros((b.size, vmap.n_vars))
+    a[rows, variables] = values
+    return L1Problem(a, b, weights, vmap.var_names()), vmap
 
 
 def params_from_solution(vmap: LpBlissVarMap, x: np.ndarray) -> BlissParams:
     """Unpack an L1 solution vector into :class:`BlissParams`."""
-    n = vmap.n_orb
-    xi = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            xi[i, j] = xi[j, i] = x[vmap.xi_index(i, j)]
+    i, j = np.triu_indices(vmap.n_orb)
+    xi = np.zeros((vmap.n_orb, vmap.n_orb))
+    xi[i, j] = xi[j, i] = x[1:]
     return BlissParams(float(x[vmap.mu1_index]), xi)
 
 
@@ -187,31 +200,23 @@ def lp_bliss_shifted(hamiltonian: MolecularHamiltonian,
     """
     vmap = LpBlissVarMap(hamiltonian.n_orb)
     b, weights = _rhs_and_weights(hamiltonian)
-    # Ascending, like the columns, so entries[j] belongs to diagonal[j].
-    diagonal = [vmap.mu1_index] + [
-        vmap.xi_index(i, i) for i in range(vmap.n_orb)]
+    rows, variables, values = _nonzeros(hamiltonian, vmap)
+    off = _off_diagonal(vmap)
     x = np.zeros(vmap.n_vars)
-    entries = []
-    for v, column in enumerate(_shift_columns(hamiltonian, vmap)):
-        rows = np.flatnonzero(column)
-        a = column[rows]
-        if v in diagonal:
-            entries.append((rows, a))
-        else:
-            x[v] = weighted_median(b[rows] / a, weights[rows] * np.abs(a))
-
-    # A mask rather than np.unique, whose plain form imports numpy.ma.
-    in_block = np.zeros(b.size, dtype=bool)
-    for rows, _ in entries:
-        in_block[rows] = True
-    block_rows = np.flatnonzero(in_block)
-    a = np.zeros((block_rows.size, len(diagonal)))
-    for j, (rows, values) in enumerate(entries):
-        a[np.searchsorted(block_rows, rows), j] = values
-    names = vmap.var_names()
-    block = L1Problem(a, b[block_rows], weights[block_rows],
-                      tuple(names[v] for v in diagonal))
-    solution = l1_minimize(merge_duplicate_rows(block), options)
+    order = np.argsort(variables, kind="stable")  # rows stay ascending
+    rows, variables, values = rows[order], variables[order], values[order]
+    bounds = np.searchsorted(variables, np.arange(vmap.n_vars + 1))
+    for v in np.flatnonzero(off):
+        r, a = (part[bounds[v]:bounds[v + 1]] for part in (rows, values))
+        x[v] = weighted_median(b[r] / a, weights[r] * np.abs(a))
+    # Not plain np.unique, which imports numpy.ma.
+    block = ~off[variables]
+    block_rows, at = np.unique(rows[block], return_inverse=True)
+    diagonal = np.flatnonzero(~off)
+    a = np.zeros((block_rows.size, diagonal.size))
+    a[at, np.searchsorted(diagonal, variables[block])] = values[block]
+    solution = l1_minimize(merge_duplicate_rows(
+        L1Problem(a, b[block_rows], weights[block_rows])), options)
     x[diagonal] = solution.x
 
     params = params_from_solution(vmap, x)

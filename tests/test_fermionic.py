@@ -11,6 +11,7 @@ from blisslp import (
     DFFragment,
     FERMIONIC_METHODS,
     IterationLimitError,
+    L1Problem,
     MolecularHamiltonian,
     ScipyLinprogSolver,
     SolverOptions,
@@ -356,18 +357,19 @@ def test_lrbs_shift_beats_sampling(seed):
 
 def test_lrbs_problem_matches_row_by_row_definition(monkeypatch):
     """Row (i, j) reads lam_ij - (theta_i + theta_j) / 2, weight 1/2 on
-    the diagonal and 1 off it, in row-major (i, j) order; no theta direction
-    leaves every row unchanged."""
+    the diagonal and 1 off it, in row-major (i, j) order; the problem solved
+    is that one with its mirrored rows merged, and no theta direction leaves
+    every row unchanged."""
     from blisslp import fermionic
 
     rng = np.random.default_rng(1510)
     seen = []
 
-    def merge(problem):
+    def minimize(problem, options=None):
         seen.append(problem)
-        return merge_duplicate_rows(problem)
+        return l1_minimize(problem, options)
 
-    monkeypatch.setattr(fermionic, "merge_duplicate_rows", merge)
+    monkeypatch.setattr(fermionic, "l1_minimize", minimize)
     for n in range(2, 7):
         lam = rng.normal(size=(n, n))
         lam = 0.5 * (lam + lam.T)
@@ -380,10 +382,11 @@ def test_lrbs_problem_matches_row_by_row_definition(monkeypatch):
                 a[i * n + j, j] += 0.5
                 b.append(lam[i, j])
                 weights.append(0.5 if i == j else 1.0)
+        want = merge_duplicate_rows(L1Problem(a, b, weights))
         problem = seen.pop()
-        np.testing.assert_array_equal(problem.a, a)
-        np.testing.assert_array_equal(problem.b, b)
-        np.testing.assert_array_equal(problem.weights, weights)
+        assert problem.a.tobytes() == want.a.tobytes()
+        assert problem.b.tobytes() == want.b.tobytes()
+        assert problem.weights.tobytes() == want.weights.tobytes()
         assert np.linalg.matrix_rank(problem.a) == n
 
 

@@ -1,6 +1,7 @@
 """Tests for the global shift-parameter linear program."""
 
 import hashlib
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from blisslp import (
+    BlissParams,
     LpBlissIterationLimit,
     LpBlissVarMap,
     LpResult,
@@ -26,6 +28,7 @@ from blisslp import (
     pauli_one_norm,
     solve_lp,
 )
+from blisslp.pauli import pauli_terms
 
 
 def seeded_hamiltonian(kind, n_orb, n_elec, seed=0):
@@ -268,22 +271,123 @@ def test_optimum_bounded_by_zero_shift_and_equals_shifted_norm(H):
         solution.objective, rel=1e-9, abs=1e-12)
 
 
+def reference_a(H):
+    """A one column at a time: column v holds the terms of the zero
+    Hamiltonian shifted by the unit vector e_v."""
+    vmap = LpBlissVarMap(H.n_orb)
+    zero = replace(H, h=np.zeros_like(H.h), g=np.zeros_like(H.g))
+    units = [BlissParams(1.0, np.zeros((H.n_orb, H.n_orb)))]
+    for i in range(H.n_orb):
+        for j in range(i, H.n_orb):
+            xi = np.zeros((H.n_orb, H.n_orb))
+            xi[i, j] = xi[j, i] = 1.0
+            assert vmap.xi_index(i, j) == len(units)
+            units.append(BlissParams(0.0, xi))
+    return np.column_stack([
+        np.concatenate([t.ravel() for t in pauli_terms(apply_bliss(zero, p))])
+        for p in units])
+
+
 @pytest.mark.parametrize("kind", ["random", "decay"])
 @pytest.mark.parametrize("n_orb", range(1, 7))
-@pytest.mark.parametrize("extra_elec", [0, 1])
+@pytest.mark.parametrize("extra_elec", [-1, 0, 1])
 def test_no_row_couples_two_blocks(kind, n_orb, extra_elec):
-    """The split lp_bliss relies on: a row carries no variable, one
-    off-diagonal xi_pq alone, or diagonal variables only."""
+    """The split lp_bliss relies on, checked on A built one variable at a
+    time: a row carries no variable, one off-diagonal xi_pq alone, or
+    diagonal variables only.  The problem built from that split is the same
+    A bit for bit."""
     H = seeded_hamiltonian(kind, n_orb, n_orb + extra_elec, seed=1400 + n_orb)
-    problem, vmap = build_lp_bliss_problem(H)
+    a = reference_a(H)
+    vmap = LpBlissVarMap(n_orb)
     diagonal = np.zeros(vmap.n_vars, dtype=bool)
     diagonal[vmap.mu1_index] = True
     diagonal[[vmap.xi_index(i, i) for i in range(n_orb)]] = True
-    nonzero = problem.a != 0.0
+    nonzero = a != 0.0
     off_count = nonzero[:, ~diagonal].sum(axis=1)
     assert off_count.max(initial=0) <= 1
     assert not np.any((off_count > 0) & nonzero[:, diagonal].any(axis=1))
     assert off_count.sum() > 0 or n_orb == 1
+    assert build_lp_bliss_problem(H)[0].a.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("n_orb", [1, 3, 6])
+def test_lp_bliss_probes_n_plus_three_shifts(n_orb, monkeypatch):
+    """N + 3 probes read A, and one more apply_bliss shifts H."""
+    module = importlib.import_module("blisslp.lp_bliss")
+    calls = []
+
+    def counting(hamiltonian, params):
+        calls.append(params)
+        return apply_bliss(hamiltonian, params)
+
+    monkeypatch.setattr(module, "apply_bliss", counting)
+    H = seeded_hamiltonian("random", n_orb, n_orb, seed=n_orb)
+    lp_bliss(H)
+    assert len(calls) == n_orb + 4
+
+
+def test_row_labels_that_mix_variables_fail_as_a_solver_fault(monkeypatch):
+    """Were xi_ii read in the off-diagonal probe, rows would mix variables
+    and the labels would not be integers: a RuntimeError, not the
+    ValueError of bad input."""
+    module = importlib.import_module("blisslp.lp_bliss")
+    monkeypatch.setattr(module, "_off_diagonal",
+                        lambda vmap: np.arange(vmap.n_vars) > 0)
+    H = seeded_hamiltonian("random", 3, 3, seed=3)
+    with pytest.raises(RuntimeError, match="more than one"):
+        lp_bliss(H)
+
+
+# lp_bliss's shift, (mu1, sha256 of xi's bytes), for seeded_hamiltonian(kind,
+# N, n_elec, seed=2500 + N): a moved vertex fails here even where the
+# optimum, pinned above, holds.
+PINNED_SHIFTS = [
+    ("decay", 4, 3, 1.040693233051672,
+     "e27ccc611a1c0ba84eedc2ee9aebf7d06d5f58e295418464ab77520c51877cae"),
+    ("decay", 4, 4, 1.2023377401340662,
+     "55f8a58612348cd2d52dc86cbed8ade5074962446f65a3be096de2fa8c4afa76"),
+    ("decay", 4, 5, 1.3909821418497834,
+     "a12e3eb5975446d022aa595be7a941047d506b027420fa79c37730d8c00206cb"),
+    ("decay", 7, 6, 1.7020716685597985,
+     "370ed5ba79907080179153cf1246b673026dc041662f597d504f89282a8dbcd7"),
+    ("decay", 7, 7, 1.8275050546829608,
+     "0066423298d86235f3b1fd7b07b736a9f33192ce70cf7e94138a659613d1700c"),
+    ("decay", 7, 8, 2.1784830348759807,
+     "5357afd84ca4caab15c7d0961198cd34757fbfe239f9765090fdda2d42a597c2"),
+    ("decay", 10, 9, 2.161099560062336,
+     "e3c402751bb673afd3ac10b68aa668a4ff793c73d02450d697308e56dadb040d"),
+    ("decay", 10, 10, 2.2834914215799955,
+     "6ba106263d71bbc99ac293457e20a8f167b1bfb06593dfbdcaca85e30aa4a96f"),
+    ("decay", 10, 11, 2.420370687138413,
+     "2003b74eb67132e73944b1655d5e3253185be61d0afbd4873ab74c88ee1b69ce"),
+    ("random", 4, 3, -0.016916797214736677,
+     "b2511be876bfda5339e0932fb1bf678ad5ccd331a3869a37edbf653f27661018"),
+    ("random", 4, 4, -0.3311686258730284,
+     "fa0294828c91e3b611dde0f60f3fd8c26b5ac47e3678a918919fdaf0a5d25172"),
+    ("random", 4, 5, -0.08695200365249584,
+     "e3f5cec9a140d230e12001eaafc7088289f12932c1e1f6bf96579d09e666d75d"),
+    ("random", 7, 6, -1.5882416625061284,
+     "df3985c362a4089aca03ffa620bdaef30cd08f335c9311ac8cae2a3c6735842f"),
+    ("random", 7, 7, -0.6825209512297247,
+     "e134da588750451ef8aa92b287231abb9e97935ce82418354cc9298513018483"),
+    ("random", 7, 8, -0.6902638645023877,
+     "69aa26de0f2f1bfefa994aaaaaadd180a5ebe070d409a31456e5b68c58d24250"),
+    ("random", 10, 9, 1.1547473531886447,
+     "56c58a08e08d352264ae4771b8d98012c8e4938c2b0ccbbaf527fa894d9c88eb"),
+    ("random", 10, 10, 0.0,
+     "c01d8a9c7a19d1d30b7d9f8bc7732dc150b28470411163e65fa36327c4b1a05b"),
+    ("random", 10, 11, 0.0,
+     "66d1e78c97f874172c6e9cc045dc2430fc5fdd9c132129258b71e8c5466ec6a1"),
+]
+
+
+@pytest.mark.parametrize("kind, n_orb, n_elec, mu1, xi_digest", PINNED_SHIFTS,
+                         ids=[f"{k}-{n}-{e}" for k, n, e, *_ in PINNED_SHIFTS])
+def test_shift_is_pinned(kind, n_orb, n_elec, mu1, xi_digest):
+    params, _ = lp_bliss(seeded_hamiltonian(kind, n_orb, n_elec,
+                                            seed=2500 + n_orb))
+    assert params.mu1 == mu1
+    assert hashlib.sha256(params.xi.tobytes()).hexdigest() == xi_digest
 
 
 @pytest.mark.parametrize("n_orb, n_elec", [(7, 5), (8, 8)])

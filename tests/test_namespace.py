@@ -40,12 +40,13 @@ PUBLIC_API = """
     weighted_median write_fcidump
 """.split()
 
-# Prints the package's loaded submodules and whether numpy is loaded.
+# Prints the package's loaded submodules and whether numpy and numpy.ma
+# are loaded.
 LOADED = """
 import json, sys
 print(json.dumps({
     "blisslp": sorted(m for m in sys.modules if m.startswith("blisslp")),
-    "numpy": "numpy" in sys.modules}))
+    "numpy": "numpy" in sys.modules, "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -63,7 +64,8 @@ def fresh(*parts: str):
 
 def test_import_loads_no_submodule_and_no_numpy():
     assert fresh("import blisslp", LOADED) == {"blisslp": ["blisslp"],
-                                                 "numpy": False}
+                                                 "numpy": False,
+                                                 "numpy.ma": False}
 
 
 def test_every_export_resolves_to_its_defining_submodule():
@@ -147,9 +149,11 @@ def test_cli_loads_spectral_only_for_spectra(small_dump, spectral, loaded):
         from blisslp.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             assert main({argv!r}) == 0
-    """, LOADED)["blisslp"]
-    assert ("blisslp.spectral" in modules) is loaded
-    assert "blisslp.lp_bliss" in modules
+    """, LOADED)
+    assert ("blisslp.spectral" in modules["blisslp"]) is loaded
+    assert "blisslp.lp_bliss" in modules["blisslp"]
+    # Plain np.unique imports numpy.ma, about a tenth of a small job.
+    assert not modules["numpy.ma"]
 
 
 def test_library_lanczos_loads_three_submodules(small_dump):
